@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "avatar/serialize.hpp"
+#include "common/bytes.hpp"
 
 namespace mvc::avatar {
 
@@ -15,7 +15,11 @@ namespace {
 // the remaining three over [-1/sqrt2, 1/sqrt2].
 constexpr double kQuatComponentRange = 0.70710678118654752440;
 
-void write_quat(ByteWriter& w, const math::Quat& q_in) {
+using Bytes = std::vector<std::uint8_t>;
+using common::put;
+using common::Reader;
+
+void write_quat(Bytes& w, const math::Quat& q_in) {
     const math::Quat q = q_in.normalized();
     const double comps[4] = {q.w, q.x, q.y, q.z};
     std::size_t largest = 0;
@@ -23,37 +27,39 @@ void write_quat(ByteWriter& w, const math::Quat& q_in) {
         if (std::abs(comps[i]) > std::abs(comps[largest])) largest = i;
     }
     const double sign = comps[largest] < 0.0 ? -1.0 : 1.0;
-    w.u8(static_cast<std::uint8_t>(largest));
+    put(w, static_cast<std::uint8_t>(largest));
     for (std::size_t i = 0; i < 4; ++i) {
         if (i == largest) continue;
-        w.i16(quantize16(comps[i] * sign, -kQuatComponentRange, kQuatComponentRange));
+        put(w, quantize16(comps[i] * sign, -kQuatComponentRange, kQuatComponentRange));
     }
 }
 
-math::Quat read_quat(ByteReader& r) {
-    const std::size_t largest = r.u8();
-    if (largest > 3) throw std::out_of_range("read_quat: bad component index");
+math::Quat read_quat(Reader& r) {
+    const std::size_t largest = r.get<std::uint8_t>();
+    if (largest > 3) r.fail();
+    if (!r.ok()) return {};
     double comps[4] = {0, 0, 0, 0};
     double sum_sq = 0.0;
     for (std::size_t i = 0; i < 4; ++i) {
         if (i == largest) continue;
-        comps[i] = dequantize16(r.i16(), -kQuatComponentRange, kQuatComponentRange);
+        comps[i] = dequantize16(r.get<std::int16_t>(), -kQuatComponentRange,
+                                kQuatComponentRange);
         sum_sq += comps[i] * comps[i];
     }
     comps[largest] = std::sqrt(std::max(0.0, 1.0 - sum_sq));
     return math::Quat{comps[0], comps[1], comps[2], comps[3]}.normalized();
 }
 
-void write_vec(ByteWriter& w, const math::Vec3& v, double range) {
-    w.i16(quantize16(v.x, -range, range));
-    w.i16(quantize16(v.y, -range, range));
-    w.i16(quantize16(v.z, -range, range));
+void write_vec(Bytes& w, const math::Vec3& v, double range) {
+    put(w, quantize16(v.x, -range, range));
+    put(w, quantize16(v.y, -range, range));
+    put(w, quantize16(v.z, -range, range));
 }
 
-math::Vec3 read_vec(ByteReader& r, double range) {
-    const double x = dequantize16(r.i16(), -range, range);
-    const double y = dequantize16(r.i16(), -range, range);
-    const double z = dequantize16(r.i16(), -range, range);
+math::Vec3 read_vec(Reader& r, double range) {
+    const double x = dequantize16(r.get<std::int16_t>(), -range, range);
+    const double y = dequantize16(r.get<std::int16_t>(), -range, range);
+    const double z = dequantize16(r.get<std::int16_t>(), -range, range);
     return {x, y, z};
 }
 
@@ -102,9 +108,9 @@ double AvatarCodec::position_resolution() const {
 }
 
 std::vector<std::uint8_t> AvatarCodec::encode_full(const AvatarState& s) const {
-    ByteWriter w;
-    w.u32(s.participant.value());
-    w.u64(static_cast<std::uint64_t>(s.captured_at.nanos() / 1000));  // microseconds
+    Bytes w;
+    put(w, s.participant.value());
+    put(w, static_cast<std::uint64_t>(s.captured_at.nanos() / 1000));  // microseconds
     write_vec(w, s.root.pose.position, bounds_.pos_range_m);
     write_quat(w, s.root.pose.orientation);
     write_vec(w, s.root.linear_velocity, bounds_.linear_vel_range);
@@ -115,17 +121,18 @@ std::vector<std::uint8_t> AvatarCodec::encode_full(const AvatarState& s) const {
         write_quat(w, p->orientation);
     }
     for (std::size_t i = 0; i < kExpressionChannels; ++i) {
-        w.u8(quantize8_unit(i < s.expression.size() ? s.expression[i] : 0.0));
+        put(w, quantize8_unit(i < s.expression.size() ? s.expression[i] : 0.0));
     }
-    w.u8(s.viseme);
-    return w.take();
+    put(w, s.viseme);
+    return w;
 }
 
-AvatarState AvatarCodec::decode_full(std::span<const std::uint8_t> bytes) const {
-    ByteReader r{bytes};
+std::optional<AvatarState> AvatarCodec::try_decode_full(
+    std::span<const std::uint8_t> bytes) const {
+    Reader r{bytes};
     AvatarState s;
-    s.participant = ParticipantId{r.u32()};
-    s.captured_at = sim::Time::us(static_cast<std::int64_t>(r.u64()));
+    s.participant = ParticipantId{r.get<std::uint32_t>()};
+    s.captured_at = sim::Time::us(static_cast<std::int64_t>(r.get<std::uint64_t>()));
     s.root.pose.position = read_vec(r, bounds_.pos_range_m);
     s.root.pose.orientation = read_quat(r);
     s.root.linear_velocity = read_vec(r, bounds_.linear_vel_range);
@@ -136,10 +143,17 @@ AvatarState AvatarCodec::decode_full(std::span<const std::uint8_t> bytes) const 
     }
     s.expression.resize(kExpressionChannels);
     for (std::size_t i = 0; i < kExpressionChannels; ++i) {
-        s.expression[i] = dequantize8_unit(r.u8());
+        s.expression[i] = dequantize8_unit(r.get<std::uint8_t>());
     }
-    s.viseme = r.u8();
+    s.viseme = r.get<std::uint8_t>();
+    if (!r.ok()) return std::nullopt;
     return s;
+}
+
+AvatarState AvatarCodec::decode_full(std::span<const std::uint8_t> bytes) const {
+    std::optional<AvatarState> s = try_decode_full(bytes);
+    if (!s) throw std::out_of_range("AvatarCodec::decode_full: malformed snapshot");
+    return std::move(*s);
 }
 
 std::vector<std::uint8_t> AvatarCodec::encode_delta(const AvatarState& reference,
@@ -169,9 +183,9 @@ std::vector<std::uint8_t> AvatarCodec::encode_delta(const AvatarState& reference
     if (expr_mask != 0) mask |= kExpression;
     if (current.viseme != reference.viseme) mask |= kViseme;
 
-    ByteWriter w;
-    w.u16(mask);
-    w.u32(static_cast<std::uint32_t>(current.captured_at.nanos() / 1000000));  // ms
+    Bytes w;
+    put(w, mask);
+    put(w, static_cast<std::uint32_t>(current.captured_at.nanos() / 1000000));  // ms
     if (mask & kRootPos) write_vec(w, current.root.pose.position, bounds_.pos_range_m);
     if (mask & kRootRot) write_quat(w, current.root.pose.orientation);
     if (mask & kLinVel) write_vec(w, current.root.linear_velocity, bounds_.linear_vel_range);
@@ -187,24 +201,24 @@ std::vector<std::uint8_t> AvatarCodec::encode_delta(const AvatarState& reference
     if (mask & kLeftHand) write_joint(current.body.left_hand);
     if (mask & kRightHand) write_joint(current.body.right_hand);
     if (mask & kExpression) {
-        w.u16(expr_mask);
+        put(w, expr_mask);
         for (std::size_t i = 0; i < kExpressionChannels; ++i) {
             if (expr_mask & (1u << i)) {
-                w.u8(quantize8_unit(i < current.expression.size() ? current.expression[i]
-                                                                  : 0.0));
+                put(w, quantize8_unit(i < current.expression.size() ? current.expression[i]
+                                                                    : 0.0));
             }
         }
     }
-    if (mask & kViseme) w.u8(current.viseme);
-    return w.take();
+    if (mask & kViseme) put(w, current.viseme);
+    return w;
 }
 
-AvatarState AvatarCodec::decode_delta(const AvatarState& reference,
-                                      std::span<const std::uint8_t> bytes) const {
-    ByteReader r{bytes};
+std::optional<AvatarState> AvatarCodec::try_decode_delta(
+    const AvatarState& reference, std::span<const std::uint8_t> bytes) const {
+    Reader r{bytes};
     AvatarState s = reference;
-    const std::uint16_t mask = r.u16();
-    s.captured_at = sim::Time::ms(static_cast<double>(r.u32()));
+    const auto mask = r.get<std::uint16_t>();
+    s.captured_at = sim::Time::ms(static_cast<double>(r.get<std::uint32_t>()));
     if (mask & kRootPos) s.root.pose.position = read_vec(r, bounds_.pos_range_m);
     if (mask & kRootRot) s.root.pose.orientation = read_quat(r);
     if (mask & kLinVel) s.root.linear_velocity = read_vec(r, bounds_.linear_vel_range);
@@ -217,15 +231,23 @@ AvatarState AvatarCodec::decode_delta(const AvatarState& reference,
     if (mask & kLeftHand) read_joint(s.body.left_hand);
     if (mask & kRightHand) read_joint(s.body.right_hand);
     if (mask & kExpression) {
-        const std::uint16_t expr_mask = r.u16();
+        const auto expr_mask = r.get<std::uint16_t>();
         if (s.expression.size() < kExpressionChannels)
             s.expression.resize(kExpressionChannels, 0.0);
         for (std::size_t i = 0; i < kExpressionChannels; ++i) {
-            if (expr_mask & (1u << i)) s.expression[i] = dequantize8_unit(r.u8());
+            if (expr_mask & (1u << i)) s.expression[i] = dequantize8_unit(r.get<std::uint8_t>());
         }
     }
-    if (mask & kViseme) s.viseme = r.u8();
+    if (mask & kViseme) s.viseme = r.get<std::uint8_t>();
+    if (!r.ok()) return std::nullopt;
     return s;
+}
+
+AvatarState AvatarCodec::decode_delta(const AvatarState& reference,
+                                      std::span<const std::uint8_t> bytes) const {
+    std::optional<AvatarState> s = try_decode_delta(reference, bytes);
+    if (!s) throw std::out_of_range("AvatarCodec::decode_delta: malformed delta");
+    return std::move(*s);
 }
 
 }  // namespace mvc::avatar

@@ -9,6 +9,7 @@
 // unit-tested.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,13 +38,22 @@ public:
     explicit AvatarCodec(CodecBounds bounds = {}, DeltaThresholds thresholds = {});
 
     [[nodiscard]] std::vector<std::uint8_t> encode_full(const AvatarState& s) const;
+    /// nullopt when `bytes` is truncated or malformed; never throws, so it
+    /// is safe on bytes that arrived from a socket.
+    [[nodiscard]] std::optional<AvatarState> try_decode_full(
+        std::span<const std::uint8_t> bytes) const;
+    /// try_decode_full for trusted bytes; throws std::out_of_range instead.
     [[nodiscard]] AvatarState decode_full(std::span<const std::uint8_t> bytes) const;
 
     /// Delta against `reference` (the last state the receiver is known to
     /// hold). Unchanged groups cost nothing beyond the 2-byte mask.
     [[nodiscard]] std::vector<std::uint8_t> encode_delta(const AvatarState& reference,
                                                          const AvatarState& current) const;
-    /// Apply a delta on top of `reference`.
+    /// Apply a delta on top of `reference`; nullopt when `bytes` is
+    /// truncated or malformed. Never throws.
+    [[nodiscard]] std::optional<AvatarState> try_decode_delta(
+        const AvatarState& reference, std::span<const std::uint8_t> bytes) const;
+    /// try_decode_delta for trusted bytes; throws std::out_of_range instead.
     [[nodiscard]] AvatarState decode_delta(const AvatarState& reference,
                                            std::span<const std::uint8_t> bytes) const;
 
@@ -57,5 +67,14 @@ private:
     CodecBounds bounds_;
     DeltaThresholds thresholds_;
 };
+
+/// Quantize a double in [lo, hi] to a signed 16-bit integer; values outside
+/// the range clamp. Resolution = (hi-lo)/65535.
+[[nodiscard]] std::int16_t quantize16(double v, double lo, double hi);
+[[nodiscard]] double dequantize16(std::int16_t q, double lo, double hi);
+
+/// Quantize a value in [0,1] to 8 bits.
+[[nodiscard]] std::uint8_t quantize8_unit(double v);
+[[nodiscard]] double dequantize8_unit(std::uint8_t q);
 
 }  // namespace mvc::avatar

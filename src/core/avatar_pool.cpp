@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/bytes.hpp"
+
 namespace mvc::core {
 
 void AvatarPool::reserve(std::size_t capacity) {
@@ -83,24 +85,9 @@ void AvatarPool::clear_dirty() {
     std::memset(dirty_.data(), 0, dirty_.size());
 }
 
-namespace {
-template <class T>
-void put(std::vector<std::uint8_t>& out, T v) {
-    const auto old = out.size();
-    out.resize(old + sizeof(T));
-    std::memcpy(out.data() + old, &v, sizeof(T));
-}
-template <class T>
-T get(const std::uint8_t*& p) {
-    T v;
-    std::memcpy(&v, p, sizeof(T));
-    p += sizeof(T);
-    return v;
-}
-}  // namespace
-
 void AvatarPool::encode_record(std::uint32_t index,
                                std::vector<std::uint8_t>& out) const {
+    using common::put;
     put<std::uint32_t>(out, ids_[index].value());
     put<std::uint32_t>(out, seqs_[index]);
     put<std::uint8_t>(out, lods_[index]);
@@ -115,12 +102,13 @@ void AvatarPool::encode_record(std::uint32_t index,
 }
 
 AvatarPool::Record AvatarPool::decode_record(const std::uint8_t* data) {
+    common::Reader in{std::span{data, kRecordBytes}};
     Record r;
-    r.id = EntityId{get<std::uint32_t>(data)};
-    r.seq = get<std::uint32_t>(data);
-    r.lod = get<std::uint8_t>(data);
-    const float px = get<float>(data), py = get<float>(data), pz = get<float>(data);
-    const float vx = get<float>(data), vy = get<float>(data), vz = get<float>(data);
+    r.id = EntityId{in.get<std::uint32_t>()};
+    r.seq = in.get<std::uint32_t>();
+    r.lod = in.get<std::uint8_t>();
+    const auto px = in.get<float>(), py = in.get<float>(), pz = in.get<float>();
+    const auto vx = in.get<float>(), vy = in.get<float>(), vz = in.get<float>();
     r.position = {px, py, pz};
     r.velocity = {vx, vy, vz};
     return r;

@@ -7,6 +7,7 @@
 
 #include "fault/heartbeat.hpp"
 #include "net/transport.hpp"
+#include "common/bytes.hpp"
 #include "net/wire_format.hpp"
 #include "recovery/resync.hpp"
 #include "sync/clock.hpp"
@@ -16,9 +17,13 @@ namespace mvc::core {
 
 namespace {
 
-using net::wiredata::put;
-using net::wiredata::put_bytes;
-using net::wiredata::Reader;
+using common::put;
+using common::put_bytes;
+using common::Reader;
+
+// Smallest encoding of each repeated element, for vetting decoded counts.
+constexpr std::size_t kMinAvatarBytes = 4 + 4 + 1 + 4 + 8 + 4 + 4;
+constexpr std::size_t kMinResyncEntryBytes = 4 + 4 + 8 + 4;
 
 void put_avatar(std::vector<std::byte>& out, const sync::AvatarWire& w) {
     put<std::uint32_t>(out, w.participant.value());
@@ -38,11 +43,10 @@ sync::AvatarWire get_avatar(Reader& r) {
     w.keyframe = r.get<std::uint8_t>() != 0;
     w.seq = r.get<std::uint32_t>();
     w.captured_at = sim::Time::ns(r.get<std::int64_t>());
-    w.bytes = r.get_bytes();
-    const auto relays = r.get<std::uint32_t>();
-    w.relay_to.reserve(r.ok ? relays : 0);
-    for (std::uint32_t i = 0; r.ok && i < relays; ++i)
-        w.relay_to.push_back(r.get<std::uint32_t>());
+    const auto bytes = r.bytes();
+    w.bytes.assign(bytes.begin(), bytes.end());
+    w.relay_to.resize(r.count(r.get<std::uint32_t>(), sizeof(std::uint32_t)));
+    for (std::uint32_t& n : w.relay_to) n = r.get<std::uint32_t>();
     return w;
 }
 
@@ -53,7 +57,7 @@ net::WireCodecs::Decode whole_body(GetFn get) {
     return [get](std::span<const std::byte> body) -> std::optional<net::Payload> {
         Reader r{body};
         T value = get(r);
-        if (!r.ok || r.pos != body.size()) return std::nullopt;
+        if (!r.ok() || !r.done()) return std::nullopt;
         return net::Payload{std::move(value)};
     };
 }
@@ -79,9 +83,9 @@ void register_wire_codecs() {
         },
         whole_body<sync::AvatarBatchWire>([](Reader& r) {
             sync::AvatarBatchWire batch;
-            const auto count = r.get<std::uint32_t>();
-            batch.updates.reserve(r.ok ? count : 0);
-            for (std::uint32_t i = 0; r.ok && i < count; ++i)
+            const std::size_t count = r.count(r.get<std::uint32_t>(), kMinAvatarBytes);
+            batch.updates.reserve(count);
+            for (std::size_t i = 0; r.ok() && i < count; ++i)
                 batch.updates.push_back(get_avatar(r));
             return batch;
         }));
@@ -130,15 +134,13 @@ void register_wire_codecs() {
             recovery::ResyncSnapshot snap;
             snap.nonce = r.get<std::uint64_t>();
             snap.served_at = sim::Time::ns(r.get<std::int64_t>());
-            const auto count = r.get<std::uint32_t>();
-            snap.entries.reserve(r.ok ? count : 0);
-            for (std::uint32_t i = 0; r.ok && i < count; ++i) {
-                recovery::ResyncEntry e;
+            snap.entries.resize(r.count(r.get<std::uint32_t>(), kMinResyncEntryBytes));
+            for (recovery::ResyncEntry& e : snap.entries) {
                 e.participant = ParticipantId{r.get<std::uint32_t>()};
                 e.source_room = ClassroomId{r.get<std::uint32_t>()};
                 e.captured_at = sim::Time::ns(r.get<std::int64_t>());
-                e.bytes = r.get_bytes();
-                snap.entries.push_back(std::move(e));
+                const auto bytes = r.bytes();
+                e.bytes.assign(bytes.begin(), bytes.end());
             }
             return snap;
         }));
@@ -155,15 +157,9 @@ void register_wire_codecs() {
     codecs.register_codec<std::string>(
         kTagText,
         [](const net::Payload& p, std::vector<std::byte>& out) {
-            const auto& s = p.get<std::string>();
-            put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-            for (const char c : s) out.push_back(static_cast<std::byte>(c));
+            put_bytes(out, p.get<std::string>());
         },
-        whole_body<std::string>([](Reader& r) {
-            const auto n = r.get<std::uint32_t>();
-            const auto b = r.bytes(n);
-            return std::string{reinterpret_cast<const char*>(b.data()), b.size()};
-        }));
+        whole_body<std::string>([](Reader& r) { return r.str(r.get<std::uint32_t>()); }));
 }
 
 }  // namespace mvc::core

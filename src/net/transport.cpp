@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "net/wire_format.hpp"
 
 namespace mvc::net {
@@ -50,25 +51,25 @@ void ReliableChannel::register_wire_codecs(WireCodecs& codecs, std::uint16_t dat
         data_tag,
         [](const Payload& p, std::vector<std::byte>& out) {
             const auto& w = p.get<Wire>();
-            wiredata::put<std::uint64_t>(out, w.seq);
-            wiredata::put<std::int64_t>(out, w.first_sent.nanos());
-            wiredata::put<std::int32_t>(out, w.transmission);
+            common::put<std::uint64_t>(out, w.seq);
+            common::put<std::int64_t>(out, w.first_sent.nanos());
+            common::put<std::int32_t>(out, w.transmission);
             if (!encode_nested_payload(w.app_payload, out)) {
                 // No codec for the application payload: ship the wrapper with
                 // an empty nested payload rather than failing the whole
                 // segment (the ACK machinery still needs the seq through).
-                wiredata::put<std::uint16_t>(out, kTagEmpty);
-                wiredata::put<std::uint32_t>(out, 0);
+                common::put<std::uint16_t>(out, kTagEmpty);
+                common::put<std::uint32_t>(out, 0);
             }
         },
         [](std::span<const std::byte> body) -> std::optional<Payload> {
-            wiredata::Reader r{body};
+            common::Reader r{body};
             Wire w;
             w.seq = r.get<std::uint64_t>();
             w.first_sent = sim::Time::ns(r.get<std::int64_t>());
             w.transmission = r.get<std::int32_t>();
             std::optional<Payload> nested = decode_nested_payload(r);
-            if (!nested || !r.ok || r.pos != body.size()) return std::nullopt;
+            if (!nested || !r.ok() || !r.done()) return std::nullopt;
             w.app_payload = std::move(*nested);
             return Payload{std::move(w)};
         });

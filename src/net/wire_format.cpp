@@ -1,37 +1,12 @@
 #include "net/wire_format.hpp"
 
-#include <array>
-#include <cstring>
 #include <stdexcept>
 
 namespace mvc::net {
 
-namespace {
-
-// Standard CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven.
-std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (int k = 0; k < 8; ++k) c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-        table[i] = c;
-    }
-    return table;
-}
-
-
-}  // namespace
-
-using wiredata::Reader;
-using wiredata::put;
-
-std::uint32_t crc32(std::span<const std::byte> bytes) {
-    static const std::array<std::uint32_t, 256> table = make_crc_table();
-    std::uint32_t c = 0xFFFFFFFFU;
-    for (const std::byte b : bytes)
-        c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xFFU] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFU;
-}
+using common::crc32;
+using common::put;
+using common::Reader;
 
 WireCodecs& WireCodecs::instance() {
     static WireCodecs codecs;
@@ -91,12 +66,11 @@ std::optional<std::vector<std::byte>> encode_frame(const Packet& p, Priority pri
 
     if (p.flow.size() > 0xFFFF) return std::nullopt;
     put<std::uint16_t>(out, static_cast<std::uint16_t>(p.flow.size()));
-    for (const char c : p.flow) out.push_back(static_cast<std::byte>(c));
+    common::put_raw(out, p.flow);
 
     std::vector<std::byte> body;
     if (*tag != kTagEmpty) (*codecs.encoder(*tag))(p.payload, body);
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(body.size()));
-    out.insert(out.end(), body.begin(), body.end());
+    common::put_bytes(out, body);
 
     put<std::uint32_t>(out, crc32(out));
     return out;
@@ -131,15 +105,15 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::byte> frame,
     };
     Reader r{frame};
     const auto magic = r.get<std::uint32_t>();
-    if (!r.ok) return reject(FrameDefect::Truncated);
+    if (!r.ok()) return reject(FrameDefect::Truncated);
     if (magic != kWireMagic) return reject(FrameDefect::BadMagic);
     const auto version = r.get<std::uint8_t>();
-    if (!r.ok) return reject(FrameDefect::Truncated);
+    if (!r.ok()) return reject(FrameDefect::Truncated);
     if (version != kWireVersion) return reject(FrameDefect::BadVersion);
 
     DecodedFrame out;
     const auto prio = r.get<std::uint8_t>();
-    if (!r.ok) return reject(FrameDefect::Truncated);
+    if (!r.ok()) return reject(FrameDefect::Truncated);
     if (prio > static_cast<std::uint8_t>(Priority::Bulk))
         return reject(FrameDefect::BadPriority);
     out.priority = static_cast<Priority>(prio);
@@ -150,23 +124,16 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::byte> frame,
     out.packet.size_bytes = static_cast<std::size_t>(r.get<std::uint64_t>());
     out.packet.sent_at = sim::Time::ns(r.get<std::int64_t>());
 
-    const auto flow_len = r.get<std::uint16_t>();
-    const auto flow_bytes = r.bytes(flow_len);
-    if (!r.ok) return reject(FrameDefect::Truncated);
-    out.packet.flow.assign(reinterpret_cast<const char*>(flow_bytes.data()),
-                           flow_bytes.size());
-
-    const auto body_len = r.get<std::uint32_t>();
-    const auto body = r.bytes(body_len);
-    if (!r.ok) return reject(FrameDefect::Truncated);
+    out.packet.flow = r.str(r.get<std::uint16_t>());
+    const auto body = std::as_bytes(r.bytes());
+    if (!r.ok()) return reject(FrameDefect::Truncated);
 
     // The CRC must be exactly the remaining four bytes: trailing garbage is
     // as much a defect as truncation.
-    if (frame.size() - r.pos < kCrcBytes) return reject(FrameDefect::Truncated);
-    if (frame.size() - r.pos > kCrcBytes)
-        return reject(FrameDefect::TrailingGarbage);
-    const std::uint32_t stored = r.get<std::uint32_t>();
-    if (!r.ok || stored != crc32(frame.first(frame.size() - kCrcBytes)))
+    if (r.remaining() < kCrcBytes) return reject(FrameDefect::Truncated);
+    if (r.remaining() > kCrcBytes) return reject(FrameDefect::TrailingGarbage);
+    const auto stored = r.get<std::uint32_t>();
+    if (stored != crc32(frame.first(frame.size() - kCrcBytes)))
         return reject(FrameDefect::CrcMismatch);
 
     if (tag == kTagEmpty) {
@@ -190,16 +157,14 @@ bool encode_nested_payload(const Payload& p, std::vector<std::byte>& out) {
     put<std::uint16_t>(out, *tag);
     std::vector<std::byte> body;
     if (*tag != kTagEmpty) (*codecs.encoder(*tag))(p, body);
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(body.size()));
-    out.insert(out.end(), body.begin(), body.end());
+    common::put_bytes(out, body);
     return true;
 }
 
-std::optional<Payload> decode_nested_payload(wiredata::Reader& r) {
+std::optional<Payload> decode_nested_payload(Reader& r) {
     const auto tag = r.get<std::uint16_t>();
-    const auto body_len = r.get<std::uint32_t>();
-    const auto body = r.bytes(body_len);
-    if (!r.ok) return std::nullopt;
+    const auto body = std::as_bytes(r.bytes());
+    if (!r.ok()) return std::nullopt;
     if (tag == kTagEmpty) {
         if (!body.empty()) return std::nullopt;
         return Payload{};

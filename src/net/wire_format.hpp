@@ -5,7 +5,8 @@
 // defines the frame layout and a small codec registry that maps payload
 // types to wire tags.
 //
-// Frame layout (all integers little-endian, fixed width):
+// Frame layout (all integers little-endian, fixed width; written and read
+// with the common/bytes.hpp codec that every payload codec also uses):
 //
 //   offset size field
 //        0    4 magic "MVDG"
@@ -22,7 +23,7 @@
 //        .    4 payload body length -> followed by the payload bytes
 //        .    4 CRC-32 over every preceding byte of the frame
 //
-// The CRC closes the frame so a truncated, corrupted, or foreign datagram is
+// The CRC (common::crc32) closes the frame so a truncated, corrupted, or foreign datagram is
 // rejected before any payload decode runs. Decoding never throws on bad
 // input: malformed frames return std::nullopt and the backend counts them.
 //
@@ -38,6 +39,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "net/packet.hpp"
 
 namespace mvc::net {
@@ -46,71 +48,6 @@ inline constexpr std::uint32_t kWireMagic = 0x4744564DU;  // "MVDG" little-endia
 inline constexpr std::uint8_t kWireVersion = 1;
 /// Tag stamped on frames whose packet carried no payload.
 inline constexpr std::uint16_t kTagEmpty = 0;
-
-[[nodiscard]] std::uint32_t crc32(std::span<const std::byte> bytes);
-
-/// Little-endian primitives shared by the frame encoder and every payload
-/// codec, so each codec does not grow its own byte-order bugs.
-namespace wiredata {
-
-template <class T>
-inline void put(std::vector<std::byte>& out, T v) {
-    static_assert(std::is_integral_v<T>);
-    auto u = static_cast<std::make_unsigned_t<T>>(v);
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        out.push_back(static_cast<std::byte>((u >> (8 * i)) & 0xFFU));
-}
-
-inline void put_bytes(std::vector<std::byte>& out, std::span<const std::uint8_t> b) {
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(b.size()));
-    for (const std::uint8_t c : b) out.push_back(static_cast<std::byte>(c));
-}
-
-/// Bounds-checked little-endian reader; `ok` latches false on overrun, and
-/// every accessor returns a zero value once latched so codecs can decode
-/// straight through and check `ok` once at the end.
-struct Reader {
-    std::span<const std::byte> buf;
-    std::size_t pos{0};
-    bool ok{true};
-
-    template <class T>
-    T get() {
-        static_assert(std::is_integral_v<T>);
-        if (!ok || buf.size() - pos < sizeof(T)) {
-            ok = false;
-            return T{};
-        }
-        std::make_unsigned_t<T> u = 0;
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            u |= static_cast<std::make_unsigned_t<T>>(
-                     static_cast<std::uint8_t>(buf[pos + i]))
-                 << (8 * i);
-        pos += sizeof(T);
-        return static_cast<T>(u);
-    }
-
-    std::span<const std::byte> bytes(std::size_t n) {
-        if (!ok || buf.size() - pos < n) {
-            ok = false;
-            return {};
-        }
-        auto s = buf.subspan(pos, n);
-        pos += n;
-        return s;
-    }
-
-    std::vector<std::uint8_t> get_bytes() {
-        const auto n = get<std::uint32_t>();
-        const auto s = bytes(n);
-        std::vector<std::uint8_t> out;
-        out.reserve(s.size());
-        for (const std::byte b : s) out.push_back(static_cast<std::uint8_t>(b));
-        return out;
-    }
-};
-
-}  // namespace wiredata
 
 /// Payload codec registry: tag <-> typed encode/decode, process-global.
 /// Registration is not thread-safe (do it at startup, before any traffic);
@@ -193,6 +130,6 @@ inline constexpr std::size_t kFrameDefectCount = 9;
 
 /// Inverse of encode_nested_payload; consumes from `r` and leaves it
 /// positioned after the nested body. nullopt on unknown tag or codec reject.
-[[nodiscard]] std::optional<Payload> decode_nested_payload(wiredata::Reader& r);
+[[nodiscard]] std::optional<Payload> decode_nested_payload(common::Reader& r);
 
 }  // namespace mvc::net

@@ -1,232 +1,165 @@
 #include "recovery/checkpoint.hpp"
 
-#include <array>
-
-#include "avatar/serialize.hpp"
+#include "common/bytes.hpp"
 
 namespace mvc::recovery {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (int k = 0; k < 8; ++k)
-            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-        table[i] = c;
-    }
-    return table;
+using Bytes = std::vector<std::uint8_t>;
+using common::put;
+using common::Reader;
+
+// Smallest encoding of each repeated record, for vetting decoded counts.
+constexpr std::size_t kPoseBytes = 7 * 8;
+constexpr std::size_t kSeatBytes = 4 + 4;
+constexpr std::size_t kReservationBytes = 4 + 4;
+constexpr std::size_t kMinMemberBytes = 4 + 4 + 1 + 1 + 1 + 4 + 4 + 1;
+constexpr std::size_t kMinContentBytes = 4 + 4 + 1 + 1 + 4 + 8 + 8 + 1 + 4 + 1;
+constexpr std::size_t kMinReplicaBytes = 4 + 4 + 1 + 1 + 4 + 2 * kPoseBytes + 8 + 4;
+
+void put_pose(Bytes& w, const math::Pose& p) {
+    for (const double v : {p.position.x, p.position.y, p.position.z, p.orientation.w,
+                           p.orientation.x, p.orientation.y, p.orientation.z})
+        put(w, v);
 }
 
-void put_string(avatar::ByteWriter& w, const std::string& s) {
-    w.u32(static_cast<std::uint32_t>(s.size()));
-    for (const char ch : s) w.u8(static_cast<std::uint8_t>(ch));
-}
-
-std::string get_string(avatar::ByteReader& r) {
-    const std::uint32_t n = r.u32();
-    if (n > r.remaining()) throw CheckpointError("checkpoint: truncated string");
-    std::string s;
-    s.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) s.push_back(static_cast<char>(r.u8()));
-    return s;
-}
-
-void put_bytes(avatar::ByteWriter& w, const std::vector<std::uint8_t>& b) {
-    w.u32(static_cast<std::uint32_t>(b.size()));
-    for (const std::uint8_t v : b) w.u8(v);
-}
-
-std::vector<std::uint8_t> get_bytes(avatar::ByteReader& r) {
-    const std::uint32_t n = r.u32();
-    if (n > r.remaining()) throw CheckpointError("checkpoint: truncated byte block");
-    std::vector<std::uint8_t> b;
-    b.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) b.push_back(r.u8());
-    return b;
-}
-
-void put_pose(avatar::ByteWriter& w, const math::Pose& p) {
-    w.f64(p.position.x);
-    w.f64(p.position.y);
-    w.f64(p.position.z);
-    w.f64(p.orientation.w);
-    w.f64(p.orientation.x);
-    w.f64(p.orientation.y);
-    w.f64(p.orientation.z);
-}
-
-math::Pose get_pose(avatar::ByteReader& r) {
+math::Pose get_pose(Reader& r) {
     math::Pose p;
-    p.position.x = r.f64();
-    p.position.y = r.f64();
-    p.position.z = r.f64();
-    p.orientation.w = r.f64();
-    p.orientation.x = r.f64();
-    p.orientation.y = r.f64();
-    p.orientation.z = r.f64();
+    for (double* v : {&p.position.x, &p.position.y, &p.position.z, &p.orientation.w,
+                      &p.orientation.x, &p.orientation.y, &p.orientation.z})
+        *v = r.get<double>();
     return p;
 }
 
-const std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
-
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-    std::uint32_t c = 0xFFFFFFFFu;
-    for (const std::uint8_t b : data) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t prev) {
-    std::uint32_t c = prev ^ 0xFFFFFFFFu;
-    for (const std::uint8_t b : data) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
-}
-
 std::vector<std::uint8_t> encode_checkpoint(const ClassroomCheckpoint& cp) {
-    avatar::ByteWriter w;
-    w.u32(kCheckpointMagic);
-    w.u16(kCheckpointVersion);
-    put_string(w, cp.node);
-    w.u64(cp.sequence);
-    w.u64(static_cast<std::uint64_t>(cp.taken_at_ns));
+    using common::put_bytes;
+    Bytes w;
+    put(w, kCheckpointMagic);
+    put(w, kCheckpointVersion);
+    put_bytes(w, cp.node);
+    put(w, cp.sequence);
+    put(w, cp.taken_at_ns);
 
-    w.u32(static_cast<std::uint32_t>(cp.seats.size()));
+    put(w, static_cast<std::uint32_t>(cp.seats.size()));
     for (const auto& s : cp.seats) {
-        w.u32(s.seat_index);
-        w.u32(s.occupant.value());
+        put(w, s.seat_index);
+        put(w, s.occupant.value());
     }
-    w.u32(static_cast<std::uint32_t>(cp.reservations.size()));
+    put(w, static_cast<std::uint32_t>(cp.reservations.size()));
     for (const auto& r : cp.reservations) {
-        w.u32(r.participant.value());
-        w.u32(r.seat_index);
+        put(w, r.participant.value());
+        put(w, r.seat_index);
     }
-    w.u32(static_cast<std::uint32_t>(cp.members.size()));
+    put(w, static_cast<std::uint32_t>(cp.members.size()));
     for (const auto& m : cp.members) {
-        w.u32(m.id.value());
-        put_string(w, m.name);
-        w.u8(m.role);
-        w.u8(m.device);
-        w.u8(m.physical ? 1 : 0);
-        w.u32(m.room.value());
-        w.u32(m.seat_index);
-        w.u8(m.region);
+        put(w, m.id.value());
+        put_bytes(w, m.name);
+        put(w, m.role);
+        put(w, m.device);
+        put<std::uint8_t>(w, m.physical ? 1 : 0);
+        put(w, m.room.value());
+        put(w, m.seat_index);
+        put(w, m.region);
     }
-    w.u32(static_cast<std::uint32_t>(cp.content.size()));
+    put(w, static_cast<std::uint32_t>(cp.content.size()));
     for (const auto& c : cp.content) {
-        w.u32(c.id.value());
-        w.u32(c.creator.value());
-        w.u8(c.kind);
-        w.u8(c.scope);
-        put_string(w, c.title);
-        w.u64(c.size_bytes);
-        w.u64(static_cast<std::uint64_t>(c.created_at_ns));
-        w.u8(c.anchored_to_person ? 1 : 0);
-        w.u32(c.anchor_person.value());
-        w.u8(c.anchor_consent ? 1 : 0);
+        put(w, c.id.value());
+        put(w, c.creator.value());
+        put(w, c.kind);
+        put(w, c.scope);
+        put_bytes(w, c.title);
+        put(w, c.size_bytes);
+        put(w, c.created_at_ns);
+        put<std::uint8_t>(w, c.anchored_to_person ? 1 : 0);
+        put(w, c.anchor_person.value());
+        put<std::uint8_t>(w, c.anchor_consent ? 1 : 0);
     }
-    w.u32(static_cast<std::uint32_t>(cp.replicas.size()));
+    put(w, static_cast<std::uint32_t>(cp.replicas.size()));
     for (const auto& rr : cp.replicas) {
-        w.u32(rr.participant.value());
-        w.u32(rr.source_room.value());
-        w.u8(rr.anchored ? 1 : 0);
-        w.u8(rr.has_seat ? 1 : 0);
-        w.u32(rr.seat_index);
+        put(w, rr.participant.value());
+        put(w, rr.source_room.value());
+        put<std::uint8_t>(w, rr.anchored ? 1 : 0);
+        put<std::uint8_t>(w, rr.has_seat ? 1 : 0);
+        put(w, rr.seat_index);
         put_pose(w, rr.source_anchor);
         put_pose(w, rr.seat_pose);
-        w.u64(static_cast<std::uint64_t>(rr.captured_at_ns));
+        put(w, rr.captured_at_ns);
         put_bytes(w, rr.reference);
     }
-
-    std::vector<std::uint8_t> out = w.take();
-    const std::uint32_t crc = crc32(out);
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>((crc >> (8 * i)) & 0xFFu));
-    return out;
+    put(w, common::crc32(w));
+    return w;
 }
 
 ClassroomCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
     if (bytes.size() < 10) throw CheckpointError("checkpoint: too short");
-    std::uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i)
-        stored |= static_cast<std::uint32_t>(bytes[bytes.size() - 4 + i]) << (8 * i);
-    if (crc32(bytes.first(bytes.size() - 4)) != stored)
+    const std::span<const std::uint8_t> body = bytes.first(bytes.size() - 4);
+    if (Reader{bytes.last(4)}.get<std::uint32_t>() != common::crc32(body))
         throw CheckpointError("checkpoint: checksum mismatch");
 
-    avatar::ByteReader r(bytes.first(bytes.size() - 4));
-    try {
-        if (r.u32() != kCheckpointMagic) throw CheckpointError("checkpoint: bad magic");
-        if (r.u16() != kCheckpointVersion)
-            throw CheckpointError("checkpoint: unknown version");
+    Reader r{body};
+    if (r.get<std::uint32_t>() != kCheckpointMagic)
+        throw CheckpointError("checkpoint: bad magic");
+    if (r.get<std::uint16_t>() != kCheckpointVersion)
+        throw CheckpointError("checkpoint: unknown version");
 
-        ClassroomCheckpoint cp;
-        cp.node = get_string(r);
-        cp.sequence = r.u64();
-        cp.taken_at_ns = static_cast<std::int64_t>(r.u64());
+    ClassroomCheckpoint cp;
+    cp.node = r.str(r.get<std::uint32_t>());
+    cp.sequence = r.get<std::uint64_t>();
+    cp.taken_at_ns = r.get<std::int64_t>();
 
-        const std::uint32_t n_seats = r.u32();
-        for (std::uint32_t i = 0; i < n_seats; ++i) {
-            SeatRecord s;
-            s.seat_index = r.u32();
-            s.occupant = ParticipantId{r.u32()};
-            cp.seats.push_back(std::move(s));
-        }
-        const std::uint32_t n_res = r.u32();
-        for (std::uint32_t i = 0; i < n_res; ++i) {
-            ReservationRecord res;
-            res.participant = ParticipantId{r.u32()};
-            res.seat_index = r.u32();
-            cp.reservations.push_back(res);
-        }
-        const std::uint32_t n_members = r.u32();
-        for (std::uint32_t i = 0; i < n_members; ++i) {
-            MemberRecord m;
-            m.id = ParticipantId{r.u32()};
-            m.name = get_string(r);
-            m.role = r.u8();
-            m.device = r.u8();
-            m.physical = r.u8() != 0;
-            m.room = ClassroomId{r.u32()};
-            m.seat_index = r.u32();
-            m.region = r.u8();
-            cp.members.push_back(std::move(m));
-        }
-        const std::uint32_t n_content = r.u32();
-        for (std::uint32_t i = 0; i < n_content; ++i) {
-            ContentRecord c;
-            c.id = ContentId{r.u32()};
-            c.creator = ParticipantId{r.u32()};
-            c.kind = r.u8();
-            c.scope = r.u8();
-            c.title = get_string(r);
-            c.size_bytes = r.u64();
-            c.created_at_ns = static_cast<std::int64_t>(r.u64());
-            c.anchored_to_person = r.u8() != 0;
-            c.anchor_person = ParticipantId{r.u32()};
-            c.anchor_consent = r.u8() != 0;
-            cp.content.push_back(std::move(c));
-        }
-        const std::uint32_t n_replicas = r.u32();
-        for (std::uint32_t i = 0; i < n_replicas; ++i) {
-            ReplicaRecord rr;
-            rr.participant = ParticipantId{r.u32()};
-            rr.source_room = ClassroomId{r.u32()};
-            rr.anchored = r.u8() != 0;
-            rr.has_seat = r.u8() != 0;
-            rr.seat_index = r.u32();
-            rr.source_anchor = get_pose(r);
-            rr.seat_pose = get_pose(r);
-            rr.captured_at_ns = static_cast<std::int64_t>(r.u64());
-            rr.reference = get_bytes(r);
-            cp.replicas.push_back(std::move(rr));
-        }
-        if (!r.done()) throw CheckpointError("checkpoint: trailing bytes");
-        return cp;
-    } catch (const std::out_of_range&) {
-        throw CheckpointError("checkpoint: truncated body");
+    cp.seats.resize(r.count(r.get<std::uint32_t>(), kSeatBytes));
+    for (SeatRecord& s : cp.seats) {
+        s.seat_index = r.get<std::uint32_t>();
+        s.occupant = ParticipantId{r.get<std::uint32_t>()};
     }
+    cp.reservations.resize(r.count(r.get<std::uint32_t>(), kReservationBytes));
+    for (ReservationRecord& res : cp.reservations) {
+        res.participant = ParticipantId{r.get<std::uint32_t>()};
+        res.seat_index = r.get<std::uint32_t>();
+    }
+    cp.members.resize(r.count(r.get<std::uint32_t>(), kMinMemberBytes));
+    for (MemberRecord& m : cp.members) {
+        m.id = ParticipantId{r.get<std::uint32_t>()};
+        m.name = r.str(r.get<std::uint32_t>());
+        m.role = r.get<std::uint8_t>();
+        m.device = r.get<std::uint8_t>();
+        m.physical = r.get<std::uint8_t>() != 0;
+        m.room = ClassroomId{r.get<std::uint32_t>()};
+        m.seat_index = r.get<std::uint32_t>();
+        m.region = r.get<std::uint8_t>();
+    }
+    cp.content.resize(r.count(r.get<std::uint32_t>(), kMinContentBytes));
+    for (ContentRecord& c : cp.content) {
+        c.id = ContentId{r.get<std::uint32_t>()};
+        c.creator = ParticipantId{r.get<std::uint32_t>()};
+        c.kind = r.get<std::uint8_t>();
+        c.scope = r.get<std::uint8_t>();
+        c.title = r.str(r.get<std::uint32_t>());
+        c.size_bytes = r.get<std::uint64_t>();
+        c.created_at_ns = r.get<std::int64_t>();
+        c.anchored_to_person = r.get<std::uint8_t>() != 0;
+        c.anchor_person = ParticipantId{r.get<std::uint32_t>()};
+        c.anchor_consent = r.get<std::uint8_t>() != 0;
+    }
+    cp.replicas.resize(r.count(r.get<std::uint32_t>(), kMinReplicaBytes));
+    for (ReplicaRecord& rr : cp.replicas) {
+        rr.participant = ParticipantId{r.get<std::uint32_t>()};
+        rr.source_room = ClassroomId{r.get<std::uint32_t>()};
+        rr.anchored = r.get<std::uint8_t>() != 0;
+        rr.has_seat = r.get<std::uint8_t>() != 0;
+        rr.seat_index = r.get<std::uint32_t>();
+        rr.source_anchor = get_pose(r);
+        rr.seat_pose = get_pose(r);
+        rr.captured_at_ns = r.get<std::int64_t>();
+        const auto reference = r.bytes();
+        rr.reference.assign(reference.begin(), reference.end());
+    }
+    if (!r.ok()) throw CheckpointError("checkpoint: truncated body");
+    if (!r.done()) throw CheckpointError("checkpoint: trailing bytes");
+    return cp;
 }
 
 }  // namespace mvc::recovery

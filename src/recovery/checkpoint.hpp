@@ -8,8 +8,8 @@
 // NOT checkpointed: they are physically present and re-sensed on restart;
 // what a crash loses is the *replicated* view of everyone else.
 //
-// The wire format is versioned, little-endian (avatar::ByteWriter), and
-// carries a trailing CRC-32 over header+body so torn or bit-flipped
+// The wire format is versioned, little-endian (common/bytes.hpp), and
+// carries a trailing common::crc32 over header+body so torn or bit-flipped
 // checkpoints are rejected (decode throws CheckpointError) instead of
 // silently restoring garbage.
 
@@ -113,12 +113,6 @@ public:
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x4D56434B;  // "MVCK"
 inline constexpr std::uint16_t kCheckpointVersion = 1;
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected). Exposed for tests.
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
-/// Streaming form: crc32(b, crc32(a)) == crc32(a || b). Lets callers cover
-/// a header and a payload without concatenating them.
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t prev);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_checkpoint(const ClassroomCheckpoint& cp);
 [[nodiscard]] ClassroomCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes);

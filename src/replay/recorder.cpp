@@ -2,24 +2,32 @@
 
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "recovery/store.hpp"
-#include "replay/varint.hpp"
 #include "sim/simulator.hpp"
 #include "sync/wire.hpp"
 
 namespace mvc::replay {
 
 namespace {
+
+using common::put;
+using common::put_varint;
+using common::put_varint_bytes;
+
 constexpr std::uint8_t kWireHasAvatars = 0x01;
 
+// Same record layouts as encode_record (trace.cpp), written straight from
+// the live objects so the tap never builds a Record. Timestamps are
+// non-negative nanoseconds stored as unsigned varints.
 void encode_avatar_update(std::vector<std::uint8_t>& buf, const sync::AvatarWire& w) {
-    detail::put_varint(buf, w.participant.value());
-    detail::put_varint(buf, w.source_room.value());
-    detail::put_u8(buf, w.keyframe ? 1 : 0);
-    detail::put_time(buf, w.captured_at.nanos());
-    detail::put_varint(buf, w.bytes.size());
-    detail::put_bytes(buf, w.bytes);
+    put_varint(buf, w.participant.value());
+    put_varint(buf, w.source_room.value());
+    put<std::uint8_t>(buf, w.keyframe ? 1 : 0);
+    put_varint(buf, static_cast<std::uint64_t>(w.captured_at.nanos()));
+    put_varint_bytes(buf, w.bytes);
 }
+
 }  // namespace
 
 Recorder::Recorder(TraceSink& sink, std::uint64_t seed, std::string_view stamp,
@@ -84,11 +92,9 @@ std::uint32_t Recorder::intern_flow(std::uint32_t shard, ShardState& s,
     // the definition ahead of the record that references it.
     const std::uint32_t id = (shard << 16) | s.next_flow++;
     s.flow_ids.emplace(name, id);
-    detail::put_u8(s.buf, static_cast<std::uint8_t>(RecordKind::FlowDef));
-    detail::put_varint(s.buf, id);
-    detail::put_varint(s.buf, name.size());
-    detail::put_bytes(s.buf,
-                      {reinterpret_cast<const std::uint8_t*>(name.data()), name.size()});
+    put(s.buf, static_cast<std::uint8_t>(RecordKind::FlowDef));
+    put_varint(s.buf, id);
+    put_varint_bytes(s.buf, name);
     ++s.records;
     return id;
 }
@@ -102,14 +108,14 @@ void Recorder::tap_packet(std::uint32_t shard, const net::Packet& p,
     const std::uint32_t flow_id = intern_flow(shard, s, p.flow);
 
     std::vector<std::uint8_t>& buf = s.buf;
-    detail::put_u8(buf, static_cast<std::uint8_t>(RecordKind::Wire));
-    detail::put_time(buf, t);
-    detail::put_varint(buf, shard);
-    detail::put_varint(buf, flow_id);
-    detail::put_varint(buf, p.src);
-    detail::put_varint(buf, p.dst);
-    detail::put_varint(buf, p.size_bytes);
-    detail::put_u8(buf, static_cast<std::uint8_t>(priority));
+    put(buf, static_cast<std::uint8_t>(RecordKind::Wire));
+    put_varint(buf, static_cast<std::uint64_t>(t));
+    put_varint(buf, shard);
+    put_varint(buf, flow_id);
+    put_varint(buf, p.src);
+    put_varint(buf, p.dst);
+    put_varint(buf, p.size_bytes);
+    put(buf, static_cast<std::uint8_t>(priority));
 
     const sync::AvatarWire* one = nullptr;
     const sync::AvatarBatchWire* batch = nullptr;
@@ -121,17 +127,17 @@ void Recorder::tap_packet(std::uint32_t shard, const net::Packet& p,
         }
     }
     if (one != nullptr) {
-        detail::put_u8(buf, kWireHasAvatars);
-        detail::put_varint(buf, 1);
+        put(buf, kWireHasAvatars);
+        put_varint(buf, 1);
         encode_avatar_update(buf, *one);
         ++s.avatar_updates;
     } else if (batch != nullptr) {
-        detail::put_u8(buf, kWireHasAvatars);
-        detail::put_varint(buf, batch->updates.size());
+        put(buf, kWireHasAvatars);
+        put_varint(buf, batch->updates.size());
         for (const sync::AvatarWire& u : batch->updates) encode_avatar_update(buf, u);
         s.avatar_updates += batch->updates.size();
     } else {
-        detail::put_u8(buf, 0);
+        put<std::uint8_t>(buf, 0);
     }
     ++s.records;
     ++s.wire_records;
@@ -157,13 +163,10 @@ void Recorder::record_checkpoint(const std::string& owner,
     // sits between in time (checkpoints come from the single-sim classroom).
     ShardState& s = shard_state(0);
     if (s.records == 0) s.first_t = at.nanos();
-    detail::put_u8(s.buf, static_cast<std::uint8_t>(RecordKind::Checkpoint));
-    detail::put_time(s.buf, at.nanos());
-    detail::put_varint(s.buf, owner.size());
-    detail::put_bytes(s.buf,
-                      {reinterpret_cast<const std::uint8_t*>(owner.data()), owner.size()});
-    detail::put_varint(s.buf, bytes.size());
-    detail::put_bytes(s.buf, bytes);
+    put(s.buf, static_cast<std::uint8_t>(RecordKind::Checkpoint));
+    put_varint(s.buf, static_cast<std::uint64_t>(at.nanos()));
+    put_varint_bytes(s.buf, owner);
+    put_varint_bytes(s.buf, bytes);
     ++s.records;
     s.has_checkpoint = true;
     ++checkpoints_;

@@ -4,12 +4,16 @@
 #include <cstdio>
 #include <utility>
 
-#include "recovery/checkpoint.hpp"  // crc32
-#include "replay/varint.hpp"
+#include "common/bytes.hpp"
 
 namespace mvc::replay {
 
 namespace {
+
+using common::put;
+using common::put_varint;
+using common::put_varint_bytes;
+using common::Reader;
 
 // Wire flag bits (WireRecord encoding).
 constexpr std::uint8_t kWireHasAvatars = 0x01;
@@ -17,85 +21,111 @@ constexpr std::uint8_t kWireHasAvatars = 0x01;
 // Fixed chunk header size: magic + payload_len + records + first_t + flags + crc.
 constexpr std::size_t kChunkHeaderBytes = 4 + 4 + 4 + 8 + 1 + 4;
 
-void encode_avatar(std::vector<std::uint8_t>& out, const AvatarUpdate& u) {
-    detail::put_varint(out, u.participant);
-    detail::put_varint(out, u.room);
-    detail::put_u8(out, u.keyframe ? 1 : 0);
-    detail::put_time(out, u.captured_ns);
-    detail::put_varint(out, u.bytes.size());
-    detail::put_bytes(out, u.bytes);
+// Smallest AvatarUpdate encoding (four one-byte varints and the keyframe
+// flag), for vetting a Wire record's avatar count.
+constexpr std::size_t kMinAvatarUpdateBytes = 5;
+
+// Timestamps are simulated-time nanoseconds, always >= 0, encoded as plain
+// unsigned varints (no zigzag).
+void put_time(std::vector<std::uint8_t>& out, std::int64_t t_ns) {
+    put_varint(out, static_cast<std::uint64_t>(t_ns));
 }
 
-AvatarUpdate decode_avatar(detail::Reader& r) {
+std::int64_t get_time(Reader& r) { return static_cast<std::int64_t>(r.varint()); }
+
+std::uint32_t get_varint32(Reader& r) {
+    const std::uint64_t v = r.varint();
+    if (v > 0xFFFFFFFFULL) r.fail();
+    return static_cast<std::uint32_t>(v);
+}
+
+std::string get_name(Reader& r) { return r.str(r.varint()); }
+
+void encode_avatar(std::vector<std::uint8_t>& out, const AvatarUpdate& u) {
+    put_varint(out, u.participant);
+    put_varint(out, u.room);
+    put<std::uint8_t>(out, u.keyframe ? 1 : 0);
+    put_time(out, u.captured_ns);
+    put_varint_bytes(out, u.bytes);
+}
+
+AvatarUpdate decode_avatar(Reader& r) {
     AvatarUpdate u;
-    u.participant = r.varint32();
-    u.room = r.varint32();
-    u.keyframe = r.u8() != 0;
-    u.captured_ns = r.time();
-    const std::size_t len = r.varint();
-    const auto b = r.bytes(len);
+    u.participant = get_varint32(r);
+    u.room = get_varint32(r);
+    u.keyframe = r.get<std::uint8_t>() != 0;
+    u.captured_ns = get_time(r);
+    const auto b = r.varint_bytes();
     u.bytes.assign(b.begin(), b.end());
     return u;
 }
 
-Record decode_record(detail::Reader& r) {
-    const auto kind = static_cast<RecordKind>(r.u8());
+/// Decode one record; malformed input latches `r` failed (the returned
+/// record is then meaningless).
+Record decode_record(Reader& r) {
+    const auto kind = static_cast<RecordKind>(r.get<std::uint8_t>());
     switch (kind) {
         case RecordKind::FlowDef: {
             FlowDef d;
-            d.id = r.varint32();
-            d.name = r.str(r.varint());
+            d.id = get_varint32(r);
+            d.name = get_name(r);
             return d;
         }
         case RecordKind::NodeDef: {
             NodeDef d;
-            d.shard = r.varint32();
-            d.node = r.varint32();
-            d.name = r.str(r.varint());
+            d.shard = get_varint32(r);
+            d.node = get_varint32(r);
+            d.name = get_name(r);
             return d;
         }
         case RecordKind::SubjectDef: {
             SubjectDef d;
-            d.id = r.varint32();
-            d.name = r.str(r.varint());
+            d.id = get_varint32(r);
+            d.name = get_name(r);
             return d;
         }
         case RecordKind::Wire: {
             WireRecord w;
-            w.t_ns = r.time();
-            w.shard = r.varint32();
-            w.flow = r.varint32();
-            w.src = r.varint32();
-            w.dst = r.varint32();
+            w.t_ns = get_time(r);
+            w.shard = get_varint32(r);
+            w.flow = get_varint32(r);
+            w.src = get_varint32(r);
+            w.dst = get_varint32(r);
             w.size_bytes = r.varint();
-            w.priority = r.u8();
-            const std::uint8_t flags = r.u8();
+            w.priority = r.get<std::uint8_t>();
+            const auto flags = r.get<std::uint8_t>();
             if ((flags & kWireHasAvatars) != 0) {
-                const std::size_t n = r.varint();
-                w.avatars.reserve(n);
-                for (std::size_t i = 0; i < n; ++i) w.avatars.push_back(decode_avatar(r));
+                w.avatars.resize(r.count(r.varint(), kMinAvatarUpdateBytes));
+                for (AvatarUpdate& u : w.avatars) u = decode_avatar(r);
             }
             return w;
         }
         case RecordKind::StateHash: {
             HashRecord h;
-            h.t_ns = r.time();
+            h.t_ns = get_time(r);
             h.epoch = r.varint();
-            h.subject = r.varint32();
-            h.hash = r.u64();
+            h.subject = get_varint32(r);
+            h.hash = r.get<std::uint64_t>();
             return h;
         }
         case RecordKind::Checkpoint: {
             CheckpointRecord c;
-            c.t_ns = r.time();
-            c.owner = r.str(r.varint());
-            const std::size_t len = r.varint();
-            const auto b = r.bytes(len);
+            c.t_ns = get_time(r);
+            c.owner = get_name(r);
+            const auto b = r.varint_bytes();
             c.bytes.assign(b.begin(), b.end());
             return c;
         }
     }
-    throw TraceError("trace: unknown record kind");
+    r.fail();  // unknown record kind
+    return {};
+}
+
+/// decode_record over a payload parse() already verified.
+Record decode_verified(Reader& r) {
+    Record rec = decode_record(r);
+    if (!r.ok()) throw TraceError("trace: corrupt record in a verified chunk");
+    return rec;
 }
 
 /// Timestamp of a record; nullopt for definition records.
@@ -123,86 +153,86 @@ struct Scan {
 
 Scan scan_trace(std::span<const std::uint8_t> bytes) {
     Scan s;
-    detail::Reader r{bytes};
-    try {
-        if (r.u32() != kTraceMagic) {
-            s.check.error = "bad trace magic";
-            return s;
-        }
-        s.version = r.u16();
-        if (s.version != kTraceVersion) {
-            s.check.error = "unsupported trace version " + std::to_string(s.version);
-            return s;
-        }
-        s.seed = r.u64();
-        s.started_ns = r.i64();
-        s.stamp = r.str(r.varint());
-        const std::size_t crc_at = r.pos();
-        if (r.u32() != recovery::crc32(bytes.first(crc_at))) {
-            s.check.error = "trace header CRC mismatch";
-            return s;
-        }
-    } catch (const TraceError&) {
+    Reader r{bytes};
+    const auto magic = r.get<std::uint32_t>();
+    if (r.ok() && magic != kTraceMagic) {
+        s.check.error = "bad trace magic";
+        return s;
+    }
+    s.version = r.get<std::uint16_t>();
+    if (r.ok() && s.version != kTraceVersion) {
+        s.check.error = "unsupported trace version " + std::to_string(s.version);
+        return s;
+    }
+    s.seed = r.get<std::uint64_t>();
+    s.started_ns = r.get<std::int64_t>();
+    s.stamp = get_name(r);
+    const std::size_t crc_at = r.pos();
+    const auto header_crc = r.get<std::uint32_t>();
+    if (!r.ok()) {
         s.check.error = "truncated trace header";
+        return s;
+    }
+    if (header_crc != common::crc32(bytes.first(crc_at))) {
+        s.check.error = "trace header CRC mismatch";
         return s;
     }
     s.check.valid_bytes = r.pos();
 
     while (!r.done()) {
+        const std::string at = " at offset " + std::to_string(s.check.valid_bytes);
         const std::size_t chunk_start = r.pos();
-        ChunkInfo info;
-        std::uint32_t crc = 0;
-        try {
-            if (r.remaining() < kChunkHeaderBytes) throw TraceError("short chunk header");
-            if (r.u32() != kChunkMagic) {
-                s.check.error = "bad chunk magic at offset " + std::to_string(s.check.valid_bytes);
-                return s;
-            }
-            info.payload_len = r.u32();
-            info.records = r.u32();
-            info.first_t_ns = r.i64();
-            info.flags = r.u8();
-            crc = r.u32();
-            info.payload_offset = r.pos();
-            if (info.payload_len > r.remaining()) throw TraceError("truncated chunk payload");
-        } catch (const TraceError&) {
-            s.check.error = "truncated chunk at offset " + std::to_string(s.check.valid_bytes);
+        if (r.remaining() < kChunkHeaderBytes) {
+            s.check.error = "truncated chunk" + at;
             return s;
         }
-        const std::span<const std::uint8_t> payload =
-            bytes.subspan(info.payload_offset, info.payload_len);
+        if (r.get<std::uint32_t>() != kChunkMagic) {
+            s.check.error = "bad chunk magic" + at;
+            return s;
+        }
+        ChunkInfo info;
+        info.payload_len = r.get<std::uint32_t>();
+        info.records = r.get<std::uint32_t>();
+        info.first_t_ns = r.get<std::int64_t>();
+        info.flags = r.get<std::uint8_t>();
+        const auto crc = r.get<std::uint32_t>();
+        info.payload_offset = r.pos();
+        const std::span<const std::uint8_t> payload = r.take(info.payload_len);
+        if (!r.ok()) {
+            s.check.error = "truncated chunk" + at;
+            return s;
+        }
         // CRC covers the header fields (through flags) and the payload, so a
         // flipped first_t/flags byte is caught, not just payload damage.
-        const std::uint32_t want = recovery::crc32(
-            payload, recovery::crc32(bytes.subspan(chunk_start, kChunkHeaderBytes - 4)));
+        const std::uint32_t want = common::crc32(
+            payload, common::crc32(bytes.subspan(chunk_start, kChunkHeaderBytes - 4)));
         if (want != crc) {
-            s.check.error = "chunk CRC mismatch at offset " + std::to_string(s.check.valid_bytes);
+            s.check.error = "chunk CRC mismatch" + at;
             return s;
         }
         // Decode every record: validates the payload and builds the tables
         // and the checkpoint seek index in one pass.
-        detail::Reader pr{payload};
+        Reader pr{payload};
         std::uint32_t decoded = 0;
-        try {
-            while (!pr.done()) {
-                Record rec = decode_record(pr);
-                ++decoded;
-                if (const auto t = record_time(rec))
-                    s.check.last_t_ns = std::max(s.check.last_t_ns, *t);
-                if (auto* f = std::get_if<FlowDef>(&rec)) {
-                    s.flow_names[f->id] = std::move(f->name);
-                } else if (auto* n = std::get_if<NodeDef>(&rec)) {
-                    s.node_names[(static_cast<std::uint64_t>(n->shard) << 32) | n->node] =
-                        std::move(n->name);
-                } else if (auto* sub = std::get_if<SubjectDef>(&rec)) {
-                    s.subject_names[sub->id] = std::move(sub->name);
-                } else if (const auto* c = std::get_if<CheckpointRecord>(&rec)) {
-                    s.checkpoints.push_back(CheckpointRef{c->t_ns, s.chunks.size()});
-                }
+        while (!pr.done()) {
+            Record rec = decode_record(pr);
+            if (!pr.ok()) {
+                s.check.error = "chunk payload decode failed: malformed record" + at;
+                return s;
             }
-        } catch (const TraceError& e) {
-            s.check.error = std::string{"chunk payload decode failed: "} + e.what();
-            return s;
+            ++decoded;
+            if (const auto t = record_time(rec))
+                s.check.last_t_ns = std::max(s.check.last_t_ns, *t);
+            if (auto* f = std::get_if<FlowDef>(&rec)) {
+                s.flow_names[f->id] = std::move(f->name);
+            } else if (auto* n = std::get_if<NodeDef>(&rec)) {
+                s.node_names[(static_cast<std::uint64_t>(n->shard) << 32) | n->node] =
+                    std::move(n->name);
+            } else if (auto* sub = std::get_if<SubjectDef>(&rec)) {
+                s.subject_names[sub->id] = std::move(sub->name);
+            } else if (const auto* c = std::get_if<CheckpointRecord>(&rec)) {
+                s.checkpoints.push_back(CheckpointRef{c->t_ns, s.chunks.size()});
+            }
         }
         if (decoded != info.records) {
             s.check.error = "chunk record count mismatch (header says " +
@@ -210,7 +240,6 @@ Scan scan_trace(std::span<const std::uint8_t> bytes) {
                             std::to_string(decoded) + ")";
             return s;
         }
-        (void)r.bytes(info.payload_len);  // consume
         s.chunks.push_back(info);
         ++s.check.chunks;
         s.check.records += decoded;
@@ -229,52 +258,43 @@ void encode_record(std::vector<std::uint8_t>& out, const Record& r) {
         [&out](const auto& rec) {
             using T = std::decay_t<decltype(rec)>;
             if constexpr (std::is_same_v<T, FlowDef>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::FlowDef));
-                detail::put_varint(out, rec.id);
-                detail::put_varint(out, rec.name.size());
-                detail::put_bytes(out, {reinterpret_cast<const std::uint8_t*>(rec.name.data()),
-                                        rec.name.size()});
+                put(out, static_cast<std::uint8_t>(RecordKind::FlowDef));
+                put_varint(out, rec.id);
+                put_varint_bytes(out, rec.name);
             } else if constexpr (std::is_same_v<T, NodeDef>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::NodeDef));
-                detail::put_varint(out, rec.shard);
-                detail::put_varint(out, rec.node);
-                detail::put_varint(out, rec.name.size());
-                detail::put_bytes(out, {reinterpret_cast<const std::uint8_t*>(rec.name.data()),
-                                        rec.name.size()});
+                put(out, static_cast<std::uint8_t>(RecordKind::NodeDef));
+                put_varint(out, rec.shard);
+                put_varint(out, rec.node);
+                put_varint_bytes(out, rec.name);
             } else if constexpr (std::is_same_v<T, SubjectDef>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::SubjectDef));
-                detail::put_varint(out, rec.id);
-                detail::put_varint(out, rec.name.size());
-                detail::put_bytes(out, {reinterpret_cast<const std::uint8_t*>(rec.name.data()),
-                                        rec.name.size()});
+                put(out, static_cast<std::uint8_t>(RecordKind::SubjectDef));
+                put_varint(out, rec.id);
+                put_varint_bytes(out, rec.name);
             } else if constexpr (std::is_same_v<T, WireRecord>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::Wire));
-                detail::put_time(out, rec.t_ns);
-                detail::put_varint(out, rec.shard);
-                detail::put_varint(out, rec.flow);
-                detail::put_varint(out, rec.src);
-                detail::put_varint(out, rec.dst);
-                detail::put_varint(out, rec.size_bytes);
-                detail::put_u8(out, rec.priority);
-                detail::put_u8(out, rec.avatars.empty() ? 0 : kWireHasAvatars);
+                put(out, static_cast<std::uint8_t>(RecordKind::Wire));
+                put_time(out, rec.t_ns);
+                put_varint(out, rec.shard);
+                put_varint(out, rec.flow);
+                put_varint(out, rec.src);
+                put_varint(out, rec.dst);
+                put_varint(out, rec.size_bytes);
+                put<std::uint8_t>(out, rec.priority);
+                put<std::uint8_t>(out, rec.avatars.empty() ? 0 : kWireHasAvatars);
                 if (!rec.avatars.empty()) {
-                    detail::put_varint(out, rec.avatars.size());
+                    put_varint(out, rec.avatars.size());
                     for (const AvatarUpdate& u : rec.avatars) encode_avatar(out, u);
                 }
             } else if constexpr (std::is_same_v<T, HashRecord>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::StateHash));
-                detail::put_time(out, rec.t_ns);
-                detail::put_varint(out, rec.epoch);
-                detail::put_varint(out, rec.subject);
-                detail::put_u64(out, rec.hash);
+                put(out, static_cast<std::uint8_t>(RecordKind::StateHash));
+                put_time(out, rec.t_ns);
+                put_varint(out, rec.epoch);
+                put_varint(out, rec.subject);
+                put<std::uint64_t>(out, rec.hash);
             } else if constexpr (std::is_same_v<T, CheckpointRecord>) {
-                detail::put_u8(out, static_cast<std::uint8_t>(RecordKind::Checkpoint));
-                detail::put_time(out, rec.t_ns);
-                detail::put_varint(out, rec.owner.size());
-                detail::put_bytes(out, {reinterpret_cast<const std::uint8_t*>(rec.owner.data()),
-                                        rec.owner.size()});
-                detail::put_varint(out, rec.bytes.size());
-                detail::put_bytes(out, rec.bytes);
+                put(out, static_cast<std::uint8_t>(RecordKind::Checkpoint));
+                put_time(out, rec.t_ns);
+                put_varint_bytes(out, rec.owner);
+                put_varint_bytes(out, rec.bytes);
             }
         },
         r);
@@ -309,14 +329,12 @@ TraceWriter::TraceWriter(TraceSink& sink, std::uint64_t seed, std::string_view s
                          std::int64_t started_ns, TraceWriterOptions options)
     : sink_(sink), options_(options) {
     std::vector<std::uint8_t> header;
-    detail::put_u32(header, kTraceMagic);
-    detail::put_u16(header, kTraceVersion);
-    detail::put_u64(header, seed);
-    detail::put_i64(header, started_ns);
-    detail::put_varint(header, stamp.size());
-    detail::put_bytes(header,
-                      {reinterpret_cast<const std::uint8_t*>(stamp.data()), stamp.size()});
-    detail::put_u32(header, recovery::crc32(header));
+    put(header, kTraceMagic);
+    put(header, kTraceVersion);
+    put(header, seed);
+    put(header, started_ns);
+    put_varint_bytes(header, stamp);
+    put(header, common::crc32(header));
     sink_.write(header.data(), header.size());
     bytes_written_ += header.size();
     pending_.reserve(options_.chunk_bytes + options_.chunk_bytes / 4);
@@ -338,13 +356,12 @@ void TraceWriter::append(std::span<const std::uint8_t> encoded, std::size_t reco
 void TraceWriter::emit_chunk() {
     if (pending_records_ == 0) return;
     chunk_header_.clear();
-    detail::put_u32(chunk_header_, kChunkMagic);
-    detail::put_u32(chunk_header_, static_cast<std::uint32_t>(pending_.size()));
-    detail::put_u32(chunk_header_, static_cast<std::uint32_t>(pending_records_));
-    detail::put_i64(chunk_header_, pending_first_t_);
-    detail::put_u8(chunk_header_, pending_has_checkpoint_ ? kChunkHasCheckpoint : 0);
-    detail::put_u32(chunk_header_,
-                    recovery::crc32(pending_, recovery::crc32(chunk_header_)));
+    put(chunk_header_, kChunkMagic);
+    put(chunk_header_, static_cast<std::uint32_t>(pending_.size()));
+    put(chunk_header_, static_cast<std::uint32_t>(pending_records_));
+    put(chunk_header_, pending_first_t_);
+    put<std::uint8_t>(chunk_header_, pending_has_checkpoint_ ? kChunkHasCheckpoint : 0);
+    put(chunk_header_, common::crc32(pending_, common::crc32(chunk_header_)));
     sink_.write(chunk_header_.data(), chunk_header_.size());
     sink_.write(pending_.data(), pending_.size());
     bytes_written_ += chunk_header_.size() + pending_.size();
@@ -428,8 +445,8 @@ bool Trace::Cursor::next(Record& out) {
         }
         const std::span<const std::uint8_t> payload{
             trace_->bytes_.data() + info.payload_offset + pos_, info.payload_len - pos_};
-        detail::Reader r{payload};
-        out = decode_record(r);
+        Reader r{payload};
+        out = decode_verified(r);
         pos_ += r.pos();
         return true;
     }
@@ -440,8 +457,8 @@ void Trace::each_record(std::size_t chunk,
                         const std::function<void(const Record&)>& fn) const {
     if (chunk >= chunks_.size()) return;
     const ChunkInfo& info = chunks_[chunk];
-    detail::Reader r{{bytes_.data() + info.payload_offset, info.payload_len}};
-    while (!r.done()) fn(decode_record(r));
+    Reader r{std::span{bytes_.data() + info.payload_offset, info.payload_len}};
+    while (!r.done()) fn(decode_verified(r));
 }
 
 // ----------------------------------------------------------------- truncate

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "net/wire_format.hpp"
 
 namespace mvc::sync {
@@ -38,27 +39,27 @@ void ClockSyncSession::register_wire_codecs(net::WireCodecs& codecs,
     codecs.register_codec<Request>(
         request_tag,
         [](const net::Payload& p, std::vector<std::byte>& out) {
-            net::wiredata::put<std::int64_t>(out, p.get<Request>().t0_client.nanos());
+            common::put<std::int64_t>(out, p.get<Request>().t0_client.nanos());
         },
         [](std::span<const std::byte> body) -> std::optional<net::Payload> {
-            net::wiredata::Reader r{body};
+            common::Reader r{body};
             const Request req{sim::Time::ns(r.get<std::int64_t>())};
-            if (!r.ok || r.pos != body.size()) return std::nullopt;
+            if (!r.ok() || !r.done()) return std::nullopt;
             return net::Payload{req};
         });
     codecs.register_codec<Reply>(
         reply_tag,
         [](const net::Payload& p, std::vector<std::byte>& out) {
             const Reply& reply = p.get<Reply>();
-            net::wiredata::put<std::int64_t>(out, reply.t0_client.nanos());
-            net::wiredata::put<std::int64_t>(out, reply.t_server.nanos());
+            common::put<std::int64_t>(out, reply.t0_client.nanos());
+            common::put<std::int64_t>(out, reply.t_server.nanos());
         },
         [](std::span<const std::byte> body) -> std::optional<net::Payload> {
-            net::wiredata::Reader r{body};
+            common::Reader r{body};
             Reply reply;
             reply.t0_client = sim::Time::ns(r.get<std::int64_t>());
             reply.t_server = sim::Time::ns(r.get<std::int64_t>());
-            if (!r.ok || r.pos != body.size()) return std::nullopt;
+            if (!r.ok() || !r.done()) return std::nullopt;
             return net::Payload{reply};
         });
 }

@@ -101,16 +101,18 @@ AvatarReplica::AvatarReplica(const avatar::AvatarCodec& codec, JitterBufferParam
 
 void AvatarReplica::ingest(std::span<const std::uint8_t> bytes, bool keyframe,
                            sim::Time arrival) {
-    if (keyframe) {
-        reference_ = codec_.decode_full(bytes);
-        have_reference_ = true;
-    } else {
-        if (!have_reference_) {
-            ++dropped_waiting_keyframe_;
-            return;
-        }
-        reference_ = codec_.decode_delta(reference_, bytes);
+    if (!keyframe && !have_reference_) {
+        ++dropped_waiting_keyframe_;
+        return;
     }
+    std::optional<avatar::AvatarState> state =
+        keyframe ? codec_.try_decode_full(bytes) : codec_.try_decode_delta(reference_, bytes);
+    if (!state) {
+        ++dropped_malformed_;
+        return;
+    }
+    reference_ = std::move(*state);
+    have_reference_ = true;
     ++decoded_;
     buffer_.push(reference_, arrival);
 }

@@ -106,7 +106,8 @@ public:
     AvatarReplica(const avatar::AvatarCodec& codec, JitterBufferParams jitter = {});
 
     /// Ingest an encoded update that arrived at local time `arrival`.
-    /// Deltas that arrive before any keyframe are dropped (resync pending).
+    /// Deltas that arrive before any keyframe are dropped (resync pending);
+    /// truncated or malformed bytes are dropped and counted, never thrown.
     void ingest(std::span<const std::uint8_t> bytes, bool keyframe, sim::Time arrival);
 
     /// Display state at local time `now` (jitter-buffered, interpolated).
@@ -124,6 +125,9 @@ public:
     [[nodiscard]] std::uint64_t dropped_waiting_keyframe() const {
         return dropped_waiting_keyframe_;
     }
+    /// Updates whose bytes failed to decode. Kept out of state_digest():
+    /// it counts what the network delivered, not the reconstruction.
+    [[nodiscard]] std::uint64_t dropped_malformed() const { return dropped_malformed_; }
 
 private:
     const avatar::AvatarCodec& codec_;
@@ -132,6 +136,7 @@ private:
     bool have_reference_{false};
     std::uint64_t decoded_{0};
     std::uint64_t dropped_waiting_keyframe_{0};
+    std::uint64_t dropped_malformed_{0};
 };
 
 }  // namespace mvc::sync

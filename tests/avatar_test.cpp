@@ -1,6 +1,6 @@
 // Tests for the avatar layer: skeleton forward kinematics, quantized wire
-// codecs (round-trip precision, delta masks, byte sizes), state helpers and
-// the LOD ladder.
+// codecs (round-trip precision, delta masks, byte sizes, hostile input),
+// the replica's drop-and-count path, state helpers and the LOD ladder.
 
 #include <gtest/gtest.h>
 
@@ -8,38 +8,13 @@
 
 #include "avatar/codec.hpp"
 #include "avatar/lod.hpp"
-#include "avatar/serialize.hpp"
 #include "avatar/skeleton.hpp"
+#include "sync/replication.hpp"
 
 namespace mvc::avatar {
 namespace {
 
 // ----------------------------------------------------------------- serialize
-
-TEST(SerializeTest, WriterReaderRoundTrip) {
-    ByteWriter w;
-    w.u8(7);
-    w.u16(1234);
-    w.u32(7654321);
-    w.u64(123456789012345ULL);
-    w.i16(-321);
-    w.f32(2.5f);
-    const auto bytes = w.bytes();
-    ByteReader r{bytes};
-    EXPECT_EQ(r.u8(), 7);
-    EXPECT_EQ(r.u16(), 1234);
-    EXPECT_EQ(r.u32(), 7654321u);
-    EXPECT_EQ(r.u64(), 123456789012345ULL);
-    EXPECT_EQ(r.i16(), -321);
-    EXPECT_FLOAT_EQ(r.f32(), 2.5f);
-    EXPECT_TRUE(r.done());
-}
-
-TEST(SerializeTest, TruncatedReadThrows) {
-    const std::vector<std::uint8_t> bytes{1, 2};
-    ByteReader r{bytes};
-    EXPECT_THROW((void)r.u32(), std::out_of_range);
-}
 
 TEST(SerializeTest, Quantize16RoundTripWithinResolution) {
     const double lo = -10.0;
@@ -266,6 +241,55 @@ TEST(CodecTest, DeltaChainTracksSlowDrift) {
         sender_ref = receiver_ref;  // sender tracks what the receiver holds
     }
     EXPECT_LT(receiver_ref.root.pose.position.distance_to(truth.root.pose.position), 0.02);
+}
+
+TEST(CodecTest, TruncatedOrMalformedBytesDecodeToNullopt) {
+    const AvatarCodec codec;
+    const AvatarState ref = sample_state();
+    AvatarState moved = ref;
+    moved.root.pose.position += math::Vec3{0.5, 0, 0};
+    moved.viseme = 3;
+    const auto full = codec.encode_full(ref);
+    const auto delta = codec.encode_delta(ref, moved);
+    for (std::size_t n = 0; n < full.size(); ++n)
+        EXPECT_FALSE(codec.try_decode_full({full.data(), n}).has_value()) << "full cut " << n;
+    for (std::size_t n = 0; n < delta.size(); ++n)
+        EXPECT_FALSE(codec.try_decode_delta(ref, {delta.data(), n}).has_value())
+            << "delta cut " << n;
+    // A smallest-three quaternion names its dropped component 0..3.
+    auto bad_quat = full;
+    bad_quat[4 + 8 + 6] = 4;
+    EXPECT_FALSE(codec.try_decode_full(bad_quat).has_value());
+    EXPECT_TRUE(codec.try_decode_full(full).has_value());
+    EXPECT_THROW((void)codec.decode_full({full.data(), 3}), std::out_of_range);
+}
+
+TEST(ReplicaTest, TruncatedUpdatesAreDroppedAndCountedNotThrown) {
+    const AvatarCodec codec;
+    sync::AvatarReplica replica{codec};
+    const AvatarState s = sample_state();
+    const auto full = codec.encode_full(s);
+    const std::uint64_t empty_digest = replica.state_digest();
+
+    EXPECT_NO_THROW(replica.ingest({full.data(), 10}, true, sim::Time::ms(1)));
+    EXPECT_EQ(replica.dropped_malformed(), 1u);
+    EXPECT_EQ(replica.decoded(), 0u);
+    EXPECT_FALSE(replica.latest().has_value());
+    // What the network delivered is not part of the reconstruction.
+    EXPECT_EQ(replica.state_digest(), empty_digest);
+
+    replica.ingest(full, true, sim::Time::ms(2));
+    ASSERT_EQ(replica.decoded(), 1u);
+    const std::uint64_t digest = replica.state_digest();
+    AvatarState moved = s;
+    moved.root.pose.position += math::Vec3{0.5, 0, 0};
+    const auto delta = codec.encode_delta(s, moved);
+    EXPECT_NO_THROW(replica.ingest({delta.data(), 3}, false, sim::Time::ms(3)));
+    EXPECT_EQ(replica.dropped_malformed(), 2u);
+    EXPECT_EQ(replica.decoded(), 1u);
+    EXPECT_EQ(replica.state_digest(), digest);
+    EXPECT_EQ(replica.latest()->root.pose.position.x,
+              codec.decode_full(full).root.pose.position.x);
 }
 
 // ----------------------------------------------------------------------- LOD

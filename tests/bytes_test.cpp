@@ -1,0 +1,164 @@
+// Tests for common/bytes.hpp, the byte codec under every wire and file
+// format: fixed-width and varint round trips, the latched-failure reader
+// contract on truncated and hostile input, length checks that cannot wrap,
+// and the streaming CRC-32.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "common/bytes.hpp"
+
+namespace mvc::common {
+namespace {
+
+using Bytes = std::vector<std::uint8_t>;
+
+TEST(SerializeTest, WriterReaderRoundTrip) {
+    Bytes w;
+    put<std::uint8_t>(w, 7);
+    put<std::uint16_t>(w, 1234);
+    put<std::uint32_t>(w, 7654321);
+    put<std::uint64_t>(w, 123456789012345ULL);
+    put<std::int16_t>(w, -321);
+    put<float>(w, 2.5f);
+    put<double>(w, -0.125);
+    put<std::int64_t>(w, -9);
+    EXPECT_EQ(w.size(), 1u + 2 + 4 + 8 + 2 + 4 + 8 + 8);
+    Reader r{w};
+    EXPECT_EQ(r.get<std::uint8_t>(), 7);
+    EXPECT_EQ(r.get<std::uint16_t>(), 1234);
+    EXPECT_EQ(r.get<std::uint32_t>(), 7654321u);
+    EXPECT_EQ(r.get<std::uint64_t>(), 123456789012345ULL);
+    EXPECT_EQ(r.get<std::int16_t>(), -321);
+    EXPECT_FLOAT_EQ(r.get<float>(), 2.5f);
+    EXPECT_DOUBLE_EQ(r.get<double>(), -0.125);
+    EXPECT_EQ(r.get<std::int64_t>(), -9);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.done());
+}
+
+TEST(SerializeTest, TruncatedReadLatchesNotOk) {
+    const Bytes bytes{1, 2};
+    Reader r{bytes};
+    EXPECT_EQ(r.get<std::uint32_t>(), 0u);
+    EXPECT_FALSE(r.ok());
+    // Latched: even a read the remaining bytes could satisfy returns zero.
+    EXPECT_EQ(r.get<std::uint8_t>(), 0u);
+    EXPECT_EQ(r.pos(), 0u);
+}
+
+TEST(BytesTest, FixedWidthIsLittleEndian) {
+    Bytes w;
+    put<std::uint32_t>(w, 0x11223344U);
+    put<std::int16_t>(w, -2);
+    EXPECT_EQ(w, (Bytes{0x44, 0x33, 0x22, 0x11, 0xFE, 0xFF}));
+}
+
+TEST(BytesTest, VarintKnownEncodingsRoundTrip) {
+    const std::vector<std::pair<std::uint64_t, Bytes>> cases{
+        {0, {0x00}},
+        {127, {0x7F}},
+        {128, {0x80, 0x01}},
+        {300, {0xAC, 0x02}},
+        {std::numeric_limits<std::uint64_t>::max(),
+         {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
+    };
+    for (const auto& [v, want] : cases) {
+        Bytes w;
+        put_varint(w, v);
+        EXPECT_EQ(w, want) << v;
+        Reader r{w};
+        EXPECT_EQ(r.varint(), v);
+        EXPECT_TRUE(r.ok() && r.done()) << v;
+    }
+}
+
+TEST(BytesTest, VarintRejectsOverflowAndTruncation) {
+    // Tenth byte may only carry bit 63.
+    const Bytes too_big{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02};
+    Reader a{too_big};
+    EXPECT_EQ(a.varint(), 0u);
+    EXPECT_FALSE(a.ok());
+    // An endless continuation run stops at the tenth byte.
+    const Bytes endless(16, 0x80);
+    Reader b{endless};
+    (void)b.varint();
+    EXPECT_FALSE(b.ok());
+    const Bytes cut{0x80};
+    Reader c{cut};
+    (void)c.varint();
+    EXPECT_FALSE(c.ok());
+}
+
+TEST(BytesTest, LengthChecksCannotWrap) {
+    const Bytes bytes{1, 2, 3, 4};
+    Reader r{bytes};
+    (void)r.get<std::uint8_t>();
+    EXPECT_TRUE(r.take(std::numeric_limits<std::uint64_t>::max()).empty());
+    EXPECT_FALSE(r.ok());
+
+    // A varint length near 2^64 must not wrap `pos + n` past the check.
+    Bytes w{0xAA};
+    put_varint(w, std::numeric_limits<std::uint64_t>::max() - 1);
+    w.push_back(0xBB);
+    Reader v{w};
+    (void)v.get<std::uint8_t>();
+    EXPECT_TRUE(v.varint_bytes().empty());
+    EXPECT_FALSE(v.ok());
+}
+
+TEST(BytesTest, CountRejectsWhatTheRemainingBytesCannotHold) {
+    const Bytes bytes(40, 0);
+    Reader r{bytes};
+    EXPECT_EQ(r.count(10, 4), 10u);
+    EXPECT_EQ(r.count(0, 29), 0u);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.count(0xFFFFFFFFULL, 29), 0u);
+    EXPECT_FALSE(r.ok());
+}
+
+TEST(BytesTest, PrefixedRunsAreIdenticalInByteAndUint8Buffers) {
+    const std::string text = "hello";
+    const Bytes blob{9, 8, 7};
+    Bytes u;
+    std::vector<std::byte> b;
+    put_bytes(u, text);
+    put_bytes(b, text);
+    put_varint_bytes(u, blob);
+    put_varint_bytes(b, blob);
+    put_raw(u, blob);
+    put_raw(b, blob);
+    ASSERT_EQ(u.size(), b.size());
+    EXPECT_EQ(std::memcmp(u.data(), b.data(), u.size()), 0);
+
+    Reader r{b};
+    EXPECT_EQ(r.str(r.get<std::uint32_t>()), text);
+    const auto run = r.varint_bytes();
+    EXPECT_EQ(Bytes(run.begin(), run.end()), blob);
+    EXPECT_EQ(r.take(3).size(), 3u);
+    EXPECT_TRUE(r.ok() && r.done());
+}
+
+TEST(BytesTest, Crc32StreamsAndServesEveryByteType) {
+    const std::string s = "123456789";
+    EXPECT_EQ(crc32(s), 0xCBF43926U);
+    EXPECT_EQ(crc32(std::string{}), 0x00000000U);
+    for (std::size_t cut = 0; cut <= s.size(); ++cut) {
+        const std::string_view a = std::string_view{s}.substr(0, cut);
+        const std::string_view b = std::string_view{s}.substr(cut);
+        EXPECT_EQ(crc32(b, crc32(a)), 0xCBF43926U) << "cut " << cut;
+    }
+    const auto* p = reinterpret_cast<const std::byte*>(s.data());
+    EXPECT_EQ(crc32(std::span{p, s.size()}), 0xCBF43926U);
+}
+
+}  // namespace
+}  // namespace mvc::common

@@ -11,17 +11,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "core/wire_codecs.hpp"
 #include "fault/heartbeat.hpp"
 #include "net/real_udp.hpp"
 #include "net/transport.hpp"
 #include "net/wire_format.hpp"
+#include "recovery/resync.hpp"
 #include "sim/wall_clock.hpp"
 #include "sync/wire.hpp"
 
@@ -226,6 +229,37 @@ TEST_F(WireFormatTest, TrailingGarbageIsRejected) {
     ASSERT_TRUE(frame.has_value());
     frame->push_back(std::byte{0});
     EXPECT_FALSE(decode_frame(*frame).has_value());
+}
+
+// Frame for `payload` whose body ends in a zero u32 element count, with that
+// count patched to 0xFFFFFFFF and the CRC recomputed: hostile, yet intact.
+std::vector<std::byte> with_hostile_count(Payload payload) {
+    const auto frame = encode_frame(make_packet(std::move(payload)), Priority::Realtime);
+    if (!frame) {
+        ADD_FAILURE() << "payload did not encode";
+        return {};
+    }
+    std::vector<std::byte> f(frame->begin(), frame->end() - 4);  // drop the CRC
+    std::fill(f.end() - 4, f.end(), std::byte{0xFF});
+    common::put(f, common::crc32(f));
+    return f;
+}
+
+TEST_F(WireFormatTest, CrcValidFrameWithHostileCountIsRejectedNotThrown) {
+    sync::AvatarWire lone;  // relay_to count is the last field of the body
+    recovery::ResyncSnapshot snap;
+    const std::vector<std::vector<std::byte>> frames{
+        with_hostile_count(Payload{sync::AvatarBatchWire{}}),
+        with_hostile_count(Payload{lone}),
+        with_hostile_count(Payload{snap}),
+    };
+    for (const auto& f : frames) {
+        FrameDefect defect = FrameDefect::None;
+        std::optional<DecodedFrame> decoded;
+        EXPECT_NO_THROW(decoded = decode_frame(f, defect));
+        EXPECT_FALSE(decoded.has_value());
+        EXPECT_EQ(defect, FrameDefect::BadPayload);
+    }
 }
 
 TEST_F(WireFormatTest, TagCollisionsThrowAndReRegistrationIsIdempotent) {

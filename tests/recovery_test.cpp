@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "avatar/codec.hpp"
+#include "common/bytes.hpp"
 #include "core/classroom.hpp"
 #include "edge/edge_server.hpp"
 #include "edge/seats.hpp"
@@ -29,11 +30,17 @@ namespace {
 // ---------------------------------------------------------- checkpoint codec
 
 TEST(CheckpointCodecTest, Crc32MatchesKnownVector) {
-    // The canonical IEEE 802.3 check value for "123456789".
+    // The checkpoint trailer is common::crc32: the canonical IEEE 802.3
+    // check value for "123456789", and the CRC of an encoded checkpoint's
+    // body sits little-endian in its last four bytes.
     const std::string s = "123456789";
-    const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
-    EXPECT_EQ(crc32({p, s.size()}), 0xCBF43926u);
-    EXPECT_EQ(crc32({p, std::size_t{0}}), 0x00000000u);
+    EXPECT_EQ(common::crc32(s), 0xCBF43926u);
+    EXPECT_EQ(common::crc32(std::string_view{}), 0x00000000u);
+    const auto bytes = encode_checkpoint(ClassroomCheckpoint{});
+    const std::uint32_t c = common::crc32(std::span{bytes}.first(bytes.size() - 4));
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(bytes[bytes.size() - 4 + static_cast<std::size_t>(i)],
+                  static_cast<std::uint8_t>(c >> (8 * i)));
 }
 
 TEST(CheckpointCodecTest, EmptyCheckpointRoundTrips) {
@@ -176,7 +183,7 @@ TEST(CheckpointCodecTest, TruncationAndTrailingBytesRejected) {
 
 // Patch the trailing CRC so only the targeted header corruption is visible.
 std::vector<std::uint8_t> with_fixed_crc(std::vector<std::uint8_t> bytes) {
-    const std::uint32_t c = crc32({bytes.data(), bytes.size() - 4});
+    const std::uint32_t c = common::crc32(std::span{bytes}.first(bytes.size() - 4));
     for (int i = 0; i < 4; ++i) {
         bytes[bytes.size() - 4 + static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>(c >> (8 * i));

@@ -246,6 +246,45 @@ TEST(TraceCorruptionTest, EverySingleBitFlipDetected) {
     }
 }
 
+// A trace holding one hand-encoded record in a chunk whose CRC is valid:
+// only the record decoder stands between these bytes and the allocator.
+std::vector<std::uint8_t> trace_with_record(const std::vector<std::uint8_t>& record,
+                                            bool checkpoint) {
+    MemorySink sink;
+    TraceWriter writer{sink, 1, "hostile", 0};
+    writer.append(record, 1, 0, checkpoint);
+    writer.finish();
+    return sink.take();
+}
+
+TEST(TraceCorruptionTest, WireRecordClaimingHugeAvatarCountIsAnError) {
+    // Wire record: kind, t, shard, flow, src, dst, size, priority, then the
+    // has-avatars flag and an avatar count of 2^62 (varint) with no avatars.
+    const std::vector<std::uint8_t> record{
+        static_cast<std::uint8_t>(RecordKind::Wire), 0, 0, 0, 0, 0, 0, 0, 0x01,
+        0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40};
+    const std::vector<std::uint8_t> bytes = trace_with_record(record, false);
+    TraceCheck check;
+    EXPECT_NO_THROW(check = Trace::verify(bytes));
+    EXPECT_FALSE(check.ok);
+    EXPECT_FALSE(check.error.empty());
+    EXPECT_THROW((void)Trace::parse(bytes), TraceError);
+}
+
+TEST(TraceCorruptionTest, CheckpointLengthThatWrapsTheCursorIsAnError) {
+    // Checkpoint record: kind, t = 0, empty owner, then a byte length of
+    // 2^64 - 13 (varint): read at payload offset 13, `pos + n` wraps to 0.
+    const std::vector<std::uint8_t> record{
+        static_cast<std::uint8_t>(RecordKind::Checkpoint), 0, 0,
+        0xF3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01};
+    const std::vector<std::uint8_t> bytes = trace_with_record(record, true);
+    TraceCheck check;
+    EXPECT_NO_THROW(check = Trace::verify(bytes));
+    EXPECT_FALSE(check.ok);
+    EXPECT_FALSE(check.error.empty());
+    EXPECT_THROW((void)Trace::parse(bytes), TraceError);
+}
+
 TEST(TraceCorruptionTest, TruncateTraceKeepsReplayablePrefix) {
     const std::vector<std::uint8_t> bytes = small_trace();
     const Trace full = Trace::parse(bytes);

@@ -14,7 +14,9 @@
 #   tools/ci.sh --perf     # profile preset + E17 allocation budget smoke
 #   tools/ci.sh --replay   # record a short run, fail on trace-verify error
 #                          # or replay divergence, then the E18 quick bench
-#   tools/ci.sh --realnet  # realnet unit tests under ASan+UBSan, the E19
+#   tools/ci.sh --realnet  # byte-codec and hostile-input decoder tests
+#                          # (bytes, golden, realnet, replay, avatar,
+#                          # recovery) under ASan+UBSan, the E19
 #                          # loopback bench (wire rate + record->replay
 #                          # divergence gate), and the two-process UDP demo
 #   tools/ci.sh --chaos    # chaos/reconnect unit tests under ASan+UBSan,
@@ -103,10 +105,18 @@ replay_stage() {
 realnet_stage() {
   echo "==> [sanitize] configure"
   cmake --preset sanitize
-  echo "==> [sanitize] build realnet_test"
-  cmake --build --preset sanitize -j "$jobs" --target realnet_test
-  echo "==> [realnet] transport unit tests under ASan+UBSan"
-  ctest --preset sanitize -R realnet_test
+  local decoders=(bytes_test golden_bytes_test realnet_test replay_test avatar_test
+                  recovery_test)
+  local targets=()
+  for t in "${decoders[@]}"; do targets+=(--target "$t"); done
+  echo "==> [sanitize] build the byte-codec and decoder tests"
+  cmake --build --preset sanitize -j "$jobs" "${targets[@]}"
+  echo "==> [realnet] wire/trace/avatar/checkpoint decoders under ASan+UBSan"
+  # gtest_discover_tests registers Suite.Case names, so ctest -R on a binary
+  # name selects nothing (and exits 0); run the binaries directly.
+  for t in "${decoders[@]}"; do
+    "./build-sanitize/tests/$t"
+  done
   echo "==> [default] configure"
   cmake --preset default
   echo "==> [default] build bench_e19_realnet + realnet_demo"
