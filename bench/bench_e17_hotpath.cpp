@@ -16,11 +16,16 @@
 //    same artifact;
 //  - section E: flat interest-grid queries through the _into overloads on a
 //    committed grid — the E22 per-tick census path — which must stay inside
-//    the same steady-state allocation budget.
+//    the same steady-state allocation budget;
+//  - section F: a small cell-aggregated CampusWorld (pool sweep, grid,
+//    aggregator, batcher, viewer delivery) after warm-up, allocations per
+//    update delivered to a viewer — the campus egress path with its avatar
+//    records stored inline.
 //
 // Exit code gates the perf CI stage: steady-state allocations/event must
-// stay within a small budget, and the pooled loop must allocate at least 5x
-// less than the reference loop.
+// stay within a small budget, the pooled loop must allocate at least 5x
+// less than the reference loop, and the campus must stay within its
+// per-update budget.
 
 #include <algorithm>
 #include <array>
@@ -39,6 +44,7 @@
 #include "bench/harness.hpp"
 #include "cloud/relay.hpp"
 #include "cloud/vr_client.hpp"
+#include "core/campus.hpp"
 #include "core/sharded_world.hpp"
 #include "net/channel.hpp"
 #include "net/network.hpp"
@@ -89,6 +95,9 @@ namespace {
 constexpr std::uint64_t kSeed = 29;
 /// CI gate: steady-state allocations per event/send on the reworked path.
 constexpr double kAllocBudget = 0.01;
+/// CI gate: steady-state allocations per delivered campus update (section F).
+/// What remains is per batch and per flush, not per update.
+constexpr double kCampusAllocBudget = 0.1;
 
 struct Measured {
     double ops_per_sec{0.0};
@@ -325,6 +334,47 @@ SweepResult run_sharded_sweep(std::size_t clients, double sim_seconds) {
     return out;
 }
 
+// ------------------------------------------------------------- section F
+struct CampusResult {
+    std::size_t avatars{0};
+    std::uint64_t updates{0};
+    double wall_seconds{0.0};
+    double allocs_per_update{0.0};
+};
+
+/// Cell-aggregated campus on one thread: warm up past the first tick (every
+/// avatar's opening record, batch vectors and pools growing), then count
+/// allocations per update delivered into a viewer handler.
+CampusResult run_campus(bool quick) {
+    core::CampusConfig c;
+    c.buildings = 2;
+    c.classrooms_per_building = quick ? 9 : 25;
+    c.avatars_per_classroom = quick ? 36 : 100;
+    c.aggregate = true;
+    c.seed = kSeed;
+    c.motion.amplitude_m = 2.0;  // avatars cross cells, as in the campus workload
+    core::CampusWorld world{c};
+    const sim::Time warmup = sim::Time::seconds(0.5);
+    const sim::Time horizon = warmup + sim::Time::seconds(quick ? 1.0 : 2.0);
+    world.run_until(warmup);
+
+    const std::uint64_t updates_before = world.viewer_updates();
+    const std::uint64_t before_allocs = allocations();
+    const auto start = std::chrono::steady_clock::now();
+    world.run_until(horizon);
+    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
+
+    CampusResult out;
+    out.avatars = world.avatar_count();
+    out.updates = world.viewer_updates() - updates_before;
+    out.wall_seconds = wall.count();
+    out.allocs_per_update = out.updates > 0
+                                ? static_cast<double>(allocations() - before_allocs) /
+                                      static_cast<double>(out.updates)
+                                : 0.0;
+    return out;
+}
+
 }  // namespace
 
 int main() {
@@ -464,6 +514,17 @@ int main() {
     session.record("E nearest_into / queries_per_sec", nearest_query.ops_per_sec);
     session.record("E nearest_into / allocs_per_query", nearest_query.allocs_per_op);
 
+    // ------------------------------------------- F: campus egress path
+    std::printf("\nF. aggregated campus egress (2 buildings, 1 thread, after warm-up)\n");
+    const CampusResult campus = run_campus(quick);
+    std::printf("%zu avatars: %llu updates delivered in %.3f s (%.3f allocs/update)\n",
+                campus.avatars, static_cast<unsigned long long>(campus.updates),
+                campus.wall_seconds, campus.allocs_per_update);
+    session.count("F campus / avatars", campus.avatars);
+    session.count("F campus / updates", campus.updates);
+    session.record("F campus / wall_seconds", campus.wall_seconds);
+    session.record("F campus / allocs_per_update", campus.allocs_per_update);
+
     // --------------------------------------------------------------- gates
     const double floor = 1e-9;
     const double reduction_small =
@@ -479,12 +540,14 @@ int main() {
         legacy_small.allocs_per_op >= 5.0 * std::max(pooled_small.allocs_per_op, floor) &&
         legacy_large.allocs_per_op >= 5.0 * std::max(pooled_large.allocs_per_op, floor);
     const bool throughput_ok = via_handles.ops_per_sec > via_strings.ops_per_sec;
+    const bool campus_ok = campus.updates > 0 && campus.allocs_per_update <= kCampusAllocBudget;
 
     session.record("gate / reduction_small_x", reduction_small);
     session.record("gate / reduction_large_x", reduction_large);
     session.count("gate / alloc_budget_ok", budget_ok ? 1 : 0);
     session.count("gate / reduction_5x_ok", reduction_ok ? 1 : 0);
     session.count("gate / handle_throughput_ok", throughput_ok ? 1 : 0);
+    session.count("gate / campus_alloc_budget_ok", campus_ok ? 1 : 0);
 
     std::printf("\nexpected shape: steady-state allocs per event/send/query <= %.2f "
                 "-> %s\n",
@@ -494,5 +557,7 @@ int main() {
                 reduction_small, reduction_large, reduction_ok ? "PASS" : "FAIL");
     std::printf("expected shape: handle API faster than string API -> %s\n",
                 throughput_ok ? "PASS" : "FAIL");
-    return budget_ok && reduction_ok && throughput_ok ? 0 : 1;
+    std::printf("expected shape: campus allocs per delivered update <= %.2f (%.3f) -> %s\n",
+                kCampusAllocBudget, campus.allocs_per_update, campus_ok ? "PASS" : "FAIL");
+    return budget_ok && reduction_ok && throughput_ok && campus_ok ? 0 : 1;
 }

@@ -109,6 +109,11 @@ double AvatarCodec::position_resolution() const {
 
 std::vector<std::uint8_t> AvatarCodec::encode_full(const AvatarState& s) const {
     Bytes w;
+    encode_full(s, w);
+    return w;
+}
+
+void AvatarCodec::encode_full(const AvatarState& s, Bytes& w) const {
     put(w, s.participant.value());
     put(w, static_cast<std::uint64_t>(s.captured_at.nanos() / 1000));  // microseconds
     write_vec(w, s.root.pose.position, bounds_.pos_range_m);
@@ -124,7 +129,6 @@ std::vector<std::uint8_t> AvatarCodec::encode_full(const AvatarState& s) const {
         put(w, quantize8_unit(i < s.expression.size() ? s.expression[i] : 0.0));
     }
     put(w, s.viseme);
-    return w;
 }
 
 std::optional<AvatarState> AvatarCodec::try_decode_full(
@@ -158,6 +162,13 @@ AvatarState AvatarCodec::decode_full(std::span<const std::uint8_t> bytes) const 
 
 std::vector<std::uint8_t> AvatarCodec::encode_delta(const AvatarState& reference,
                                                     const AvatarState& current) const {
+    Bytes w;
+    encode_delta(reference, current, w);
+    return w;
+}
+
+void AvatarCodec::encode_delta(const AvatarState& reference, const AvatarState& current,
+                               Bytes& w) const {
     const DeltaThresholds& t = thresholds_;
     std::uint16_t mask = 0;
     if (current.root.pose.position.distance_to(reference.root.pose.position) > t.position_m)
@@ -183,7 +194,6 @@ std::vector<std::uint8_t> AvatarCodec::encode_delta(const AvatarState& reference
     if (expr_mask != 0) mask |= kExpression;
     if (current.viseme != reference.viseme) mask |= kViseme;
 
-    Bytes w;
     put(w, mask);
     put(w, static_cast<std::uint32_t>(current.captured_at.nanos() / 1000000));  // ms
     if (mask & kRootPos) write_vec(w, current.root.pose.position, bounds_.pos_range_m);
@@ -210,7 +220,6 @@ std::vector<std::uint8_t> AvatarCodec::encode_delta(const AvatarState& reference
         }
     }
     if (mask & kViseme) put(w, current.viseme);
-    return w;
 }
 
 std::optional<AvatarState> AvatarCodec::try_decode_delta(

@@ -38,6 +38,9 @@ public:
     explicit AvatarCodec(CodecBounds bounds = {}, DeltaThresholds thresholds = {});
 
     [[nodiscard]] std::vector<std::uint8_t> encode_full(const AvatarState& s) const;
+    /// Append the full snapshot of `s` to `out`; allocation-free once `out`
+    /// has the capacity (a sender's reused scratch buffer).
+    void encode_full(const AvatarState& s, std::vector<std::uint8_t>& out) const;
     /// nullopt when `bytes` is truncated or malformed; never throws, so it
     /// is safe on bytes that arrived from a socket.
     [[nodiscard]] std::optional<AvatarState> try_decode_full(
@@ -49,6 +52,9 @@ public:
     /// hold). Unchanged groups cost nothing beyond the 2-byte mask.
     [[nodiscard]] std::vector<std::uint8_t> encode_delta(const AvatarState& reference,
                                                          const AvatarState& current) const;
+    /// Append the delta of `current` against `reference` to `out`.
+    void encode_delta(const AvatarState& reference, const AvatarState& current,
+                      std::vector<std::uint8_t>& out) const;
     /// Apply a delta on top of `reference`; nullopt when `bytes` is
     /// truncated or malformed. Never throws.
     [[nodiscard]] std::optional<AvatarState> try_decode_delta(

@@ -33,8 +33,9 @@ RelayServer::RelayServer(net::Backend& net, net::NodeId node, RelayConfig config
                 const sim::Time now = net_.clock().now();
                 for (const auto& [who, kf] : keyframes_) {
                     if (now - kf.captured_at > config_.resync_freshness) continue;
-                    entries.push_back(recovery::ResyncEntry{who, kf.source_room,
-                                                            kf.captured_at, kf.bytes});
+                    entries.push_back(recovery::ResyncEntry{
+                        who, kf.source_room, kf.captured_at,
+                        std::vector<std::uint8_t>(kf.bytes.begin(), kf.bytes.end())});
                 }
                 return entries;
             });
@@ -85,8 +86,11 @@ void RelayServer::handle_avatar_batch(net::Packet&& p) {
 void RelayServer::ingest(sync::AvatarWire&& wire, bool from_origin) {
     ++messages_in_;
     if (config_.serve_resync && wire.keyframe) {
-        keyframes_[wire.participant] =
-            CachedKeyframe{wire.source_room, wire.captured_at, wire.bytes};
+        // Assign in place: the entry's byte block is reused keyframe to keyframe.
+        CachedKeyframe& kf = keyframes_[wire.participant];
+        kf.source_room = wire.source_room;
+        kf.captured_at = wire.captured_at;
+        kf.bytes = wire.bytes;
     }
     const sim::Time ready = charge(config_.process_in);
     net_.clock().schedule_at(ready, [this, wire = std::move(wire), from_origin] {

@@ -96,7 +96,7 @@ private:
     struct CachedKeyframe {
         ClassroomId source_room;
         sim::Time captured_at{};
-        std::vector<std::uint8_t> bytes;
+        sync::AvatarBytes bytes;
     };
     std::map<ParticipantId, CachedKeyframe> keyframes_;
     net::NodeId origin_{net::kInvalidNode};

@@ -37,9 +37,8 @@ void VrClient::join(net::NodeId server, const math::Pose& seat) {
 
     publisher_ = std::make_unique<sync::AvatarPublisher>(
         net_.clock(), codec_, config_.replication,
-        [this](std::vector<std::uint8_t> bytes, bool keyframe, sim::Time captured_at) {
-            sync::AvatarWire wire{who_, config_.room, keyframe, std::move(bytes),
-                                  captured_at};
+        [this](const std::vector<std::uint8_t>& bytes, bool keyframe, sim::Time captured_at) {
+            sync::AvatarWire wire{who_, config_.room, keyframe, bytes, captured_at, {}};
             wire.seq = static_cast<std::uint32_t>(++updates_sent_);
             const std::size_t size = wire.wire_bytes();
             avatar_tx_.send_to(server_, size, std::move(wire));

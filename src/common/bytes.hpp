@@ -5,8 +5,9 @@
 //
 //  - put / put_varint / put_raw / put_bytes / put_varint_bytes append
 //    little-endian fixed-width values, unsigned LEB128 varints and raw or
-//    length-prefixed byte runs to a caller-owned vector. They allocate only
-//    when the vector outgrows its capacity, so a reserved buffer stays
+//    length-prefixed byte runs to a caller-owned buffer: a std::vector or a
+//    common::InlineBytes. They allocate only when the buffer outgrows its
+//    capacity, so a reserved vector or a short inline record stays
 //    allocation-free (the recorder tap and the campus pool rely on this).
 //  - Reader decodes the same primitives from a span. Every read is bounds
 //    checked without `pos + n` arithmetic that could wrap; the first
@@ -41,6 +42,16 @@ template <class R>
 concept ByteRange = std::ranges::contiguous_range<R> && std::ranges::sized_range<R> &&
                     ByteLike<std::ranges::range_value_t<R>>;
 
+/// A growable byte buffer the writers append to (std::vector, InlineBytes).
+template <class Buf>
+concept ByteBuffer = ByteLike<typename Buf::value_type> &&
+                     requires(Buf& b, std::size_t n, typename Buf::value_type v) {
+                         b.resize(n);
+                         b.push_back(v);
+                         { b.data() } -> std::same_as<typename Buf::value_type*>;
+                         { b.size() } -> std::convertible_to<std::size_t>;
+                     };
+
 namespace detail {
 
 template <std::size_t N>
@@ -71,9 +82,9 @@ inline constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 // ------------------------------------------------------------------ writing
 
 /// Append `v` little-endian in sizeof(T) bytes (floats by bit pattern).
-template <class T, ByteLike B>
+template <class T, ByteBuffer Buf>
     requires std::is_arithmetic_v<T>
-inline void put(std::vector<B>& out, T v) {
+inline void put(Buf& out, T v) {
     using U = detail::uint_of<sizeof(T)>;
     const U u = std::bit_cast<U>(v);
     // Assemble in a local first: stores through the vector's byte pointer
@@ -86,8 +97,9 @@ inline void put(std::vector<B>& out, T v) {
 }
 
 /// Append `v` as an unsigned LEB128 varint (1-10 bytes).
-template <ByteLike B>
-inline void put_varint(std::vector<B>& out, std::uint64_t v) {
+template <ByteBuffer Buf>
+inline void put_varint(Buf& out, std::uint64_t v) {
+    using B = typename Buf::value_type;
     while (v >= 0x80) {
         out.push_back(static_cast<B>(static_cast<std::uint8_t>(v) | 0x80));
         v >>= 7;
@@ -96,22 +108,25 @@ inline void put_varint(std::vector<B>& out, std::uint64_t v) {
 }
 
 /// Append the bytes of `b` with no length prefix.
-template <ByteLike B, ByteRange R>
-inline void put_raw(std::vector<B>& out, const R& b) {
-    const auto* p = reinterpret_cast<const B*>(detail::data_of(b));
-    out.insert(out.end(), p, p + std::ranges::size(b));
+template <ByteBuffer Buf, ByteRange R>
+inline void put_raw(Buf& out, const R& b) {
+    const std::size_t n = std::ranges::size(b);
+    if (n == 0) return;
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    std::memcpy(out.data() + at, detail::data_of(b), n);
 }
 
 /// Append a u32 length, then the bytes of `b`.
-template <ByteLike B, ByteRange R>
-inline void put_bytes(std::vector<B>& out, const R& b) {
+template <ByteBuffer Buf, ByteRange R>
+inline void put_bytes(Buf& out, const R& b) {
     put<std::uint32_t>(out, static_cast<std::uint32_t>(std::ranges::size(b)));
     put_raw(out, b);
 }
 
 /// Append a varint length, then the bytes of `b`.
-template <ByteLike B, ByteRange R>
-inline void put_varint_bytes(std::vector<B>& out, const R& b) {
+template <ByteBuffer Buf, ByteRange R>
+inline void put_varint_bytes(Buf& out, const R& b) {
     put_varint(out, std::ranges::size(b));
     put_raw(out, b);
 }

@@ -85,22 +85,6 @@ void AvatarPool::clear_dirty() {
     std::memset(dirty_.data(), 0, dirty_.size());
 }
 
-void AvatarPool::encode_record(std::uint32_t index,
-                               std::vector<std::uint8_t>& out) const {
-    using common::put;
-    put<std::uint32_t>(out, ids_[index].value());
-    put<std::uint32_t>(out, seqs_[index]);
-    put<std::uint8_t>(out, lods_[index]);
-    const math::Vec3& p = positions_[index];
-    put<float>(out, static_cast<float>(p.x));
-    put<float>(out, static_cast<float>(p.y));
-    put<float>(out, static_cast<float>(p.z));
-    const math::Vec3& v = velocities_[index];
-    put<float>(out, static_cast<float>(v.x));
-    put<float>(out, static_cast<float>(v.y));
-    put<float>(out, static_cast<float>(v.z));
-}
-
 AvatarPool::Record AvatarPool::decode_record(const std::uint8_t* data) {
     common::Reader in{std::span{data, kRecordBytes}};
     Record r;

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/ids.hpp"
 #include "math/vec3.hpp"
 
@@ -81,8 +82,23 @@ public:
     void clear_dirty();
 
     /// Append row `index` to `out` as a kRecordBytes fixed-layout record
-    /// (little-endian scalars, f32 vectors).
-    void encode_record(std::uint32_t index, std::vector<std::uint8_t>& out) const;
+    /// (little-endian scalars, f32 vectors). `out` is any byte buffer: a
+    /// vector, or the inline bytes of the wire value that will carry it.
+    template <common::ByteBuffer Out>
+    void encode_record(std::uint32_t index, Out& out) const {
+        using common::put;
+        put<std::uint32_t>(out, ids_[index].value());
+        put<std::uint32_t>(out, seqs_[index]);
+        put<std::uint8_t>(out, lods_[index]);
+        const math::Vec3& p = positions_[index];
+        put<float>(out, static_cast<float>(p.x));
+        put<float>(out, static_cast<float>(p.y));
+        put<float>(out, static_cast<float>(p.z));
+        const math::Vec3& v = velocities_[index];
+        put<float>(out, static_cast<float>(v.x));
+        put<float>(out, static_cast<float>(v.y));
+        put<float>(out, static_cast<float>(v.z));
+    }
     /// Decode one record; `data` must hold at least kRecordBytes.
     [[nodiscard]] static Record decode_record(const std::uint8_t* data);
 

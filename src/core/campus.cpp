@@ -201,13 +201,12 @@ void CampusWorld::tick(Building& b) {
         b.last_sent[i] = pos[i];
         ++b.updates_generated;
 
-        std::vector<std::uint8_t> bytes;
-        bytes.reserve(AvatarPool::kRecordBytes);
-        b.pool.encode_record(static_cast<std::uint32_t>(i), bytes);
+        // The record is encoded straight into the wire's inline bytes.
         sync::AvatarWire w{ParticipantId{ids[i].value()},
                            ClassroomId{static_cast<std::uint32_t>(b.index + 1)},
-                           /*keyframe=*/false, std::move(bytes), now};
+                           /*keyframe=*/false, {}, now, {}};
         w.seq = seqs[i];
+        b.pool.encode_record(static_cast<std::uint32_t>(i), w.bytes);
 
         if (b.mirror && i % config_.mirror_stride == 0)
             b.mirror->enqueue(b.origin_proxy, w);

@@ -133,7 +133,6 @@ private:
         /// Baseline per-(viewer, avatar) rate clocks, flat [v * n + i].
         std::vector<sim::Time> next_due;
         std::vector<EntityId> query_scratch;
-        std::vector<std::uint8_t> record_scratch;
         std::uint64_t ticks{0};
         std::uint64_t updates_generated{0};
         std::uint64_t baseline_sends{0};

@@ -43,8 +43,7 @@ sync::AvatarWire get_avatar(Reader& r) {
     w.keyframe = r.get<std::uint8_t>() != 0;
     w.seq = r.get<std::uint32_t>();
     w.captured_at = sim::Time::ns(r.get<std::int64_t>());
-    const auto bytes = r.bytes();
-    w.bytes.assign(bytes.begin(), bytes.end());
+    w.bytes = r.bytes();
     w.relay_to.resize(r.count(r.get<std::uint32_t>(), sizeof(std::uint32_t)));
     for (std::uint32_t& n : w.relay_to) n = r.get<std::uint32_t>();
     return w;

@@ -104,10 +104,8 @@ void EdgeServer::add_local_participant(ParticipantId who, std::optional<std::siz
     }
     lp.publisher = std::make_unique<sync::AvatarPublisher>(
         net_.clock(), codec_, config_.replication,
-        [this, who](std::vector<std::uint8_t> bytes, bool keyframe,
-                    sim::Time captured_at) {
-            publish(who, std::move(bytes), keyframe, captured_at);
-        });
+        [this, who](const std::vector<std::uint8_t>& bytes, bool keyframe,
+                    sim::Time captured_at) { publish(who, bytes, keyframe, captured_at); });
     // Pull-mode: each publisher tick samples fusion at send time, so capture
     // timestamps track transmission and receiver jitter stays network-only.
     lp.publisher->set_provider([this, who]() -> std::optional<avatar::AvatarState> {
@@ -129,9 +127,9 @@ void EdgeServer::remove_local_participant(ParticipantId who) {
     fusion_.drop(who);
 }
 
-void EdgeServer::publish(ParticipantId who, std::vector<std::uint8_t> bytes, bool keyframe,
-                         sim::Time captured_at) {
-    sync::AvatarWire wire{who, config_.room, keyframe, std::move(bytes), captured_at, {}};
+void EdgeServer::publish(ParticipantId who, const std::vector<std::uint8_t>& bytes,
+                         bool keyframe, sim::Time captured_at) {
+    sync::AvatarWire wire{who, config_.room, keyframe, bytes, captured_at, {}};
     if (const auto lp = locals_.find(who); lp != locals_.end())
         wire.seq = ++lp->second.next_seq;
     const std::size_t wire_size = wire.wire_bytes();

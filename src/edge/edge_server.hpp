@@ -289,7 +289,7 @@ private:
     void on_node_state(bool up);
     void wipe_replicated_state();
     [[nodiscard]] std::vector<recovery::ResyncEntry> build_resync_entries() const;
-    void publish(ParticipantId who, std::vector<std::uint8_t> bytes, bool keyframe,
+    void publish(ParticipantId who, const std::vector<std::uint8_t>& bytes, bool keyframe,
                  sim::Time captured_at);
     void on_peer_state(net::NodeId peer, bool alive);
     void degrade_tick();

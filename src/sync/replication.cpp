@@ -65,15 +65,16 @@ void AvatarPublisher::tick() {
         !sent_anything_ ||
         sim_.now() - last_keyframe_at_ >= params_.keyframe_interval;
     if (keyframe_due_ || keyframe_time) {
-        auto bytes = codec_.encode_full(current_);
-        bytes_sent_ += bytes.size();
+        scratch_.clear();
+        codec_.encode_full(current_, scratch_);
+        bytes_sent_ += scratch_.size();
         ++sent_keyframes_;
         last_sent_ = current_;
         last_sent_at_ = sim_.now();
         last_keyframe_at_ = sim_.now();
         sent_anything_ = true;
         keyframe_due_ = false;
-        sink_(std::move(bytes), true, current_.captured_at);
+        sink_(scratch_, true, current_.captured_at);
         return;
     }
 
@@ -88,12 +89,13 @@ void AvatarPublisher::tick() {
         return;
     }
 
-    auto bytes = codec_.encode_delta(last_sent_, current_);
-    bytes_sent_ += bytes.size();
+    scratch_.clear();
+    codec_.encode_delta(last_sent_, current_, scratch_);
+    bytes_sent_ += scratch_.size();
     ++sent_updates_;
     last_sent_ = current_;
     last_sent_at_ = sim_.now();
-    sink_(std::move(bytes), false, current_.captured_at);
+    sink_(scratch_, false, current_.captured_at);
 }
 
 AvatarReplica::AvatarReplica(const avatar::AvatarCodec& codec, JitterBufferParams jitter)

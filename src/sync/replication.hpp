@@ -32,8 +32,9 @@ struct ReplicationParams {
 class AvatarPublisher {
 public:
     /// Sink receives encoded bytes, whether they are a keyframe, and the
-    /// capture timestamp of the encoded state.
-    using SinkFn = std::function<void(std::vector<std::uint8_t> bytes, bool keyframe,
+    /// capture timestamp of the encoded state. The bytes live in the
+    /// publisher's reused scratch buffer and are valid for the call only.
+    using SinkFn = std::function<void(const std::vector<std::uint8_t>& bytes, bool keyframe,
                                       sim::Time captured_at)>;
 
     /// Pull-mode state source, sampled at each tick; returning nullopt skips
@@ -91,6 +92,8 @@ private:
     sim::Time last_keyframe_at_{};
     bool sent_anything_{false};
     bool keyframe_due_{true};
+    /// Encoder output, reused every tick so sending allocates nothing.
+    std::vector<std::uint8_t> scratch_;
 
     std::uint64_t sent_updates_{0};
     std::uint64_t sent_keyframes_{0};

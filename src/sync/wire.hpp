@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "common/inline_bytes.hpp"
 #include "sim/time.hpp"
 
 namespace mvc::sync {
@@ -15,11 +16,16 @@ inline constexpr std::string_view kAvatarFlow = "avatar";
 /// Flow label for coalesced per-interval avatar batches (see WireBatcher).
 inline constexpr std::string_view kAvatarBatchFlow = "avatar.batch";
 
+/// Encoded avatar state carried by one update. 40 bytes inline hold a
+/// 33-byte campus pool record and short deltas; full keyframes (93 B) and
+/// deltas of fully tracked avatars (57-64 B) spill to the heap (DESIGN §9.4).
+using AvatarBytes = common::InlineBytes<40>;
+
 struct AvatarWire {
     ParticipantId participant;
     ClassroomId source_room;
     bool keyframe{false};
-    std::vector<std::uint8_t> bytes;
+    AvatarBytes bytes;
     /// Source capture timestamp (duplicated outside the encoded bytes so
     /// relays can account latency without decoding).
     sim::Time captured_at{};
@@ -37,6 +43,10 @@ struct AvatarWire {
     /// Bytes this update occupies on the wire (encoded state + subheader).
     [[nodiscard]] std::size_t wire_bytes() const { return bytes.size() + 8; }
 };
+
+// The aggregator's pending deltas and every batch hold AvatarWires by
+// value, so the struct's size is the per-update memory cost at a flush.
+static_assert(sizeof(AvatarWire) <= 104, "AvatarWire grew past its per-update budget");
 
 /// Several avatar updates bound for the same destination, shipped as one
 /// packet: fan-out senders pay one packet header (and one cross-shard

@@ -1,7 +1,10 @@
 // Tests for common/bytes.hpp, the byte codec under every wire and file
 // format: fixed-width and varint round trips, the latched-failure reader
 // contract on truncated and hostile input, length checks that cannot wrap,
-// and the streaming CRC-32.
+// and the streaming CRC-32. Also common/inline_bytes.hpp, the small-buffer
+// byte type the codec writes avatar records into: the inline/heap boundary,
+// copies, moves and assignments in every storage direction, and equality
+// with std::vector.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/inline_bytes.hpp"
 
 namespace mvc::common {
 namespace {
@@ -158,6 +162,164 @@ TEST(BytesTest, Crc32StreamsAndServesEveryByteType) {
     }
     const auto* p = reinterpret_cast<const std::byte*>(s.data());
     EXPECT_EQ(crc32(std::span{p, s.size()}), 0xCBF43926U);
+}
+
+
+// ------------------------------------------------------------- InlineBytes
+
+constexpr std::size_t kN = 16;
+using Inline = InlineBytes<kN>;
+
+static_assert(ByteBuffer<Inline>);
+static_assert(ByteRange<Inline>);
+
+Bytes pattern(std::size_t n, std::uint8_t seed) {
+    Bytes b(n);
+    for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::uint8_t>(seed + 7 * i);
+    return b;
+}
+
+TEST(InlineBytesTest, HoldsNBytesInlineAndSpillsAtNPlusOne) {
+    const Inline at_n{pattern(kN, 1)};
+    EXPECT_FALSE(at_n.on_heap());
+    EXPECT_EQ(at_n.capacity(), kN);
+    EXPECT_EQ(at_n, pattern(kN, 1));
+
+    const Inline past_n{pattern(kN + 1, 1)};
+    EXPECT_TRUE(past_n.on_heap());
+    EXPECT_EQ(past_n, pattern(kN + 1, 1));
+
+    // Appending byte by byte crosses the boundary at exactly N + 1.
+    const Bytes want = pattern(kN + 1, 5);
+    Inline grown;
+    for (std::size_t i = 0; i < kN; ++i) grown.push_back(want[i]);
+    EXPECT_FALSE(grown.on_heap());
+    grown.push_back(want[kN]);
+    EXPECT_TRUE(grown.on_heap());
+    EXPECT_EQ(grown, want);
+
+    // resize zero-fills whichever storage it lands in.
+    Inline sized;
+    sized.resize(kN);
+    EXPECT_FALSE(sized.on_heap());
+    EXPECT_EQ(sized, Bytes(kN, 0));
+    sized.resize(kN + 1);
+    EXPECT_TRUE(sized.on_heap());
+    EXPECT_EQ(sized, Bytes(kN + 1, 0));
+}
+
+TEST(InlineBytesTest, CopiesAreDeepInBothStorages) {
+    for (const std::size_t n : {std::size_t{4}, kN + 9}) {
+        const Inline source{pattern(n, 3)};
+        Inline copy{source};
+        EXPECT_EQ(copy.on_heap(), source.on_heap());
+        EXPECT_EQ(copy, source);
+        EXPECT_NE(copy.data(), source.data());
+        copy.data()[0] ^= 0xFF;
+        EXPECT_EQ(source, pattern(n, 3));
+    }
+}
+
+TEST(InlineBytesTest, MovesLeaveTheSourceEmptyAndInline) {
+    Inline small_src{pattern(4, 1)};
+    const Inline small_dst{std::move(small_src)};
+    EXPECT_EQ(small_dst, pattern(4, 1));
+    EXPECT_FALSE(small_dst.on_heap());
+    EXPECT_TRUE(small_src.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(small_src.on_heap());
+
+    Inline large_src{pattern(kN + 9, 2)};
+    const std::uint8_t* block = large_src.data();
+    const Inline large_dst{std::move(large_src)};
+    EXPECT_EQ(large_dst, pattern(kN + 9, 2));
+    EXPECT_EQ(large_dst.data(), block);  // the heap block is handed over
+    EXPECT_TRUE(large_src.empty());      // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(large_src.on_heap());
+}
+
+TEST(InlineBytesTest, AssignmentCoversEveryInlineHeapDirection) {
+    const Bytes small = pattern(5, 1);
+    const Bytes large = pattern(kN + 9, 2);
+    const Bytes larger = pattern(3 * kN, 3);
+
+    // Copy-assign: destination storage x source storage.
+    for (const Bytes* dst_init : {&small, &large}) {
+        for (const Bytes* src_init : {&small, &large, &larger}) {
+            Inline dst{*dst_init};
+            const Inline src{*src_init};
+            dst = src;
+            EXPECT_EQ(dst, *src_init);
+            EXPECT_EQ(src, *src_init);
+        }
+    }
+    // Move-assign: the same grid; a heap source is stolen, an inline one copied.
+    for (const Bytes* dst_init : {&small, &large}) {
+        for (const Bytes* src_init : {&small, &large}) {
+            Inline dst{*dst_init};
+            Inline src{*src_init};
+            const bool src_heap = src.on_heap();
+            dst = std::move(src);
+            EXPECT_EQ(dst, *src_init);
+            EXPECT_EQ(dst.on_heap(), src_heap);
+            EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move)
+            EXPECT_FALSE(src.on_heap());
+        }
+    }
+}
+
+TEST(InlineBytesTest, HeapToInlineReassignmentKeepsTheBlockAndCopiesGoInline) {
+    Inline spilled{pattern(kN + 9, 2)};
+    const std::uint8_t* block = spilled.data();
+    spilled = pattern(3, 4);
+    EXPECT_EQ(spilled, pattern(3, 4));
+    EXPECT_EQ(spilled.data(), block);  // the heap block is reused, not freed
+    const Inline copy{spilled};
+    EXPECT_FALSE(copy.on_heap());
+    EXPECT_EQ(copy, pattern(3, 4));
+
+    // Self-assignment and assigning an aliasing tail both hold.
+    spilled = spilled;
+    EXPECT_EQ(spilled, pattern(3, 4));
+    Inline tail{pattern(kN, 6)};
+    tail.assign(tail.span().subspan(2));
+    const Bytes whole = pattern(kN, 6);
+    EXPECT_EQ(tail, Bytes(whole.begin() + 2, whole.end()));
+}
+
+TEST(InlineBytesTest, ComparesEqualToVectors) {
+    const Bytes small = pattern(5, 1);
+    const Inline a{small};
+    EXPECT_TRUE(a == small);
+    EXPECT_TRUE(small == a);
+    EXPECT_FALSE(a == pattern(6, 1));
+    EXPECT_FALSE(a == pattern(5, 2));
+    EXPECT_EQ(Inline{}, Bytes{});
+    EXPECT_EQ((Inline{1, 2, 3}), (Bytes{1, 2, 3}));
+    EXPECT_NE(a, Inline{pattern(kN + 1, 1)});
+}
+
+TEST(InlineBytesTest, PutBytesToReaderBytesRoundTripsAcrossTheBoundary) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{5}, kN, kN + 1, 3 * kN}) {
+        const Inline in{pattern(n, 9)};
+        Bytes wire;
+        put_bytes(wire, in);
+        Reader r{wire};
+        Inline out;
+        out = r.bytes();
+        EXPECT_TRUE(r.ok() && r.done()) << n;
+        EXPECT_EQ(out, in) << n;
+        EXPECT_EQ(out.on_heap(), n > kN) << n;
+    }
+    // The writers emit the same bytes into an InlineBytes as into a vector.
+    Bytes v;
+    put<std::uint32_t>(v, 0xA1B2C3D4U);
+    put_varint(v, 300);
+    put_raw(v, pattern(kN, 1));
+    Inline w;
+    put<std::uint32_t>(w, 0xA1B2C3D4U);
+    put_varint(w, 300);
+    put_raw(w, pattern(kN, 1));
+    EXPECT_EQ(w, v);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "avatar/codec.hpp"
 #include "common/bytes.hpp"
 #include "core/wire_codecs.hpp"
 #include "fault/heartbeat.hpp"
@@ -26,6 +27,7 @@
 #include "net/wire_format.hpp"
 #include "recovery/resync.hpp"
 #include "sim/wall_clock.hpp"
+#include "sync/replication.hpp"
 #include "sync/wire.hpp"
 
 namespace mvc::net {
@@ -158,6 +160,69 @@ TEST_F(WireFormatTest, AvatarWireRoundTripsThroughModelCodecs) {
     EXPECT_EQ(got.captured_at.nanos(), w.captured_at.nanos());
     EXPECT_EQ(got.bytes, w.bytes);
     EXPECT_EQ(got.relay_to, w.relay_to);
+}
+
+// AvatarWire keeps its bytes inline up to sync::AvatarBytes' capacity and on
+// the heap above it. A full keyframe spills, a small delta does not; each
+// must frame to the same bytes from either storage, decode back into the
+// storage its size implies, and rebuild the same replica state as the
+// codec's own output.
+TEST_F(WireFormatTest, InlineAndSpilledAvatarBytesFrameIdenticallyAndIngest) {
+    constexpr std::size_t kInline = sync::AvatarBytes::kInlineCapacity;
+    const avatar::AvatarCodec codec;
+    avatar::AvatarState s;
+    s.participant = ParticipantId{9};
+    s.root.pose = {{3.2, 1.1, -7.5}, math::Quat::from_yaw_pitch_roll(0.4, 0.1, 0.0)};
+    s.body.head = {s.root.pose.position + math::Vec3{0, 0.65, 0}, s.root.pose.orientation};
+    s.expression.assign(avatar::kExpressionChannels, 0.25);
+    s.captured_at = sim::Time::ms(40);
+    avatar::AvatarState moved = s;
+    moved.root.pose.position = s.root.pose.position + math::Vec3{0.1, 0.0, 0.0};
+    moved.captured_at = sim::Time::ms(80);
+    const std::vector<std::uint8_t> keyframe = codec.encode_full(s);
+    const std::vector<std::uint8_t> delta = codec.encode_delta(s, moved);
+    ASSERT_GT(keyframe.size(), kInline);
+    ASSERT_LE(delta.size(), kInline);
+
+    const auto wire_of = [](const std::vector<std::uint8_t>& bytes, bool is_keyframe,
+                            bool force_heap) {
+        sync::AvatarWire w;
+        w.participant = ParticipantId{9};
+        w.source_room = ClassroomId{3};
+        w.keyframe = is_keyframe;
+        w.captured_at = sim::Time::ms(41);
+        // A buffer that has spilled keeps its heap block for shorter values.
+        if (force_heap) w.bytes = std::vector<std::uint8_t>(kInline + 1);
+        w.bytes = bytes;
+        return w;
+    };
+    sync::AvatarReplica via_frames{codec};
+    sync::AvatarReplica direct{codec};
+    const sim::Time arrival = sim::Time::ms(100);
+    for (const auto& [bytes, is_keyframe] :
+         {std::pair{&keyframe, true}, std::pair{&delta, false}}) {
+        const sync::AvatarWire natural = wire_of(*bytes, is_keyframe, false);
+        const sync::AvatarWire spilled = wire_of(*bytes, is_keyframe, true);
+        EXPECT_EQ(natural.bytes.on_heap(), bytes->size() > kInline);
+        EXPECT_TRUE(spilled.bytes.on_heap());
+
+        const auto frame = encode_frame(make_packet(Payload{natural}), Priority::Realtime);
+        const auto frame_spilled =
+            encode_frame(make_packet(Payload{spilled}), Priority::Realtime);
+        ASSERT_TRUE(frame.has_value() && frame_spilled.has_value());
+        EXPECT_TRUE(*frame == *frame_spilled);
+
+        const auto decoded = decode_frame(*frame);
+        ASSERT_TRUE(decoded.has_value());
+        const auto& got = decoded->packet.payload.get<sync::AvatarWire>();
+        EXPECT_EQ(got.bytes, *bytes);
+        EXPECT_EQ(got.bytes.on_heap(), bytes->size() > kInline);
+        via_frames.ingest(got.bytes, got.keyframe, arrival);
+        direct.ingest(*bytes, is_keyframe, arrival);
+    }
+    EXPECT_EQ(via_frames.decoded(), 2u);
+    EXPECT_EQ(via_frames.dropped_malformed(), 0u);
+    EXPECT_EQ(via_frames.state_digest(), direct.state_digest());
 }
 
 TEST_F(WireFormatTest, BatchHeartbeatAndScalarPayloadsRoundTrip) {
