@@ -19,13 +19,13 @@
 //    the same steady-state allocation budget;
 //  - section F: a small cell-aggregated CampusWorld (pool sweep, grid,
 //    aggregator, batcher, viewer delivery) after warm-up, allocations per
-//    update delivered to a viewer — the campus egress path with its avatar
-//    records stored inline.
+//    update and per batch delivered to a viewer — the campus egress path
+//    with its avatar records stored inline and each batch sized once.
 //
 // Exit code gates the perf CI stage: steady-state allocations/event must
 // stay within a small budget, the pooled loop must allocate at least 5x
 // less than the reference loop, and the campus must stay within its
-// per-update budget.
+// per-update and per-batch budgets.
 
 #include <algorithm>
 #include <array>
@@ -98,6 +98,10 @@ constexpr double kAllocBudget = 0.01;
 /// CI gate: steady-state allocations per delivered campus update (section F).
 /// What remains is per batch and per flush, not per update.
 constexpr double kCampusAllocBudget = 0.1;
+/// CI gate: steady-state allocations per delivered viewer batch (section F).
+/// A batch's update vector is allocated once at its final size; the rest is
+/// the payload box and the flush's per-packet work.
+constexpr double kCampusBatchAllocBudget = 4.0;
 
 struct Measured {
     double ops_per_sec{0.0};
@@ -338,13 +342,15 @@ SweepResult run_sharded_sweep(std::size_t clients, double sim_seconds) {
 struct CampusResult {
     std::size_t avatars{0};
     std::uint64_t updates{0};
+    std::uint64_t batches{0};
     double wall_seconds{0.0};
     double allocs_per_update{0.0};
+    double allocs_per_batch{0.0};
 };
 
 /// Cell-aggregated campus on one thread: warm up past the first tick (every
 /// avatar's opening record, batch vectors and pools growing), then count
-/// allocations per update delivered into a viewer handler.
+/// allocations per update and per batch delivered into a viewer handler.
 CampusResult run_campus(bool quick) {
     core::CampusConfig c;
     c.buildings = 2;
@@ -359,6 +365,7 @@ CampusResult run_campus(bool quick) {
     world.run_until(warmup);
 
     const std::uint64_t updates_before = world.viewer_updates();
+    const std::uint64_t batches_before = world.viewer_batches();
     const std::uint64_t before_allocs = allocations();
     const auto start = std::chrono::steady_clock::now();
     world.run_until(horizon);
@@ -366,12 +373,14 @@ CampusResult run_campus(bool quick) {
 
     CampusResult out;
     out.avatars = world.avatar_count();
+    const auto allocs = static_cast<double>(allocations() - before_allocs);
     out.updates = world.viewer_updates() - updates_before;
+    out.batches = world.viewer_batches() - batches_before;
     out.wall_seconds = wall.count();
-    out.allocs_per_update = out.updates > 0
-                                ? static_cast<double>(allocations() - before_allocs) /
-                                      static_cast<double>(out.updates)
-                                : 0.0;
+    out.allocs_per_update =
+        out.updates > 0 ? allocs / static_cast<double>(out.updates) : 0.0;
+    out.allocs_per_batch =
+        out.batches > 0 ? allocs / static_cast<double>(out.batches) : 0.0;
     return out;
 }
 
@@ -517,13 +526,17 @@ int main() {
     // ------------------------------------------- F: campus egress path
     std::printf("\nF. aggregated campus egress (2 buildings, 1 thread, after warm-up)\n");
     const CampusResult campus = run_campus(quick);
-    std::printf("%zu avatars: %llu updates delivered in %.3f s (%.3f allocs/update)\n",
+    std::printf("%zu avatars: %llu updates in %llu batches delivered in %.3f s "
+                "(%.3f allocs/update, %.2f allocs/batch)\n",
                 campus.avatars, static_cast<unsigned long long>(campus.updates),
-                campus.wall_seconds, campus.allocs_per_update);
+                static_cast<unsigned long long>(campus.batches), campus.wall_seconds,
+                campus.allocs_per_update, campus.allocs_per_batch);
     session.count("F campus / avatars", campus.avatars);
     session.count("F campus / updates", campus.updates);
+    session.count("F campus / batches", campus.batches);
     session.record("F campus / wall_seconds", campus.wall_seconds);
     session.record("F campus / allocs_per_update", campus.allocs_per_update);
+    session.record("F campus / allocs_per_batch", campus.allocs_per_batch);
 
     // --------------------------------------------------------------- gates
     const double floor = 1e-9;
@@ -541,6 +554,8 @@ int main() {
         legacy_large.allocs_per_op >= 5.0 * std::max(pooled_large.allocs_per_op, floor);
     const bool throughput_ok = via_handles.ops_per_sec > via_strings.ops_per_sec;
     const bool campus_ok = campus.updates > 0 && campus.allocs_per_update <= kCampusAllocBudget;
+    const bool campus_batch_ok =
+        campus.batches > 0 && campus.allocs_per_batch <= kCampusBatchAllocBudget;
 
     session.record("gate / reduction_small_x", reduction_small);
     session.record("gate / reduction_large_x", reduction_large);
@@ -548,6 +563,7 @@ int main() {
     session.count("gate / reduction_5x_ok", reduction_ok ? 1 : 0);
     session.count("gate / handle_throughput_ok", throughput_ok ? 1 : 0);
     session.count("gate / campus_alloc_budget_ok", campus_ok ? 1 : 0);
+    session.count("gate / campus_batch_alloc_budget_ok", campus_batch_ok ? 1 : 0);
 
     std::printf("\nexpected shape: steady-state allocs per event/send/query <= %.2f "
                 "-> %s\n",
@@ -559,5 +575,9 @@ int main() {
                 throughput_ok ? "PASS" : "FAIL");
     std::printf("expected shape: campus allocs per delivered update <= %.2f (%.3f) -> %s\n",
                 kCampusAllocBudget, campus.allocs_per_update, campus_ok ? "PASS" : "FAIL");
-    return budget_ok && reduction_ok && throughput_ok && campus_ok ? 0 : 1;
+    std::printf("expected shape: campus allocs per delivered batch <= %.2f (%.2f) -> %s\n",
+                kCampusBatchAllocBudget, campus.allocs_per_batch,
+                campus_batch_ok ? "PASS" : "FAIL");
+    return budget_ok && reduction_ok && throughput_ok && campus_ok && campus_batch_ok ? 0
+                                                                                       : 1;
 }

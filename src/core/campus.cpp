@@ -279,6 +279,13 @@ std::uint64_t CampusWorld::viewer_updates() const {
     return total;
 }
 
+std::uint64_t CampusWorld::viewer_batches() const {
+    std::uint64_t total = 0;
+    for (const auto& b : buildings_)
+        for (const ViewerEndpoint& v : b->viewers) total += v.batches;
+    return total;
+}
+
 std::uint64_t CampusWorld::updates_shipped() const {
     std::uint64_t total = 0;
     for (const auto& b : buildings_)
@@ -315,7 +322,6 @@ sim::MetricsRecorder CampusWorld::merged_metrics() const {
     sim::MetricsRecorder m = world_.merged_metrics();
     std::uint64_t ticks = 0;
     std::uint64_t generated = 0;
-    std::uint64_t batches = 0;
     std::uint64_t viewer_bytes = 0;
     std::uint64_t query_hits = 0;
     std::uint64_t full_rebuilds = 0;
@@ -326,17 +332,14 @@ sim::MetricsRecorder CampusWorld::merged_metrics() const {
         query_hits += b->query_hits;
         full_rebuilds += b->grid.full_rebuilds();
         incremental_rebuilds += b->grid.incremental_rebuilds();
-        for (const ViewerEndpoint& v : b->viewers) {
-            batches += v.batches;
-            viewer_bytes += v.bytes;
-        }
+        for (const ViewerEndpoint& v : b->viewers) viewer_bytes += v.bytes;
     }
     m.count("campus/ticks", ticks);
     m.count("campus/updates_generated", generated);
     m.count("campus/updates_shipped", updates_shipped());
     m.count("campus/egress_bytes", egress_bytes());
     m.count("campus/viewer_updates", viewer_updates());
-    m.count("campus/viewer_batches", batches);
+    m.count("campus/viewer_batches", viewer_batches());
     m.count("campus/viewer_bytes", viewer_bytes);
     m.count("campus/query_hits", query_hits);
     m.count("campus/suppressed_aoi", suppressed_by_aoi());

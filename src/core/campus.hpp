@@ -84,6 +84,8 @@ public:
     [[nodiscard]] std::uint64_t egress_bytes() const;
     /// Updates delivered into viewer handlers, summed over viewers.
     [[nodiscard]] std::uint64_t viewer_updates() const;
+    /// Avatar batches delivered into viewer handlers, summed over viewers.
+    [[nodiscard]] std::uint64_t viewer_batches() const;
     [[nodiscard]] std::uint64_t updates_shipped() const;
     [[nodiscard]] std::uint64_t suppressed_by_aoi() const;
     [[nodiscard]] std::uint64_t suppressed_by_rate() const;

@@ -9,7 +9,15 @@
 // per-entity to per-tier. Shipped batches ride the existing WireBatcher, so
 // every destination still receives one coalesced AvatarBatchWire per flush.
 //
-// Determinism: pending deltas are sorted by (cell, participant, seq),
+// Egress cost is linear in the deltas shipped. Wires stay where enqueue
+// put them; a flat cell table numbers each flush's distinct cells, a
+// counting scatter lays out one 16-byte key per delta in ascending cell
+// order, and each cell's short run is insertion-sorted by (participant,
+// seq). Selection is viewer-major: one pass over the cell runs decides
+// tier, QoE bank and admission and counts the viewer's updates, then its
+// batch is reserved at exactly that size and filled (DESIGN §14.3).
+//
+// Determinism: each viewer's batch is in (cell, participant, seq) order,
 // viewers are kept sorted by node id, and the batcher flushes destinations
 // in NodeId order — aggregated egress is byte-identical for any thread
 // count, same as the rest of the sharded engine.
@@ -74,9 +82,22 @@ public:
     [[nodiscard]] std::uint64_t suppressed_by_budget() const { return suppressed_budget_; }
 
 private:
-    struct PendingDelta {
+    /// A delta's sort key, participant << 32 | seq, and an index: the
+    /// delta's cell slot in `keys_`, its position in `wires_` in `order_`.
+    struct Keyed {
+        std::uint64_t key;
+        std::uint32_t index;
+    };
+    /// One cell's contiguous run of `order_`; `slot` is its table number.
+    struct CellRun {
         InterestGrid::Cell cell;
-        AvatarWire wire;
+        std::uint32_t slot, begin, end;
+    };
+    /// Open-addressed cell table entry; `slot` is the cell's number this
+    /// flush plus one (0 = empty).
+    struct TableEntry {
+        InterestGrid::Cell cell;
+        std::uint32_t slot;
     };
     struct ViewerState {
         net::NodeId node{net::kInvalidNode};
@@ -106,7 +127,20 @@ private:
     sim::Time interval_;
     WireBatcher batcher_;
     std::vector<ViewerState> viewers_;  // sorted by node id
-    std::vector<PendingDelta> pending_;
+    // Pending deltas, in enqueue order.
+    std::vector<AvatarWire> wires_;
+    std::vector<Keyed> keys_;
+    // Cell table, kept across flushes and emptied after each: power-of-two
+    // sized, `used_` holds the table index of each slot, `counts_` its
+    // deltas (the scatter cursor while grouping).
+    std::vector<TableEntry> table_;
+    std::vector<std::uint32_t> used_;
+    std::vector<std::uint32_t> counts_;
+    // Flush scratch: runs in ascending cell order, delta keys in (cell,
+    // participant, seq) order, and the current viewer's selected runs.
+    std::vector<CellRun> runs_;
+    std::vector<Keyed> order_;
+    std::vector<std::uint8_t> selected_;
     bool armed_{false};
     std::uint64_t updates_enqueued_{0};
     std::uint64_t updates_shipped_{0};
@@ -116,6 +150,15 @@ private:
     std::uint64_t suppressed_budget_{0};
 
     [[nodiscard]] std::vector<ViewerState>::iterator find_viewer(net::NodeId node);
+    /// This flush's number for `cell`, counting one more delta in it.
+    [[nodiscard]] std::uint32_t cell_slot(const InterestGrid::Cell& cell);
+    void grow_table();
+    /// Lay out `runs_` and `order_` from the pending deltas.
+    void group();
+    /// Select `v`'s cells, then queue its whole batch at its exact size.
+    void ship_to(ViewerState& v, sim::Time now);
+    /// Deltas of participant `self` in `run` (a contiguous key range).
+    [[nodiscard]] std::size_t own_deltas(const CellRun& run, std::uint32_t self) const;
 };
 
 }  // namespace mvc::sync

@@ -1,5 +1,6 @@
 #include "sync/batcher.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace mvc::sync {
@@ -12,8 +13,26 @@ WireBatcher::WireBatcher(net::Backend& net, net::NodeId src, sim::Time interval,
                             .options = {.priority = priority}})),
       interval_(interval) {}
 
+AvatarBatchWire& WireBatcher::batch_for(net::NodeId dst) {
+    if (last_ < pending_.size() && pending_[last_].dst == dst) return pending_[last_].batch;
+    const auto it = std::lower_bound(
+        pending_.begin(), pending_.end(), dst,
+        [](const Pending& p, net::NodeId n) { return p.dst < n; });
+    last_ = static_cast<std::size_t>(it - pending_.begin());
+    if (it == pending_.end() || it->dst != dst) pending_.insert(it, Pending{dst, {}});
+    return pending_[last_].batch;
+}
+
+void WireBatcher::reserve(net::NodeId dst, std::size_t n) {
+    // Grow geometrically past the first reservation, so repeated small
+    // reservations on one batch stay amortised O(1) per update.
+    std::vector<AvatarWire>& updates = batch_for(dst).updates;
+    if (updates.capacity() - updates.size() < n)
+        updates.reserve(std::max(updates.size() + n, 2 * updates.capacity()));
+}
+
 void WireBatcher::enqueue(net::NodeId dst, AvatarWire wire) {
-    pending_[dst].updates.push_back(std::move(wire));
+    batch_for(dst).updates.push_back(std::move(wire));
     ++updates_batched_;
     if (armed_) return;
     armed_ = true;
@@ -24,9 +43,9 @@ void WireBatcher::enqueue(net::NodeId dst, AvatarWire wire) {
 }
 
 void WireBatcher::flush() {
-    // Map nodes are kept between flushes: erasing them would make the first
-    // post-flush enqueue for each destination re-allocate its node every
-    // interval. Destinations with nothing queued are skipped.
+    // The sent batch takes its update vector with it; the slot stays for
+    // the destination's next enqueue. Destinations with nothing queued are
+    // skipped.
     for (auto& [dst, batch] : pending_) {
         if (batch.updates.empty()) continue;
         const std::size_t size = batch.wire_bytes();

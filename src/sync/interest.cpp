@@ -11,10 +11,10 @@ InterestGrid::InterestGrid(double cell_size) : cell_size_(cell_size) {
     if (cell_size <= 0.0) throw std::invalid_argument("InterestGrid: cell size > 0");
 }
 
-InterestGrid::Cell InterestGrid::cell_for(const math::Vec3& p) const {
-    return {static_cast<std::int32_t>(std::floor(p.x / cell_size_)),
-            static_cast<std::int32_t>(std::floor(p.y / cell_size_)),
-            static_cast<std::int32_t>(std::floor(p.z / cell_size_))};
+InterestGrid::Cell InterestGrid::cell_of(const math::Vec3& p, double cell_size) {
+    return {static_cast<std::int32_t>(std::floor(p.x / cell_size)),
+            static_cast<std::int32_t>(std::floor(p.y / cell_size)),
+            static_cast<std::int32_t>(std::floor(p.z / cell_size))};
 }
 
 void InterestGrid::update(EntityId entity, const math::Vec3& position) {

@@ -92,7 +92,11 @@ public:
         friend auto operator<=>(const Cell&, const Cell&) = default;
     };
 
-    [[nodiscard]] Cell cell_for(const math::Vec3& p) const;
+    /// The cell holding `p` on a grid of `cell_size` cubes (floor division,
+    /// so negative coordinates round toward -inf). One definition for the
+    /// grid and the egress aggregator, which must agree on cell borders.
+    [[nodiscard]] static Cell cell_of(const math::Vec3& p, double cell_size);
+    [[nodiscard]] Cell cell_for(const math::Vec3& p) const { return cell_of(p, cell_size_); }
     [[nodiscard]] double cell_size() const { return cell_size_; }
 
 private:

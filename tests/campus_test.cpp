@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/avatar_pool.hpp"
@@ -16,6 +19,7 @@
 #include "net/transport.hpp"
 #include "sim/simulator.hpp"
 #include "sync/aggregator.hpp"
+#include "sync/batcher.hpp"
 #include "sync/interest.hpp"
 #include "sync/wire.hpp"
 
@@ -167,6 +171,30 @@ TEST(FlatGridTest, RemoveAfterCommitForcesConsistentFullRebuild) {
     EXPECT_EQ(out[0], EntityId{24});
 }
 
+// ------------------------------------------------------------ batch tap
+
+/// One avatar batch as it left the sender: destination, charged size and
+/// the (participant, seq) of every update in order.
+struct SentBatch {
+    net::NodeId dst{net::kInvalidNode};
+    std::size_t size_bytes{0};
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> updates;
+    friend bool operator==(const SentBatch&, const SentBatch&) = default;
+};
+
+/// Records every avatar batch in send order, before any link delay.
+class BatchTap final : public net::PacketTap {
+public:
+    void on_send(const net::Packet& p, net::Priority) override {
+        if (p.flow != sync::kAvatarBatchFlow) return;
+        SentBatch b{.dst = p.dst, .size_bytes = p.size_bytes, .updates = {}};
+        for (const sync::AvatarWire& w : p.payload.get<sync::AvatarBatchWire>().updates)
+            b.updates.emplace_back(w.participant.value(), w.seq);
+        sent.push_back(std::move(b));
+    }
+    std::vector<SentBatch> sent;
+};
+
 // --------------------------------------------------- CellDeltaAggregator
 
 class AggregatorTest : public ::testing::Test {
@@ -312,6 +340,188 @@ TEST_F(AggregatorTest, ViewerOnCellCornerGetsNearestTier) {
     EXPECT_EQ(got, 1u);
     EXPECT_EQ(agg.updates_shipped(), 1u);
     EXPECT_EQ(agg.suppressed_by_aoi(), 0u);
+}
+
+TEST_F(AggregatorTest, BatchesFollowCellParticipantSeqOrder) {
+    // Cells are 8 m: {-10,0,3} -> (-2,0,0), {-3,0,-5} -> (-1,0,-1),
+    // {1,0,1} -> (0,0,0), {9,0,-2} -> (1,0,-1). Deltas arrive shuffled
+    // across cells; cell (0,0,0) gets its participants in descending order
+    // and participant 5 three seqs out of order, plus a fourth seq after it
+    // crossed into cell (1,0,-1).
+    struct Delta {
+        math::Vec3 position;
+        std::uint32_t participant, seq;
+    };
+    const std::vector<Delta> deltas = {
+        {{1, 0, 1}, 9, 1},   {{9, 0, -2}, 5, 4},  {{-3, 0, -5}, 12, 7},
+        {{1, 0, 1}, 8, 1},   {{-10, 0, 3}, 3, 2}, {{1, 0, 1}, 5, 3},
+        {{1, 0, 1}, 7, 1},   {{-3, 0, -5}, 2, 9}, {{1, 0, 1}, 5, 1},
+        {{-10, 0, 3}, 1, 6}, {{1, 0, 1}, 5, 2},   {{9, 0, -2}, 4, 1},
+    };
+    // Viewer 8 is the near viewer's own avatar: never echoed back.
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> expected = {
+        {1, 6}, {3, 2},                  // cell (-2,0,0)
+        {2, 9}, {12, 7},                 // cell (-1,0,-1)
+        {5, 1}, {5, 2}, {5, 3}, {7, 1},  // cell (0,0,0), 8 skipped
+        {9, 1},                          //
+        {4, 1}, {5, 4},                  // cell (1,0,-1)
+    };
+
+    BatchTap tap;
+    net_.set_tap(&tap);
+    sync::CellDeltaAggregator agg{net_, src_, sim::Time::ms(10), 8.0};
+    agg.add_viewer(near_, ParticipantId{8}, {0, 0, 0});
+    agg.add_viewer(far_, ParticipantId{200}, {500, 0, 0});
+    for (const Delta& d : deltas) agg.enqueue(d.position, wire(d.participant, d.seq));
+    sim_.run_until(sim::Time::ms(11));
+
+    ASSERT_EQ(tap.sent.size(), 1u);
+    EXPECT_EQ(tap.sent[0].dst, near_);
+    EXPECT_EQ(tap.sent[0].updates, expected);
+    EXPECT_EQ(agg.updates_enqueued(), deltas.size());
+    EXPECT_EQ(agg.updates_shipped(), expected.size());
+    EXPECT_EQ(agg.cells_flushed(), 4u);
+    EXPECT_EQ(agg.suppressed_by_aoi(), deltas.size());  // the far viewer
+    EXPECT_EQ(agg.suppressed_by_rate(), 0u);
+    EXPECT_EQ(agg.suppressed_by_budget(), 0u);
+    EXPECT_EQ(agg.batcher().batches_sent(), 1u);
+    EXPECT_EQ(agg.batcher().updates_batched(), expected.size());
+
+    // A second round inside the near viewer's tier clocks (60 Hz for cells
+    // (-1,0,-1) and (0,0,0), 30 Hz for the two 8 m away) ships nothing.
+    sim_.schedule_at(sim::Time::ms(12), [&] {
+        agg.enqueue({1, 0, 1}, wire(9, 2));
+        agg.enqueue({-10, 0, 3}, wire(3, 3));
+        agg.enqueue({1, 0, 1}, wire(7, 2));
+    });
+    sim_.run_until(sim::Time::ms(40));
+    net_.set_tap(nullptr);
+    EXPECT_EQ(tap.sent.size(), 1u);
+    EXPECT_EQ(agg.updates_shipped(), expected.size());
+    EXPECT_EQ(agg.cells_flushed(), 6u);
+    EXPECT_EQ(agg.suppressed_by_rate(), 3u);
+    EXPECT_EQ(agg.suppressed_by_aoi(), deltas.size() + 3u);
+}
+
+// ------------------------------------------------------------ WireBatcher
+
+class BatcherTest : public ::testing::Test {
+protected:
+    BatcherTest() : net_(sim_) {
+        src_ = net_.add_node("src", net::Region::HongKong);
+        for (net::NodeId& d : dst_) {
+            d = net_.add_node("dst", net::Region::HongKong);
+            net_.connect(src_, d, net::LinkParams{.latency = sim::Time::ms(1)});
+        }
+        net_.set_tap(&tap_);
+    }
+    ~BatcherTest() override { net_.set_tap(nullptr); }
+
+    static sync::AvatarWire wire(std::uint32_t participant, std::uint32_t seq,
+                                 std::size_t bytes = 16) {
+        sync::AvatarWire w{ParticipantId{participant}, ClassroomId{1}, false,
+                           std::vector<std::uint8_t>(bytes, 0xCD), sim::Time{}, {}};
+        w.seq = seq;
+        return w;
+    }
+
+    sim::Simulator sim_;
+    net::Network net_;
+    BatchTap tap_;
+    net::NodeId src_{};
+    std::array<net::NodeId, 3> dst_{};
+};
+
+TEST_F(BatcherTest, FlushesDestinationsInNodeIdOrderOneBatchEach) {
+    sync::WireBatcher batcher{net_, src_, sim::Time::ms(20)};
+    // Enqueue order interleaves destinations, highest node id first.
+    batcher.enqueue(dst_[2], wire(1, 1));
+    batcher.enqueue(dst_[0], wire(2, 1));
+    batcher.enqueue(dst_[2], wire(3, 1));
+    batcher.enqueue(dst_[1], wire(4, 1));
+    batcher.enqueue(dst_[0], wire(5, 1));
+    batcher.flush();
+
+    ASSERT_EQ(tap_.sent.size(), 3u);
+    EXPECT_EQ(tap_.sent[0].dst, dst_[0]);
+    EXPECT_EQ(tap_.sent[1].dst, dst_[1]);
+    EXPECT_EQ(tap_.sent[2].dst, dst_[2]);
+    using Updates = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+    EXPECT_EQ(tap_.sent[0].updates, (Updates{{2, 1}, {5, 1}}));
+    EXPECT_EQ(tap_.sent[1].updates, (Updates{{4, 1}}));
+    EXPECT_EQ(tap_.sent[2].updates, (Updates{{1, 1}, {3, 1}}));
+}
+
+TEST_F(BatcherTest, CountersMatchWhatWasSent) {
+    sync::WireBatcher batcher{net_, src_, sim::Time::ms(20)};
+    batcher.enqueue(dst_[0], wire(1, 1, 10));
+    batcher.enqueue(dst_[0], wire(2, 1, 30));
+    batcher.enqueue(dst_[1], wire(3, 1, 50));
+    EXPECT_EQ(batcher.updates_batched(), 3u);
+    EXPECT_EQ(batcher.batches_sent(), 0u);
+    batcher.flush();
+
+    // Each batch: 2-byte count + (bytes + 8) per update.
+    EXPECT_EQ(batcher.batches_sent(), 2u);
+    EXPECT_EQ(batcher.updates_batched(), 3u);
+    EXPECT_EQ(batcher.bytes_sent(), (2u + 18u + 38u) + (2u + 58u));
+    ASSERT_EQ(tap_.sent.size(), 2u);
+    EXPECT_EQ(tap_.sent[0].size_bytes, 2u + 18u + 38u);
+    EXPECT_EQ(tap_.sent[1].size_bytes, 2u + 58u);
+}
+
+TEST_F(BatcherTest, IdleDestinationSendsNothingAndEnqueueAfterFlushRearms) {
+    sync::WireBatcher batcher{net_, src_, sim::Time::ms(20)};
+    batcher.enqueue(dst_[0], wire(1, 1));
+    batcher.enqueue(dst_[1], wire(2, 1));
+    sim_.run_until(sim::Time::ms(25));  // timer flush at 20 ms
+    ASSERT_EQ(tap_.sent.size(), 2u);
+
+    // Only dst_[0] has traffic in the next interval; dst_[1] stays silent.
+    sim_.schedule_at(sim::Time::ms(30), [&] { batcher.enqueue(dst_[0], wire(1, 2)); });
+    sim_.run_until(sim::Time::ms(60));  // re-armed timer flush at 50 ms
+    ASSERT_EQ(tap_.sent.size(), 3u);
+    EXPECT_EQ(tap_.sent[2].dst, dst_[0]);
+    EXPECT_EQ(tap_.sent[2].updates.size(), 1u);
+    EXPECT_EQ(tap_.sent[2].updates[0].second, 2u);
+
+    // A flush with nothing queued anywhere sends nothing.
+    batcher.flush();
+    EXPECT_EQ(tap_.sent.size(), 3u);
+    EXPECT_EQ(batcher.batches_sent(), 3u);
+    EXPECT_EQ(batcher.updates_batched(), 3u);
+}
+
+TEST_F(BatcherTest, ReserveNeverChangesWhatIsSent) {
+    const auto traffic = [this](sync::WireBatcher& b, bool reserve) {
+        if (reserve) {
+            b.reserve(dst_[0], 5);  // more than arrives
+            b.reserve(dst_[1], 4);  // nothing arrives at all
+            b.reserve(dst_[2], 1);  // fewer than arrive
+        }
+        b.enqueue(dst_[2], wire(1, 1));
+        b.enqueue(dst_[0], wire(2, 1, 60));  // past the inline bytes
+        if (reserve) b.reserve(dst_[2], 2);  // on a batch already started
+        b.enqueue(dst_[2], wire(3, 1));
+        b.enqueue(dst_[2], wire(4, 1));
+        b.enqueue(dst_[0], wire(5, 1));
+        b.flush();
+        if (reserve) b.reserve(dst_[1], 1);
+        b.enqueue(dst_[1], wire(6, 1));
+        b.flush();
+    };
+    sync::WireBatcher plain{net_, src_, sim::Time::ms(20)};
+    traffic(plain, false);
+    const std::vector<SentBatch> expected = std::move(tap_.sent);
+    tap_.sent.clear();
+
+    sync::WireBatcher reserved{net_, src_, sim::Time::ms(20)};
+    traffic(reserved, true);
+    ASSERT_EQ(expected.size(), 3u);
+    EXPECT_EQ(tap_.sent, expected);
+    EXPECT_EQ(reserved.batches_sent(), plain.batches_sent());
+    EXPECT_EQ(reserved.updates_batched(), plain.updates_batched());
+    EXPECT_EQ(reserved.bytes_sent(), plain.bytes_sent());
 }
 
 // ------------------------------------------------------------ CampusWorld
