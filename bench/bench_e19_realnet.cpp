@@ -134,7 +134,7 @@ int main() {
                 clients_n, classroom_wall_s);
     net::RealUdpBackend net{net::RealUdpBackend::Options{.seed = kSeed}};
     const net::NodeId relay_node = net.add_node("relay", net::Region::HongKong);
-    cloud::RelayServer relay{net, relay_node, cloud::RelayConfig{.name = "relay"}};
+    cloud::RelayServer relay{net, relay_node, cloud::RelayConfig{}};
 
     replay::MemorySink sink;
     replay::Recorder rec{sink, kSeed, "bench-e19 realnet loopback", 0};

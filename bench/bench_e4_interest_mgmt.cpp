@@ -80,8 +80,8 @@ Result run(std::size_t clients, bool interest_enabled, double seconds) {
     out.per_client_kbps = out.egress_mbps * 1000.0 / static_cast<double>(clients);
     out.per_client_msgs_per_s =
         static_cast<double>(received) / seconds / static_cast<double>(clients);
-    out.suppressed_aoi = origin.fanout().suppressed_by_aoi();
-    out.suppressed_rate = origin.fanout().suppressed_by_rate();
+    out.suppressed_aoi = origin.egress().suppressed_by_aoi();
+    out.suppressed_rate = origin.egress().suppressed_by_rate();
     return out;
 }
 

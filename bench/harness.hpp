@@ -1,7 +1,7 @@
 #pragma once
 // Builder that turns a registry id into a ready-to-use Session. The banner
 // title and claim come from tools/experiment_registry.hpp — the same table
-// behind `metaclass_run --experiments` — so a bench's main() declares only
+// behind `metaclass_scenario experiments` — so a bench's main() declares only
 // what actually varies (the id and the scenario seed) and the registry stays
 // the single source of truth for what each experiment demonstrates.
 

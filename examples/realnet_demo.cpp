@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
                 args.base_port, static_cast<unsigned>(args.base_port + 2));
 
     if (is_edge) {
-        cloud::RelayServer relay{net, relay_node, cloud::RelayConfig{.name = "relay"}};
+        cloud::RelayServer relay{net, relay_node, cloud::RelayConfig{}};
         relay.upsert_entity(instructor_id, instructor_seat.position);
         relay.upsert_entity(student_id, student_seat.position);
         relay.attach_client(instructor_node, instructor_id, instructor_seat.position);

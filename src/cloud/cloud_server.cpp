@@ -28,25 +28,13 @@ CloudServer::CloudServer(net::Backend& net, net::NodeId node, CloudServerConfig 
            .recovery_cold_start = net.metrics().counter_id(
                "recovery.cold_start", {{"server", config_.name}})},
       demux_(net, node),
-      avatar_tx_(net.open_channel({.src = node_,
-                                   .flow = std::string{sync::kAvatarFlow},
-                                   .options = {.priority = net::Priority::Realtime}})),
+      egress_(net, node, config_),
       layout_(config_.layout),
-      fanout_(config_.interest, config_.interest_enabled),
       gate_(config_.admission) {
     demux_.on_flow(std::string{sync::kAvatarFlow},
                    [this](net::Packet&& p) { handle_avatar_packet(std::move(p)); });
     demux_.on_flow(std::string{sync::kAvatarBatchFlow},
                    [this](net::Packet&& p) { handle_avatar_batch(std::move(p)); });
-    if (config_.batch_interval > sim::Time::zero()) {
-        batcher_ = std::make_unique<sync::WireBatcher>(net_, node_,
-                                                       config_.batch_interval);
-    }
-    if (config_.aggregate_interval > sim::Time::zero()) {
-        aggregator_ = std::make_unique<sync::CellDeltaAggregator>(
-            net_, node_, config_.aggregate_interval, config_.aggregate_cell_size,
-            config_.interest);
-    }
     net_.context(node_).bind<CloudServer>(this);
     if (config_.heartbeat.enabled) {
         hb_ = std::make_unique<fault::HeartbeatMonitor>(
@@ -68,18 +56,16 @@ std::optional<math::Pose> CloudServer::attach_client(net::NodeId client, Partici
     clients_[client] = Client{who, seat};
     seats_[who] = seat;
     const math::Pose pose = layout_.seat_pose(seat);
-    fanout_.add_viewer(Viewer{client, who, pose.position});
-    fanout_.upsert_entity(who, pose.position);
-    if (aggregator_) aggregator_->add_viewer(client, who, pose.position);
+    egress_.add_viewer(client, who, pose.position);
+    egress_.upsert_entity(who, pose.position);
     return pose;
 }
 
 void CloudServer::detach_client(net::NodeId client) {
     const auto it = clients_.find(client);
     if (it == clients_.end()) return;
-    fanout_.remove_viewer(client);
-    fanout_.remove_entity(it->second.who);
-    if (aggregator_) aggregator_->remove_viewer(client);
+    egress_.remove_viewer(client);
+    egress_.remove_entity(it->second.who);
     seats_.erase(it->second.who);
     clients_.erase(it);
 }
@@ -117,7 +103,7 @@ math::Pose CloudServer::place_entity(ParticipantId who) {
     const std::size_t seat = it != seats_.end() ? it->second : next_seat_++;
     seats_[who] = seat;
     const math::Pose pose = layout_.seat_pose(seat);
-    fanout_.upsert_entity(who, pose.position);
+    egress_.upsert_entity(who, pose.position);
     return pose;
 }
 
@@ -125,12 +111,6 @@ std::optional<math::Pose> CloudServer::seat_of(ParticipantId who) const {
     const auto it = seats_.find(who);
     if (it == seats_.end()) return std::nullopt;
     return layout_.seat_pose(it->second);
-}
-
-sim::Time CloudServer::charge(sim::Time amount) {
-    const sim::Time start = std::max(net_.clock().now(), busy_until_);
-    busy_until_ = start + amount;
-    return busy_until_;
 }
 
 double CloudServer::mean_queue_delay_ms() const {
@@ -148,7 +128,8 @@ std::uint64_t CloudServer::state_digest() const {
     h.size(seats_.size());
     for (const auto& [who, seat] : seats_) h.u32(who.value()).size(seat);
     h.size(next_seat_);
-    h.u64(messages_in_).u64(messages_out_).u64(egress_bytes_).u64(relayed_failover_);
+    h.u64(messages_in_).u64(egress_.messages_out()).u64(egress_.egress_bytes());
+    h.u64(relayed_failover_);
     h.u64(shed_).u64(queue_dropped_).u64(restores_).u64(cold_starts_);
     h.size(ingress_.size()).size(admitted_.size());
     return h.digest();
@@ -167,7 +148,7 @@ void CloudServer::handle_avatar_batch(net::Packet&& p) {
 
 void CloudServer::ingest(sync::AvatarWire&& wire, net::NodeId origin) {
     ++messages_in_;
-    const sim::Time ready = charge(config_.process_in);
+    const sim::Time ready = egress_.charge(config_.process_in);
     queue_delay_accum_ms_ += (ready - net_.clock().now()).to_ms();
     if (!config_.admission.enabled) {
         net_.clock().schedule_at(ready,
@@ -206,9 +187,6 @@ void CloudServer::ingest(sync::AvatarWire&& wire, net::NodeId origin) {
 }
 
 void CloudServer::forward(sync::AvatarWire wire, net::NodeId origin) {
-    const sim::Time now = net_.clock().now();
-    const std::size_t wire_size = wire.wire_bytes();
-
     // Failover relaying: the origin edge listed peers whose direct link is
     // dead; forward this update to them on its behalf. The forwarded copy
     // carries no relay_to of its own (one relay hop only — no loops).
@@ -223,70 +201,33 @@ void CloudServer::forward(sync::AvatarWire wire, net::NodeId origin) {
     for (const std::uint32_t t : relay_targets) {
         const auto target = static_cast<net::NodeId>(t);
         if (target == origin || target == node_) continue;
-        charge(config_.process_out);
-        ++messages_out_;
         ++relayed_failover_;
-        egress_bytes_ += wire_size;
         net_.metrics().count(ids_.relayed_failover);
-        avatar_tx_.send_to(target, wire_size, shared);
+        egress_.to_server(target, shared, AvatarEgress::Route::Direct);
     }
 
-    // Fan out to attached clients under interest management. With egress
-    // aggregation on, the delta is handed to the aggregator once (per-viewer
-    // selection happens per cell at flush time); otherwise per-update
-    // per-viewer packets.
-    if (aggregator_) {
-        charge(config_.process_out);
-        const math::Vec3* pos = fanout_.entity_position(w.participant);
-        aggregator_->enqueue(pos != nullptr ? *pos : math::Vec3::zero(), w);
-    } else {
-        fanout_.due_targets_into(w.participant, now, fanout_scratch_);
-        for (const net::NodeId target : fanout_scratch_) {
-            charge(config_.process_out);
-            ++messages_out_;
-            egress_bytes_ += wire_size;
-            avatar_tx_.send_to(target, wire_size, shared);
-        }
-    }
+    // Attached clients, under interest management (or egress aggregation).
+    egress_.to_viewers(shared);
+
     // Relays and peer servers always get every update (they run their own
     // interest filtering for their local audiences). Targets the heartbeat
     // monitor considers dead are skipped — their traffic would only die on
     // the wire and inflate egress/compute accounting.
-    for (const net::NodeId relay : relays_) {
-        if (relay == origin) continue;
-        if (!target_alive(relay)) {
+    const auto to_server = [&](net::NodeId target) {
+        if (target == origin) return;
+        if (!target_alive(target)) {
             net_.metrics().count(ids_.suppressed_dead_peer);
-            continue;
+            return;
         }
-        charge(config_.process_out);
-        ++messages_out_;
-        egress_bytes_ += wire_size;
-        if (batcher_) {
-            batcher_->enqueue(relay, w);
-        } else {
-            avatar_tx_.send_to(relay, wire_size, shared);
-        }
-    }
+        egress_.to_server(target, shared);
+    };
+    for (const net::NodeId relay : relays_) to_server(relay);
     // Mirror to peer MR edges only for streams that originate in the virtual
     // classroom (edge-to-edge traffic flows directly between the edges; re-
     // forwarding it here would double-deliver) — unless this cloud is the
     // sole relay of the deployment.
     if (config_.mirror_all_streams || w.source_room == config_.room) {
-        for (const net::NodeId peer : peers_) {
-            if (peer == origin) continue;
-            if (!target_alive(peer)) {
-                net_.metrics().count(ids_.suppressed_dead_peer);
-                continue;
-            }
-            charge(config_.process_out);
-            ++messages_out_;
-            egress_bytes_ += wire_size;
-            if (batcher_) {
-                batcher_->enqueue(peer, w);
-            } else {
-                avatar_tx_.send_to(peer, wire_size, shared);
-            }
-        }
+        for (const net::NodeId peer : peers_) to_server(peer);
     }
 }
 
@@ -304,7 +245,7 @@ void CloudServer::make_checkpoint(recovery::ClassroomCheckpoint& cp) const {
 void CloudServer::restore_checkpoint(const recovery::ClassroomCheckpoint& cp) {
     for (const auto& s : cp.seats) {
         seats_[s.occupant] = s.seat_index;
-        fanout_.upsert_entity(s.occupant, layout_.seat_pose(s.seat_index).position);
+        egress_.upsert_entity(s.occupant, layout_.seat_pose(s.seat_index).position);
         next_seat_ = std::max(next_seat_, static_cast<std::size_t>(s.seat_index) + 1);
     }
 }
@@ -314,10 +255,10 @@ void CloudServer::on_node_state(bool up) {
         // Process crash: connections, placement and queued work are volatile.
         stop();
         for (const auto& [client, c] : clients_) {
-            fanout_.remove_viewer(client);
-            fanout_.remove_entity(c.who);
+            egress_.remove_viewer(client);
+            egress_.remove_entity(c.who);
         }
-        for (const auto& [who, seat] : seats_) fanout_.remove_entity(who);
+        for (const auto& [who, seat] : seats_) egress_.remove_entity(who);
         clients_.clear();
         seats_.clear();
         next_seat_ = 0;

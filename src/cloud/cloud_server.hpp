@@ -5,9 +5,10 @@
 //
 // Responsibilities: admit remote VR clients, place them via VrLayout,
 // ingest avatar streams (from edge servers and from the clients themselves),
-// and fan updates out under interest management. A single-queue compute
-// model charges per-message processing so saturation shows up as queueing
-// delay in the scalability experiment (E3).
+// and fan updates out under interest management through the shared
+// AvatarEgress, whose single-queue compute model charges per-message
+// processing so saturation shows up as queueing delay in the scalability
+// experiment (E3).
 
 #include <deque>
 #include <map>
@@ -16,27 +17,20 @@
 #include <string>
 #include <vector>
 
-#include "cloud/fanout.hpp"
+#include "cloud/egress.hpp"
 #include "cloud/vr_layout.hpp"
 #include "fault/heartbeat.hpp"
 #include "net/channel.hpp"
 #include "recovery/admission.hpp"
 #include "recovery/checkpointer.hpp"
-#include "sync/aggregator.hpp"
-#include "sync/batcher.hpp"
 #include "sync/wire.hpp"
 
 namespace mvc::cloud {
 
-struct CloudServerConfig {
+struct CloudServerConfig : EgressConfig {
     ClassroomId room;
     std::string name{"cloud"};
     VrLayoutParams layout{};
-    sync::InterestPolicy interest{};
-    bool interest_enabled{true};
-    /// Compute charged per inbound message and per forwarded copy.
-    sim::Time process_in{sim::Time::us(20)};
-    sim::Time process_out{sim::Time::us(5)};
     /// Hard cap on attendees (0 = unlimited).
     std::size_t capacity{0};
     /// Mirror *every* inbound stream to peer servers, not just streams that
@@ -52,17 +46,6 @@ struct CloudServerConfig {
     /// Overload admission control on the avatar ingress (bounded drop-oldest
     /// queue + hysteresis gate shedding never-seen late-joining streams).
     recovery::AdmissionParams admission{};
-    /// Coalesce relay/peer egress into one batch packet per destination per
-    /// interval (zero = per-update packets). Client fan-out stays unbatched
-    /// unless egress aggregation (below) is enabled.
-    sim::Time batch_interval{};
-    /// Aggregate client fan-out: dirty deltas accumulate for one interval,
-    /// are grouped by interest-grid cell, and each client receives one
-    /// tier-selected batch per interval (sync::CellDeltaAggregator) instead
-    /// of one packet per update. Zero keeps the per-update fan-out.
-    sim::Time aggregate_interval{};
-    /// Cell edge length for egress aggregation (metres).
-    double aggregate_cell_size{8.0};
 };
 
 class CloudServer {
@@ -101,19 +84,16 @@ public:
     void stop();
 
     [[nodiscard]] std::uint64_t messages_in() const { return messages_in_; }
-    [[nodiscard]] std::uint64_t messages_out() const { return messages_out_; }
-    [[nodiscard]] std::uint64_t egress_bytes() const { return egress_bytes_; }
-    [[nodiscard]] const InterestFanout& fanout() const { return fanout_; }
+    [[nodiscard]] std::uint64_t messages_out() const { return egress_.messages_out(); }
+    [[nodiscard]] std::uint64_t egress_bytes() const { return egress_.egress_bytes(); }
+    /// Client fan-out or aggregation, relay/peer batching, and counters.
+    [[nodiscard]] AvatarEgress& egress() { return egress_; }
     /// Mean queueing delay experienced by inbound messages (ms).
     [[nodiscard]] double mean_queue_delay_ms() const;
     /// Updates forwarded on behalf of an edge whose peer link was dead.
     [[nodiscard]] std::uint64_t relayed_for_failover() const { return relayed_failover_; }
     /// Heartbeat monitor; nullptr when heartbeats are disabled.
     [[nodiscard]] fault::HeartbeatMonitor* heartbeat() { return hb_.get(); }
-    /// Relay/peer-bound batcher; nullptr when batching is off.
-    [[nodiscard]] sync::WireBatcher* batcher() { return batcher_.get(); }
-    /// Client-bound egress aggregator; nullptr when aggregation is off.
-    [[nodiscard]] sync::CellDeltaAggregator* aggregator() { return aggregator_.get(); }
 
     // ----- crash recovery / overload admission ------------------------------
 
@@ -154,22 +134,15 @@ private:
     CloudServerConfig config_;
     MetricIds ids_;
     net::PacketDemux demux_;
-    net::Channel avatar_tx_;
+    AvatarEgress egress_;
     VrLayout layout_;
-    InterestFanout fanout_;
     std::map<net::NodeId, Client> clients_;
     std::map<ParticipantId, std::size_t> seats_;
     std::vector<net::NodeId> relays_;
     std::vector<net::NodeId> peers_;
     std::unique_ptr<fault::HeartbeatMonitor> hb_;
-    std::unique_ptr<sync::WireBatcher> batcher_;
-    std::unique_ptr<sync::CellDeltaAggregator> aggregator_;
-    std::vector<net::NodeId> fanout_scratch_;
     std::size_t next_seat_{0};
-    sim::Time busy_until_{};
     std::uint64_t messages_in_{0};
-    std::uint64_t messages_out_{0};
-    std::uint64_t egress_bytes_{0};
     std::uint64_t relayed_failover_{0};
     double queue_delay_accum_ms_{0.0};
 
@@ -195,8 +168,6 @@ private:
     void ingest(sync::AvatarWire&& wire, net::NodeId origin);
     void forward(sync::AvatarWire wire, net::NodeId origin);
     [[nodiscard]] bool target_alive(net::NodeId target) const;
-    /// Queue compute; return value (completion time) used where needed.
-    sim::Time charge(sim::Time amount);
     void on_node_state(bool up);
     void make_checkpoint(recovery::ClassroomCheckpoint& cp) const;
     void restore_checkpoint(const recovery::ClassroomCheckpoint& cp);

@@ -9,23 +9,11 @@ RelayServer::RelayServer(net::Backend& net, net::NodeId node, RelayConfig config
       node_(node),
       config_(std::move(config)),
       demux_(net, node),
-      avatar_tx_(net.open_channel({.src = node_,
-                                   .flow = std::string{sync::kAvatarFlow},
-                                   .options = {.priority = net::Priority::Realtime}})),
-      fanout_(config_.interest, config_.interest_enabled) {
+      egress_(net, node, config_) {
     demux_.on_flow(std::string{sync::kAvatarFlow},
                    [this](net::Packet&& p) { handle_avatar_packet(std::move(p)); });
     demux_.on_flow(std::string{sync::kAvatarBatchFlow},
                    [this](net::Packet&& p) { handle_avatar_batch(std::move(p)); });
-    if (config_.batch_interval > sim::Time::zero()) {
-        batcher_ = std::make_unique<sync::WireBatcher>(net_, node_,
-                                                       config_.batch_interval);
-    }
-    if (config_.aggregate_interval > sim::Time::zero()) {
-        aggregator_ = std::make_unique<sync::CellDeltaAggregator>(
-            net_, node_, config_.aggregate_interval, config_.aggregate_cell_size,
-            config_.interest);
-    }
     if (config_.serve_resync) {
         resync_responder_ = std::make_unique<recovery::ResyncResponder>(
             net_, demux_, [this] {
@@ -48,27 +36,19 @@ RelayServer::RelayServer(net::Backend& net, net::NodeId node, RelayConfig config
 void RelayServer::attach_client(net::NodeId client, ParticipantId who,
                                 const math::Vec3& position) {
     clients_[client] = who;
-    fanout_.add_viewer(Viewer{client, who, position});
-    fanout_.upsert_entity(who, position);
-    if (aggregator_) aggregator_->add_viewer(client, who, position);
+    egress_.add_viewer(client, who, position);
+    egress_.upsert_entity(who, position);
 }
 
 void RelayServer::detach_client(net::NodeId client) {
     const auto it = clients_.find(client);
     if (it == clients_.end()) return;
-    fanout_.remove_viewer(client);
-    if (aggregator_) aggregator_->remove_viewer(client);
+    egress_.remove_viewer(client);
     clients_.erase(it);
 }
 
 void RelayServer::upsert_entity(ParticipantId who, const math::Vec3& position) {
-    fanout_.upsert_entity(who, position);
-}
-
-sim::Time RelayServer::charge(sim::Time amount) {
-    const sim::Time start = std::max(net_.clock().now(), busy_until_);
-    busy_until_ = start + amount;
-    return busy_until_;
+    egress_.upsert_entity(who, position);
 }
 
 void RelayServer::handle_avatar_packet(net::Packet&& p) {
@@ -92,44 +72,11 @@ void RelayServer::ingest(sync::AvatarWire&& wire, bool from_origin) {
         kf.captured_at = wire.captured_at;
         kf.bytes = wire.bytes;
     }
-    const sim::Time ready = charge(config_.process_in);
+    const sim::Time ready = egress_.charge(config_.process_in);
     net_.clock().schedule_at(ready, [this, wire = std::move(wire), from_origin] {
-        fan_out(wire);
-        if (!from_origin && origin_ != net::kInvalidNode) {
-            charge(config_.process_out);
-            ++messages_out_;
-            const std::size_t size = wire.wire_bytes();
-            egress_bytes_ += size;
-            if (batcher_) {
-                batcher_->enqueue(origin_, wire);
-            } else {
-                avatar_tx_.send_to(origin_, size, wire);
-            }
-        }
+        egress_.to_viewers(sync::AvatarWire{wire});
+        if (!from_origin && origin_ != net::kInvalidNode) egress_.to_server(origin_, wire);
     });
-}
-
-void RelayServer::fan_out(const sync::AvatarWire& wire) {
-    const sim::Time now = net_.clock().now();
-    const std::size_t size = wire.wire_bytes();
-    if (aggregator_) {
-        // Aggregated egress: the delta is processed once here; per-viewer
-        // selection happens per cell at flush time, and the per-packet
-        // charges/egress bytes show up on the aggregator's batcher.
-        charge(config_.process_out);
-        const math::Vec3* pos = fanout_.entity_position(wire.participant);
-        aggregator_->enqueue(pos != nullptr ? *pos : math::Vec3::zero(), wire);
-        return;
-    }
-    // One shared payload box for every viewer instead of a copy per target.
-    const net::Payload shared{wire};
-    fanout_.due_targets_into(wire.participant, now, fanout_scratch_);
-    for (const net::NodeId target : fanout_scratch_) {
-        charge(config_.process_out);
-        ++messages_out_;
-        egress_bytes_ += size;
-        avatar_tx_.send_to(target, size, shared);
-    }
 }
 
 RegionalMesh::RegionalMesh(net::Network& net, const net::WanTopology& wan,

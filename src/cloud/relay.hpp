@@ -13,29 +13,14 @@
 #include "cloud/cloud_server.hpp"
 #include "net/network.hpp"
 #include "recovery/resync.hpp"
-#include "sync/aggregator.hpp"
-#include "sync/batcher.hpp"
 
 namespace mvc::cloud {
 
-struct RelayConfig {
+/// The egress fields shape the client fan-out and the origin-bound path:
+/// batch_interval coalesces updates bound for the origin (the win is on
+/// WAN/cross-shard paths).
+struct RelayConfig : EgressConfig {
     std::string name{"relay"};
-    sync::InterestPolicy interest{};
-    bool interest_enabled{true};
-    sim::Time process_in{sim::Time::us(20)};
-    sim::Time process_out{sim::Time::us(5)};
-    /// Coalesce updates bound for the origin into one batch packet per
-    /// interval (zero = send each update in its own packet). The win is on
-    /// WAN/cross-shard paths; client fan-out is per-packet unless egress
-    /// aggregation (below) is enabled.
-    sim::Time batch_interval{};
-    /// Aggregate client fan-out: dirty deltas accumulate for one interval,
-    /// are grouped by interest-grid cell, and each client receives one
-    /// tier-selected batch per interval (sync::CellDeltaAggregator) instead
-    /// of one packet per update. Zero keeps the per-update fan-out.
-    sim::Time aggregate_interval{};
-    /// Cell edge length for egress aggregation (metres).
-    double aggregate_cell_size{8.0};
     /// Serve resync snapshots to reconnecting clients from a cache of each
     /// participant's most recent keyframe update. The relay is not
     /// authoritative for any avatar, but it is the node a recovering client
@@ -68,12 +53,10 @@ public:
     void upsert_entity(ParticipantId who, const math::Vec3& position);
 
     [[nodiscard]] std::uint64_t messages_in() const { return messages_in_; }
-    [[nodiscard]] std::uint64_t messages_out() const { return messages_out_; }
-    [[nodiscard]] std::uint64_t egress_bytes() const { return egress_bytes_; }
-    /// Origin-bound batcher; nullptr when batching is off.
-    [[nodiscard]] sync::WireBatcher* batcher() { return batcher_.get(); }
-    /// Client-bound egress aggregator; nullptr when aggregation is off.
-    [[nodiscard]] sync::CellDeltaAggregator* aggregator() { return aggregator_.get(); }
+    [[nodiscard]] std::uint64_t messages_out() const { return egress_.messages_out(); }
+    [[nodiscard]] std::uint64_t egress_bytes() const { return egress_.egress_bytes(); }
+    /// Client fan-out or aggregation, origin batching, and counters.
+    [[nodiscard]] AvatarEgress& egress() { return egress_; }
     /// Resync responder; nullptr when serve_resync is off.
     [[nodiscard]] recovery::ResyncResponder* resync_responder() {
         return resync_responder_.get();
@@ -86,10 +69,7 @@ private:
     net::NodeId node_;
     RelayConfig config_;
     net::PacketDemux demux_;
-    net::Channel avatar_tx_;
-    InterestFanout fanout_;
-    std::unique_ptr<sync::WireBatcher> batcher_;
-    std::unique_ptr<sync::CellDeltaAggregator> aggregator_;
+    AvatarEgress egress_;
     std::unique_ptr<recovery::ResyncResponder> resync_responder_;
     /// Latest keyframe seen per participant (bytes + capture time), the
     /// source for resync snapshots.
@@ -101,17 +81,11 @@ private:
     std::map<ParticipantId, CachedKeyframe> keyframes_;
     net::NodeId origin_{net::kInvalidNode};
     std::map<net::NodeId, ParticipantId> clients_;
-    std::vector<net::NodeId> fanout_scratch_;
-    sim::Time busy_until_{};
     std::uint64_t messages_in_{0};
-    std::uint64_t messages_out_{0};
-    std::uint64_t egress_bytes_{0};
 
     void handle_avatar_packet(net::Packet&& p);
     void handle_avatar_batch(net::Packet&& p);
     void ingest(sync::AvatarWire&& wire, bool from_origin);
-    void fan_out(const sync::AvatarWire& wire);
-    sim::Time charge(sim::Time amount);
 };
 
 /// Control plane for the regional deployment: one relay per region with

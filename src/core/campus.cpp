@@ -83,20 +83,15 @@ void CampusWorld::build_building(std::size_t index) {
     world_.connect_cross(gw, origin_, net::LinkParams{.latency = sim::Time::ms(5)});
     b.origin_proxy = world_.proxy_in(shard, origin_);
 
-    if (config_.aggregate) {
-        b.aggregator = std::make_unique<sync::CellDeltaAggregator>(
-            net, b.gateway, config_.aggregate_interval, config_.cell_size_m,
-            config_.interest);
-    } else {
-        b.tx = std::make_unique<net::Channel>(net.open_channel(
-            {.src = b.gateway,
-             .flow = std::string{sync::kAvatarFlow},
-             .options = {.priority = net::Priority::Realtime}}));
-    }
-    if (config_.mirror_stride != 0) {
-        b.mirror = std::make_unique<sync::WireBatcher>(net, b.gateway,
-                                                       config_.mirror_interval);
-    }
+    b.egress = std::make_unique<cloud::AvatarEgress>(
+        net, b.gateway,
+        cloud::EgressConfig{
+            .interest = config_.interest,
+            .batch_interval = config_.mirror_stride != 0 ? config_.mirror_interval
+                                                         : sim::Time::zero(),
+            .aggregate_interval =
+                config_.aggregate ? config_.aggregate_interval : sim::Time::zero(),
+            .aggregate_cell_size = config_.cell_size_m});
 
     // Viewer nodes: receiving clients parked at classroom centres, one metro
     // hop from the gateway.
@@ -135,7 +130,7 @@ void CampusWorld::build_building(std::size_t index) {
                                   fold_wire(me.digest, wire);
                               }
                           });
-        if (b.aggregator) b.aggregator->add_viewer(ve.node, ve.self, ve.position);
+        b.egress->add_viewer(ve.node, ve.self, ve.position);
     }
 
     // Avatars: SoA rows seeded at their seats; the add() dirty bit ships the
@@ -155,9 +150,6 @@ void CampusWorld::build_building(std::size_t index) {
         }
     }
     b.last_sent.assign(per_building, math::Vec3::zero());
-    if (!config_.aggregate) {
-        b.next_due.assign(config_.viewers_per_building * per_building, sim::Time{});
-    }
 
     net.clock().schedule_every(sim::Time::seconds(1.0 / config_.tick_rate_hz),
                                [this, bptr] { tick(*bptr); });
@@ -184,14 +176,6 @@ void CampusWorld::tick(Building& b) {
     }
     b.grid.rebuild();
 
-    // Per-viewer neighbourhood census through the flat grid (the query hot
-    // path the E17 allocation budget covers).
-    for (const ViewerEndpoint& v : b.viewers) {
-        b.grid.query_radius_into(v.position, config_.interest.max_range(),
-                                 b.query_scratch);
-        b.query_hits += b.query_scratch.size();
-    }
-
     // Dirty sweep + egress.
     const double thr2 = config_.dirty_threshold_m * config_.dirty_threshold_m;
     for (std::size_t i = 0; i < n; ++i) {
@@ -208,35 +192,9 @@ void CampusWorld::tick(Building& b) {
         w.seq = seqs[i];
         b.pool.encode_record(static_cast<std::uint32_t>(i), w.bytes);
 
-        if (b.mirror && i % config_.mirror_stride == 0)
-            b.mirror->enqueue(b.origin_proxy, w);
-
-        if (b.aggregator) {
-            b.aggregator->enqueue(pos[i], std::move(w));
-            continue;
-        }
-
-        // Baseline: one tier check, one rate clock, one packet per viewer.
-        const std::size_t size = w.wire_bytes();
-        const net::Payload shared{std::move(w)};
-        for (std::size_t vi = 0; vi < b.viewers.size(); ++vi) {
-            const ViewerEndpoint& v = b.viewers[vi];
-            const double dist = (pos[i] - v.position).norm();
-            const sync::InterestTier* tier = config_.interest.tier_for(dist);
-            if (tier == nullptr) {
-                ++b.suppressed_aoi;
-                continue;
-            }
-            sim::Time& due = b.next_due[vi * n + i];
-            if (now < due) {
-                ++b.suppressed_rate;
-                continue;
-            }
-            due = now + sim::Time::seconds(1.0 / tier->update_rate_hz);
-            ++b.baseline_sends;
-            b.baseline_egress_bytes += size + net::kHeaderBytes;
-            b.tx->send_to(v.node, size, shared);
-        }
+        if (config_.mirror_stride != 0 && i % config_.mirror_stride == 0)
+            b.egress->to_server(b.origin_proxy, w);
+        b.egress->to_viewers(std::move(w), &pos[i]);
     }
     b.pool.clear_dirty();
     ++b.ticks;
@@ -258,17 +216,9 @@ std::size_t CampusWorld::viewer_count() const {
     return total;
 }
 
-std::uint64_t CampusWorld::client_egress_bytes(const Building& b) const {
-    if (b.aggregator) {
-        const sync::WireBatcher& wb = b.aggregator->batcher();
-        return wb.bytes_sent() + wb.batches_sent() * net::kHeaderBytes;
-    }
-    return b.baseline_egress_bytes;
-}
-
 std::uint64_t CampusWorld::egress_bytes() const {
     std::uint64_t total = 0;
-    for (const auto& b : buildings_) total += client_egress_bytes(*b);
+    for (const auto& b : buildings_) total += b->egress->viewer_wire_bytes();
     return total;
 }
 
@@ -288,24 +238,19 @@ std::uint64_t CampusWorld::viewer_batches() const {
 
 std::uint64_t CampusWorld::updates_shipped() const {
     std::uint64_t total = 0;
-    for (const auto& b : buildings_)
-        total += b->aggregator ? b->aggregator->updates_shipped() : b->baseline_sends;
+    for (const auto& b : buildings_) total += b->egress->viewer_updates_shipped();
     return total;
 }
 
 std::uint64_t CampusWorld::suppressed_by_aoi() const {
     std::uint64_t total = 0;
-    for (const auto& b : buildings_)
-        total += b->suppressed_aoi +
-                 (b->aggregator ? b->aggregator->suppressed_by_aoi() : 0);
+    for (const auto& b : buildings_) total += b->egress->suppressed_by_aoi();
     return total;
 }
 
 std::uint64_t CampusWorld::suppressed_by_rate() const {
     std::uint64_t total = 0;
-    for (const auto& b : buildings_)
-        total += b->suppressed_rate +
-                 (b->aggregator ? b->aggregator->suppressed_by_rate() : 0);
+    for (const auto& b : buildings_) total += b->egress->suppressed_by_rate();
     return total;
 }
 
@@ -323,13 +268,11 @@ sim::MetricsRecorder CampusWorld::merged_metrics() const {
     std::uint64_t ticks = 0;
     std::uint64_t generated = 0;
     std::uint64_t viewer_bytes = 0;
-    std::uint64_t query_hits = 0;
     std::uint64_t full_rebuilds = 0;
     std::uint64_t incremental_rebuilds = 0;
     for (const auto& b : buildings_) {
         ticks += b->ticks;
         generated += b->updates_generated;
-        query_hits += b->query_hits;
         full_rebuilds += b->grid.full_rebuilds();
         incremental_rebuilds += b->grid.incremental_rebuilds();
         for (const ViewerEndpoint& v : b->viewers) viewer_bytes += v.bytes;
@@ -341,7 +284,6 @@ sim::MetricsRecorder CampusWorld::merged_metrics() const {
     m.count("campus/viewer_updates", viewer_updates());
     m.count("campus/viewer_batches", viewer_batches());
     m.count("campus/viewer_bytes", viewer_bytes);
-    m.count("campus/query_hits", query_hits);
     m.count("campus/suppressed_aoi", suppressed_by_aoi());
     m.count("campus/suppressed_rate", suppressed_by_rate());
     m.count("campus/grid_full_rebuilds", full_rebuilds);

@@ -3,11 +3,12 @@
 // runnable world. A campus is B buildings, each its own shard: every
 // building sweeps its avatars through a core::AvatarPool (SoA columns),
 // re-buckets them in a flat sync::InterestGrid, and egresses dirty deltas
-// to that building's viewer nodes — either through the per-update fan-out
-// baseline (one tier check and one packet per (update, viewer) pair) or
-// through sync::CellDeltaAggregator (per-cell grouping, one coalesced batch
-// per viewer per interval). A thin cross-shard mirror ships a strided
-// sample of every building's updates to the origin shard, so the flat
+// to that building's viewer nodes through the servers' shared
+// cloud::AvatarEgress — either per-update fan-out (one tier check and one
+// packet per (update, viewer) pair) or cell-delta aggregation (per-cell
+// grouping, one coalesced batch per viewer per interval). A thin
+// cross-shard mirror ships a strided sample of every building's updates to
+// the origin shard as the egress's server-bound batches, so the flat
 // proxy-table deliver path stays on the hot path too.
 //
 // Everything is deterministic for any worker-thread count: avatar motion is
@@ -20,12 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "cloud/egress.hpp"
 #include "core/avatar_pool.hpp"
 #include "core/sharded_world.hpp"
 #include "net/channel.hpp"
 #include "session/behaviour.hpp"
-#include "sync/aggregator.hpp"
-#include "sync/batcher.hpp"
 #include "sync/interest.hpp"
 
 namespace mvc::core {
@@ -129,19 +129,10 @@ private:
         std::vector<math::Vec3> anchors;
         std::vector<math::Vec3> last_sent;
         std::vector<ViewerEndpoint> viewers;
-        std::unique_ptr<net::Channel> tx;  // baseline per-update sends
-        std::unique_ptr<sync::CellDeltaAggregator> aggregator;
-        std::unique_ptr<sync::WireBatcher> mirror;
-        /// Baseline per-(viewer, avatar) rate clocks, flat [v * n + i].
-        std::vector<sim::Time> next_due;
-        std::vector<EntityId> query_scratch;
+        /// Viewer fan-out or aggregation, plus the batched origin mirror.
+        std::unique_ptr<cloud::AvatarEgress> egress;
         std::uint64_t ticks{0};
         std::uint64_t updates_generated{0};
-        std::uint64_t baseline_sends{0};
-        std::uint64_t baseline_egress_bytes{0};
-        std::uint64_t suppressed_aoi{0};
-        std::uint64_t suppressed_rate{0};
-        std::uint64_t query_hits{0};
     };
 
     CampusConfig config_;
@@ -154,7 +145,6 @@ private:
 
     void build_building(std::size_t index);
     void tick(Building& b);
-    [[nodiscard]] std::uint64_t client_egress_bytes(const Building& b) const;
     static void fold_wire(std::uint64_t& digest, const sync::AvatarWire& wire);
 };
 

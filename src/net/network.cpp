@@ -12,7 +12,9 @@ Network::Network(sim::Simulator& sim)
       dropped_no_handler_(metrics_.counter_id("net.dropped_no_handler")) {}
 
 NodeId Network::add_node(std::string name, Region region) {
-    nodes_.push_back(NodeRec{std::move(name), region, nullptr});
+    NodeRec& rec = nodes_.emplace_back();
+    rec.name = std::move(name);
+    rec.region = region;
     // Ids are 1-based so that kInvalidNode (0) never aliases a real node.
     return static_cast<NodeId>(nodes_.size());
 }

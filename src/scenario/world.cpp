@@ -215,7 +215,7 @@ void ScenarioWorld::build_relay() {
     st.relay = std::make_unique<cloud::RelayServer>(*st.backend, st.relay_node, rc);
     if (spec_.qoe.enabled) {
         st.qoe = std::make_unique<qoe::QoeService>(*st.backend, st.relay->demux());
-        st.qoe->set_aggregator(st.relay->aggregator());
+        st.qoe->set_aggregator(st.relay->egress().aggregator());
     }
 
     st.mirror = std::make_unique<replay::AvatarMirror>();
@@ -586,7 +586,7 @@ sim::MetricsRecorder ScenarioWorld::collect_metrics() const {
             out.count("qoe.feedback_received", st.qoe->feedback_received());
             out.count("qoe.rung_changes", st.qoe->rung_changes());
             out.count("qoe.frames_sent", st.qoe->frames_sent());
-            if (sync::CellDeltaAggregator* agg = st.relay->aggregator())
+            if (sync::CellDeltaAggregator* agg = st.relay->egress().aggregator())
                 out.count("sync.suppressed_budget", agg->suppressed_by_budget());
         }
     } else if (campus_state_) {

@@ -569,6 +569,40 @@ TEST(CampusWorldTest, AggregationShipsFewerBytesThanFanout) {
     EXPECT_GT(fan_world.viewer_updates(), 0u);
 }
 
+// Pins the campus egress counters for both egress modes. The constants were
+// taken from a run of the code before the campus egress moved onto the
+// servers' shared pipeline.
+struct CampusEgressPin {
+    std::uint64_t egress_bytes, updates_shipped, suppressed_aoi, suppressed_rate, digest;
+};
+
+CampusEgressPin campus_egress(bool aggregate) {
+    CampusConfig c = small_campus();
+    c.aggregate = aggregate;
+    CampusWorld world{c};
+    world.run_until(sim::Time::seconds(0.5));
+    return {world.egress_bytes(), world.updates_shipped(), world.suppressed_by_aoi(),
+            world.suppressed_by_rate(), world.state_digest()};
+}
+
+TEST(CampusEgressGoldenTest, AggregatedEgressCountersPinned) {
+    const CampusEgressPin p = campus_egress(true);
+    EXPECT_EQ(p.egress_bytes, 44330u);
+    EXPECT_EQ(p.updates_shipped, 1030u);
+    EXPECT_EQ(p.suppressed_aoi, 0u);
+    EXPECT_EQ(p.suppressed_rate, 35u);
+    EXPECT_EQ(p.digest, 10981447912311198797ULL);
+}
+
+TEST(CampusEgressGoldenTest, FanoutEgressCountersPinned) {
+    const CampusEgressPin p = campus_egress(false);
+    EXPECT_EQ(p.egress_bytes, 94041u);
+    EXPECT_EQ(p.updates_shipped, 1161u);
+    EXPECT_EQ(p.suppressed_aoi, 0u);
+    EXPECT_EQ(p.suppressed_rate, 6u);
+    EXPECT_EQ(p.digest, 4775173913121082228ULL);
+}
+
 TEST(CampusWorldTest, MirrorReachesOriginAcrossShards) {
     CampusWorld world{small_campus()};
     world.run_until(sim::Time::seconds(0.5));

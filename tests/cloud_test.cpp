@@ -9,6 +9,7 @@
 #include "cloud/relay.hpp"
 #include "cloud/vr_client.hpp"
 #include "cloud/vr_layout.hpp"
+#include "common/hash.hpp"
 
 namespace mvc::cloud {
 namespace {
@@ -290,6 +291,164 @@ TEST_F(MeshFixture, RelayEgressCounted) {
     auto c2 = make_mesh_client(2, net::Region::Boston);
     sim.run_until(sim::Time::seconds(2));
     EXPECT_GT(mesh.total_relay_egress(), 0u);
+}
+
+// ------------------------------------------------------------- egress golden
+//
+// Pins the avatar egress of an origin cloud and two regional relays packet
+// by packet: every avatar and avatar-batch send, as (time, src, dst, flow,
+// size), folded in send order into one digest, plus the servers' egress
+// counters. The constants were taken from a run of the code before the
+// servers shared one egress pipeline; any change to what leaves the nodes,
+// to when, or in which order, moves them.
+
+/// Folds every avatar-flow packet, in the order it is put on a link.
+class AvatarSendTap final : public net::PacketTap {
+public:
+    void on_send(const net::Packet& p, net::Priority) override {
+        if (p.flow != sync::kAvatarFlow && p.flow != sync::kAvatarBatchFlow) return;
+        ++packets;
+        common::Hash64 h;
+        h.i64(p.sent_at.nanos()).u32(p.src).u32(p.dst).str(p.flow).size(p.size_bytes);
+        digest = common::mix64(digest ^ h.digest());
+    }
+    std::uint64_t packets{0};
+    std::uint64_t digest{0};
+};
+
+enum class EgressMode { PerUpdate, Batched, Aggregated };
+
+struct EgressRun {
+    std::uint64_t packets{0};
+    std::uint64_t send_digest{0};
+    std::uint64_t cloud_out{0};
+    std::uint64_t cloud_bytes{0};
+    std::uint64_t cloud_state{0};
+    std::uint64_t relay_out{0};
+    std::uint64_t relay_bytes{0};
+};
+
+/// Three clients on the cloud (one leaves at 1.5 s), two per relay in
+/// Boston and London, a peer server, and an edge that streams one avatar
+/// through the cloud with a failover relay_to naming the peer.
+EgressRun run_egress(EgressMode mode) {
+    sim::Simulator sim{2024};
+    net::Network net{sim};
+    net::WanTopology wan;
+    AvatarSendTap tap;
+    net.set_tap(&tap);
+
+    CloudServerConfig cc;
+    cc.room = ClassroomId{9};
+    RelayConfig rc;
+    if (mode == EgressMode::Batched) {
+        cc.batch_interval = sim::Time::ms(20);
+        rc.batch_interval = sim::Time::ms(20);
+    } else if (mode == EgressMode::Aggregated) {
+        cc.aggregate_interval = sim::Time::ms(50);
+        rc.aggregate_interval = sim::Time::ms(50);
+    }
+    const net::NodeId cloud_node = net.add_node("cloud", net::Region::HongKong);
+    CloudServer cloud{net, cloud_node, cc};
+    RegionalMesh mesh{net, wan, cloud, net::Region::HongKong, rc};
+
+    const net::NodeId peer = net.add_node("peer", net::Region::HongKong);
+    net.connect_wan(peer, cloud_node, wan);
+    cloud.add_peer(peer);
+
+    std::vector<std::unique_ptr<VrClient>> clients;
+    const auto client = [&](std::uint32_t id, net::Region region, bool on_mesh) {
+        const net::NodeId node = net.add_node("c" + std::to_string(id), region);
+        VrClientConfig vc;
+        vc.name = "c" + std::to_string(id);
+        vc.room = ClassroomId{9};
+        vc.lightweight = true;
+        auto c = std::make_unique<VrClient>(net, node, ParticipantId{id}, vc);
+        if (on_mesh) {
+            const net::NodeId relay = mesh.relay_for(region).node();
+            net.connect_wan(node, relay, wan);
+            c->join(relay, mesh.attach_client(node, ParticipantId{id}, region));
+        } else {
+            net.connect_wan(node, cloud_node, wan);
+            const auto seat = cloud.attach_client(node, ParticipantId{id});
+            c->join(cloud_node, *seat);
+        }
+        clients.push_back(std::move(c));
+    };
+    client(1, net::Region::Seoul, false);
+    client(2, net::Region::Tokyo, false);
+    client(3, net::Region::HongKong, false);
+    client(11, net::Region::Boston, true);
+    client(12, net::Region::Boston, true);
+    client(21, net::Region::London, true);
+    client(22, net::Region::London, true);
+
+    const net::NodeId edge = net.add_node("edge", net::Region::HongKong);
+    net.connect_wan(edge, cloud_node, wan);
+    cloud.place_entity(ParticipantId{100});
+    net::Channel edge_tx = net.open_channel(
+        {.src = edge, .flow = std::string{sync::kAvatarFlow}});
+    std::uint32_t seq = 0;
+    sim.schedule_every(sim::Time::ms(33), [&] {
+        sync::AvatarWire w{ParticipantId{100}, ClassroomId{9}, seq % 10 == 0,
+                           std::vector<std::uint8_t>(24 + seq % 40, 0x5A), sim.now(), {}};
+        w.seq = ++seq;
+        if (seq % 3 == 0) w.relay_to.push_back(peer);
+        const std::size_t size = w.wire_bytes();
+        edge_tx.send_to(cloud_node, size, std::move(w));
+    });
+    sim.schedule_at(sim::Time::seconds(1.5), [&] {
+        clients[2]->leave();
+        cloud.detach_client(clients[2]->node());
+    });
+
+    sim.run_until(sim::Time::seconds(3));
+    net.set_tap(nullptr);
+
+    EgressRun r;
+    r.packets = tap.packets;
+    r.send_digest = tap.digest;
+    r.cloud_out = cloud.messages_out();
+    r.cloud_bytes = cloud.egress_bytes();
+    r.cloud_state = cloud.state_digest();
+    for (const net::Region region : {net::Region::Boston, net::Region::London}) {
+        r.relay_out += mesh.relay_for(region).messages_out();
+        r.relay_bytes += mesh.relay_for(region).egress_bytes();
+    }
+    return r;
+}
+
+TEST(EgressGoldenTest, PerUpdateFanout) {
+    const EgressRun r = run_egress(EgressMode::PerUpdate);
+    EXPECT_EQ(r.packets, 1428u);
+    EXPECT_EQ(r.send_digest, 3247704949396039190ULL);
+    EXPECT_EQ(r.cloud_out, 747u);
+    EXPECT_EQ(r.cloud_bytes, 42792u);
+    EXPECT_EQ(r.cloud_state, 1105619778245620412ULL);
+    EXPECT_EQ(r.relay_out, 540u);
+    EXPECT_EQ(r.relay_bytes, 31868u);
+}
+
+TEST(EgressGoldenTest, BatchedServerEgress) {
+    const EgressRun r = run_egress(EgressMode::Batched);
+    EXPECT_EQ(r.packets, 1295u);
+    EXPECT_EQ(r.send_digest, 9922538115987269196ULL);
+    EXPECT_EQ(r.cloud_out, 747u);
+    EXPECT_EQ(r.cloud_bytes, 42792u);
+    EXPECT_EQ(r.cloud_state, 1105619778245620412ULL);
+    EXPECT_EQ(r.relay_out, 532u);
+    EXPECT_EQ(r.relay_bytes, 31608u);
+}
+
+TEST(EgressGoldenTest, AggregatedViewerEgress) {
+    const EgressRun r = run_egress(EgressMode::Aggregated);
+    EXPECT_EQ(r.packets, 875u);
+    EXPECT_EQ(r.send_digest, 14488524193801071399ULL);
+    EXPECT_EQ(r.cloud_out, 416u);
+    EXPECT_EQ(r.cloud_bytes, 23654u);
+    EXPECT_EQ(r.cloud_state, 1185401737621455294ULL);
+    EXPECT_EQ(r.relay_out, 30u);
+    EXPECT_EQ(r.relay_bytes, 2248u);
 }
 
 }  // namespace

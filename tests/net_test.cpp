@@ -530,9 +530,9 @@ TEST(PayloadTest, HoldsAndReadsTypedValue) {
 
 TEST(PayloadTest, TypeMismatchThrowsAtAccessSite) {
     Payload p{std::string{"hello"}};
-    EXPECT_THROW(p.get<int>(), std::runtime_error);
-    EXPECT_THROW(p.take<int>(), std::runtime_error);
-    EXPECT_THROW(Payload{}.get<int>(), std::runtime_error);
+    EXPECT_THROW((void)p.get<int>(), std::runtime_error);
+    EXPECT_THROW((void)p.take<int>(), std::runtime_error);
+    EXPECT_THROW((void)Payload{}.get<int>(), std::runtime_error);
 }
 
 TEST(PayloadTest, TakeMovesOutAndEmpties) {

@@ -480,7 +480,7 @@ TEST_F(RealUdpTest, ReliableChannelDeliversInOrderThroughInjectedLoss) {
 TEST_F(RealUdpTest, OpenChannelSpecValidation) {
     RealUdpBackend net;
     const NodeId a = net.add_node("a", Region::HongKong);
-    EXPECT_THROW(net.open_channel({.src = a}), std::logic_error);  // no flow
+    EXPECT_THROW(net.open_channel({.src = a, .flow = {}}), std::logic_error);  // no flow
     EXPECT_THROW(net.open_channel({.flow = "x"}), std::logic_error);  // no src
     EXPECT_THROW(
         net.open_channel({.src = a,

@@ -251,8 +251,8 @@ TEST(SloTest, CounterSeriesAndMissingMetrics) {
 
     const std::vector<SloGate> gates = {
         {.metric = "widgets", .min = 1.0, .max = 10.0},
-        {.metric = "lat_ms.p50", .max = 10.0},  // fails: 50.5 > 10
-        {.metric = "typo.p95", .min = 0.0},     // fails: missing metric
+        {.metric = "lat_ms.p50", .min = std::nullopt, .max = 10.0},  // fails: 50.5 > 10
+        {.metric = "typo.p95", .min = 0.0, .max = std::nullopt},     // fails: missing metric
     };
     const auto results = evaluate_slos(m, gates);
     ASSERT_EQ(results.size(), 3u);

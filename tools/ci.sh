@@ -31,7 +31,8 @@
 #                          # congested-lecture scenario SLO gates, then the
 #                          # E23 priority-trade + clean-control + determinism
 #                          # gate in quick mode
-#   tools/ci.sh --campus   # campus/pool/aggregator unit tests under
+#   tools/ci.sh --campus   # campus/pool/aggregator and cloud/relay egress
+#                          # unit tests (campus_test, cloud_test) under
 #                          # ASan+UBSan, then the E22 campus sweep in quick
 #                          # mode (events/sec + bytes/avatar SLO gates,
 #                          # thread-count determinism, BENCH_e22.json)
@@ -202,10 +203,11 @@ qoe_stage() {
 campus_stage() {
   echo "==> [sanitize] configure"
   cmake --preset sanitize
-  echo "==> [sanitize] build campus_test"
-  cmake --build --preset sanitize -j "$jobs" --target campus_test
-  echo "==> [campus] pool/grid/aggregator unit tests under ASan+UBSan"
+  echo "==> [sanitize] build campus_test cloud_test"
+  cmake --build --preset sanitize -j "$jobs" --target campus_test cloud_test
+  echo "==> [campus] pool/grid/aggregator and avatar egress unit tests under ASan+UBSan"
   ./build-sanitize/tests/campus_test
+  ./build-sanitize/tests/cloud_test
   echo "==> [default] configure"
   cmake --preset default
   echo "==> [default] build bench_e22_campus"

@@ -1,6 +1,6 @@
 #pragma once
 // Registry of the repo's experiments: one entry per bench binary, with the
-// paper claim it regenerates. `metaclass_run --experiments` prints this
+// paper claim it regenerates. `metaclass_scenario experiments` prints this
 // table so every bench is discoverable from the runner; EXPERIMENTS.md holds
 // the measured numbers for the same ids.
 

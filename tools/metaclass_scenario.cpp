@@ -1,8 +1,9 @@
 // metaclass_scenario — run, validate and fuzz declarative scenario specs.
 //
 //   metaclass_scenario run [--json] [--threads N] spec.scenario.json
-//       build the declared world, drive it, print the SLO verdicts (or the
-//       full report as JSON) and exit nonzero if any SLO gate failed
+//       build the declared world, drive it, print the SLO verdicts (plus the
+//       class report for classroom worlds) or the full report as JSON, and
+//       exit nonzero if any SLO gate failed
 //   metaclass_scenario validate spec.scenario.json...
 //       strict-parse each file; print the field-path error for bad ones
 //   metaclass_scenario fuzz [--iters N] [--seconds S] [--seed K] spec.scenario.json
@@ -12,6 +13,8 @@
 //       corrupt recorded trace bytes; Trace::verify/parse must never crash
 //   metaclass_scenario example
 //       print an annotated example spec
+//   metaclass_scenario experiments
+//       list the experiment registry (E1..E23) and the bench binaries
 //
 // Specs are versioned JSON; see scenarios/*.scenario.json for shipped ones.
 
@@ -22,8 +25,11 @@
 #include <string>
 #include <vector>
 
+#include "core/classroom.hpp"
+#include "experiment_registry.hpp"
 #include "scenario/fuzz.hpp"
 #include "scenario/runner.hpp"
+#include "scenario/world.hpp"
 
 namespace {
 
@@ -69,8 +75,19 @@ int usage() {
                  "[--seed K] <spec>\n"
                  "       metaclass_scenario fuzz-trace [--iters N] [--seed K] "
                  "<trace>\n"
-                 "       metaclass_scenario example\n");
+                 "       metaclass_scenario example\n"
+                 "       metaclass_scenario experiments\n");
     return 2;
+}
+
+void print_experiments() {
+    std::printf("%-6s %-32s %s\n", "id", "binary (build/bench/)", "title");
+    for (const auto& e : mvc::tools::kExperiments) {
+        std::printf("%-6s %-32s %s\n", e.id, e.binary, e.title);
+        std::printf("       claim: %s\n", e.claim);
+    }
+    std::printf("\nmeasured results per id: EXPERIMENTS.md; each binary writes "
+                "BENCH_<id>.json\n");
 }
 
 int cmd_run(int argc, char** argv) {
@@ -91,8 +108,8 @@ int cmd_run(int argc, char** argv) {
     if (path == nullptr) return usage();
 
     const mvc::scenario::ScenarioSpec spec = mvc::scenario::load_spec_file(path);
-    const mvc::scenario::ScenarioReport report =
-        mvc::scenario::run_scenario(spec, threads);
+    const std::unique_ptr<mvc::scenario::ScenarioWorld> world = mvc::scenario::build(spec);
+    const mvc::scenario::ScenarioReport report = mvc::scenario::run_world(*world, threads);
     if (as_json) {
         std::puts(mvc::scenario::report_to_json(report).dump(2).c_str());
     } else {
@@ -108,6 +125,11 @@ int cmd_run(int argc, char** argv) {
             if (r.gate.min) std::printf(" min=%.3f", *r.gate.min);
             if (r.gate.max) std::printf(" max=%.3f", *r.gate.max);
             std::printf("\n");
+        }
+        if (spec.world == mvc::scenario::WorldKind::Classroom) {
+            std::printf("course: %s\n", spec.classroom.course.c_str());
+            std::printf("simulated: %.0f s\n", spec.duration.to_seconds());
+            std::fputs(world->classroom().report().summary().c_str(), stdout);
         }
         std::printf("%s\n", report.passed ? "PASS" : "FAIL");
     }
@@ -233,6 +255,10 @@ int main(int argc, char** argv) {
             return cmd_fuzz_trace(argc - 2, argv + 2);
         if (std::strcmp(cmd, "example") == 0) {
             std::puts(kExampleSpec);
+            return 0;
+        }
+        if (std::strcmp(cmd, "experiments") == 0) {
+            print_experiments();
             return 0;
         }
     } catch (const std::exception& e) {

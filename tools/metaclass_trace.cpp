@@ -26,6 +26,7 @@
 #include <chrono>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/classroom.hpp"
@@ -160,13 +161,15 @@ int cmd_dump(const replay::Trace& t, std::uint64_t limit) {
         } else if (const auto* s = std::get_if<replay::SubjectDef>(&rec)) {
             std::printf("subjectdef  id=%u name=%s\n", s->id, s->name.c_str());
         } else if (const auto* w = std::get_if<replay::WireRecord>(&rec)) {
-            std::printf("wire  %12.6f s shard=%u %s -> %s flow=%s %llu B prio=%s",
+            const std::string_view prio =
+                net::priority_name(static_cast<net::Priority>(w->priority));
+            std::printf("wire  %12.6f s shard=%u %s -> %s flow=%s %llu B prio=%.*s",
                         sim::Time::ns(w->t_ns).to_seconds(), w->shard,
                         t.node_name(w->shard, w->src).c_str(),
                         t.node_name(w->shard, w->dst).c_str(),
                         t.flow_name(w->flow).c_str(),
                         static_cast<unsigned long long>(w->size_bytes),
-                        net::priority_name(static_cast<net::Priority>(w->priority)));
+                        static_cast<int>(prio.size()), prio.data());
             if (!w->avatars.empty())
                 std::printf(" avatars=%zu%s", w->avatars.size(),
                             w->avatars.front().keyframe ? " [key]" : "");
