@@ -70,7 +70,6 @@ void CampusWorld::build_building(std::size_t index) {
     auto owned = std::make_unique<Building>();
     Building& b = *owned;
     b.index = index;
-    b.grid = sync::InterestGrid{config_.cell_size_m};
 
     const std::size_t shard = index + 1;
     net::Network& net = world_.network(shard);
@@ -166,15 +165,13 @@ void CampusWorld::tick(Building& b) {
     const auto seqs = b.pool.seqs();
     const auto dirty = b.pool.dirty();
 
-    // Motion integration + grid re-bucketing: one cache-linear SoA sweep.
+    // Motion integration: one cache-linear SoA sweep.
     const std::uint64_t motion_seed = config_.seed ^ (0xC0FFEEULL * (b.index + 1));
     for (std::size_t i = 0; i < n; ++i) {
         const auto s = config_.motion.at(motion_seed, i, t);
         pos[i] = b.anchors[i] + s.offset;
         vel[i] = s.velocity;
-        b.grid.update(ids[i], pos[i]);
     }
-    b.grid.rebuild();
 
     // Dirty sweep + egress.
     const double thr2 = config_.dirty_threshold_m * config_.dirty_threshold_m;
@@ -268,13 +265,9 @@ sim::MetricsRecorder CampusWorld::merged_metrics() const {
     std::uint64_t ticks = 0;
     std::uint64_t generated = 0;
     std::uint64_t viewer_bytes = 0;
-    std::uint64_t full_rebuilds = 0;
-    std::uint64_t incremental_rebuilds = 0;
     for (const auto& b : buildings_) {
         ticks += b->ticks;
         generated += b->updates_generated;
-        full_rebuilds += b->grid.full_rebuilds();
-        incremental_rebuilds += b->grid.incremental_rebuilds();
         for (const ViewerEndpoint& v : b->viewers) viewer_bytes += v.bytes;
     }
     m.count("campus/ticks", ticks);
@@ -286,8 +279,6 @@ sim::MetricsRecorder CampusWorld::merged_metrics() const {
     m.count("campus/viewer_bytes", viewer_bytes);
     m.count("campus/suppressed_aoi", suppressed_by_aoi());
     m.count("campus/suppressed_rate", suppressed_by_rate());
-    m.count("campus/grid_full_rebuilds", full_rebuilds);
-    m.count("campus/grid_incremental_rebuilds", incremental_rebuilds);
     m.count("campus/mirror_updates", mirror_updates_);
     m.count("campus/digest", state_digest());
     return m;

@@ -1,12 +1,11 @@
 #pragma once
 // Campus-scale workload engine: the dense hot path (E22) assembled into a
 // runnable world. A campus is B buildings, each its own shard: every
-// building sweeps its avatars through a core::AvatarPool (SoA columns),
-// re-buckets them in a flat sync::InterestGrid, and egresses dirty deltas
-// to that building's viewer nodes through the servers' shared
-// cloud::AvatarEgress — either per-update fan-out (one tier check and one
-// packet per (update, viewer) pair) or cell-delta aggregation (per-cell
-// grouping, one coalesced batch per viewer per interval). A thin
+// building sweeps its avatars through a core::AvatarPool (SoA columns) and
+// egresses dirty deltas to that building's viewer nodes through the
+// servers' shared cloud::AvatarEgress — either per-update fan-out (one tier
+// check and one packet per (update, viewer) pair) or cell-delta aggregation
+// (per-cell grouping, one coalesced batch per viewer per interval). A thin
 // cross-shard mirror ships a strided sample of every building's updates to
 // the origin shard as the egress's server-bound batches, so the flat
 // proxy-table deliver path stays on the hot path too.
@@ -38,7 +37,7 @@ struct CampusConfig {
     /// Receiving client nodes per building (placed at classroom centres).
     std::size_t viewers_per_building{8};
     double tick_rate_hz{20.0};
-    /// Interest-grid / aggregation cell edge (metres).
+    /// Aggregation cell edge (metres).
     double cell_size_m{8.0};
     /// Positions that moved less than this since the last shipped update
     /// are not re-sent (the dirty threshold of the SoA sweep).
@@ -125,7 +124,6 @@ private:
         net::NodeId gateway{net::kInvalidNode};
         net::NodeId origin_proxy{net::kInvalidNode};
         AvatarPool pool;
-        sync::InterestGrid grid;
         std::vector<math::Vec3> anchors;
         std::vector<math::Vec3> last_sent;
         std::vector<ViewerEndpoint> viewers;

@@ -180,6 +180,157 @@ TEST(SpecRoundTripTest, ShippedSpecsLossless) {
     EXPECT_GE(checked, 3u);  // exam, campus_event, breakout_groups at least
 }
 
+// Every key of the format, each set away from its default, one spec per
+// world form: whatever the input sets must survive spec_to_json, and the
+// emitted document must reparse to itself.
+constexpr const char* kEveryKeyClassroom = R"json({
+  "scenario_version": 1, "name": "every-key-classroom", "world": "classroom",
+  "backend": "sim", "seed": 7, "duration_s": 12.5, "hash_ms": 250,
+  "classroom": {
+    "course": "OFF101", "regional_mesh": true, "lightweight_remote": true,
+    "event_bus": false, "probe_rate_hz": 4,
+    "heartbeat": {"interval_ms": 150, "timeout_ms": 600},
+    "degradation": {"enter_loss": 0.12, "exit_loss": 0.03, "enter_rtt_ms": 180,
+                    "exit_rtt_ms": 90, "max_level": 2, "hold_s": 1.5},
+    "recovery": {"checkpoint_s": 3.5},
+    "admission": {"queue_capacity": 128, "shed_enter_depth": 96,
+                  "shed_exit_depth": 32, "hold_ms": 75},
+    "rooms": [
+      {"preset": "gz", "students": 3, "instructor": true},
+      {"name": "lab", "region": "Tokyo", "rows": 4, "cols": 3, "students": 5,
+       "instructor": true}
+    ],
+    "remote": [{"region": "London", "count": 3, "join_at_s": 2.5, "guest": true}],
+    "lecture_media_room": 1,
+    "schedule": [{"activity": "qa", "minutes": 0.75, "team_size": 3}]
+  },
+  "timeline": [
+    {"kind": "link_outage", "at_s": 1, "duration_s": 0.5, "a": "edge/0", "b": "cloud"},
+    {"kind": "loss_burst", "at_s": 2, "duration_s": 0.5, "a": "edge/0", "b": "edge/1",
+     "loss": 0.4},
+    {"kind": "latency_spike", "at_s": 3, "duration_s": 0.5, "a": "edge/1", "b": "cloud",
+     "extra_ms": 45},
+    {"kind": "node_outage", "at_s": 4, "duration_s": 0.75, "node": "edge/1"},
+    {"kind": "random", "from_s": 1.5, "until_s": 9.5, "stream": "storm",
+     "model": {"flaps_per_min": 3, "mean_outage_s": 1.5, "bursts_per_min": 4,
+               "mean_burst_s": 0.5, "burst_loss": 0.35, "spikes_per_min": 5,
+               "mean_spike_s": 0.25, "spike_extra_ms": 60, "crashes_per_min": 0.5,
+               "mean_downtime_s": 2.5},
+     "links": [["edge/0", "cloud"]], "nodes": ["edge/1"]}
+  ],
+  "slos": [{"metric": "scenario.hash_epochs", "min": 1, "max": 1000}]
+})json";
+
+constexpr const char* kEveryKeyRelay = R"json({
+  "scenario_version": 1, "name": "every-key-relay", "world": "relay",
+  "backend": "chaos", "seed": 11, "duration_s": 9, "hash_ms": 50,
+  "relay": {
+    "region": "Seoul", "serve_resync": false, "resync_freshness_s": 1.5,
+    "access_ms": 12, "batch_ms": 25,
+    "control": {"interval_ms": 40, "region_a": "Tokyo", "region_b": "Singapore"},
+    "clients": [
+      {"count": 2, "region": "Boston", "join_at_s": 1.25,
+       "reconnect": {"liveness_s": 1.5, "check_ms": 150, "probe_ms": 300,
+                     "backoff_base_ms": 50, "backoff_cap_s": 3},
+       "self_adapt": {"enter_loss": 0.1, "exit_loss": 0.04, "enter_rtt_ms": 120,
+                      "exit_rtt_ms": 60, "max_level": 4, "hold_ms": 400},
+       "priority": "low"}
+    ]
+  },
+  "qoe": {"feedback_ms": 125, "aggregate_ms": 40, "playout_ms": 150, "safety": 0.75,
+          "reserve_bps": 30000, "down_loss": 0.12, "up_loss": 0.04,
+          "hold_down_ms": 250, "hold_up_ms": 2000, "dwell_ms": 750,
+          "avatar_full_bps": 150000, "floor_scale": 0.2, "fovea_cos": 0.9},
+  "timeline": [
+    {"kind": "link_outage", "at_s": 1, "duration_s": 0.5, "a": "client/0", "b": "relay"},
+    {"kind": "loss_burst", "at_s": 1.5, "duration_s": 0.5, "a": "client/1", "b": "relay",
+     "loss": 0.6},
+    {"kind": "latency_spike", "at_s": 2, "duration_s": 0.5, "a": "ctrl/a", "b": "relay",
+     "extra_ms": 35},
+    {"kind": "node_outage", "at_s": 2.5, "duration_s": 0.5, "node": "client/0"},
+    {"kind": "chaos", "at_s": 3, "duration_s": 1, "a": "client/*", "b": "relay",
+     "profile": {"drop": 0.05, "ge_p_bad": 0.02, "ge_p_good": 0.4, "ge_loss_bad": 0.9,
+                 "ge_loss_good": 0.01, "duplicate": 0.03, "reorder": 0.04,
+                 "reorder_hold_ms": 20, "delay_ms": 5, "jitter_ms": 7, "corrupt": 0.01,
+                 "throttle_bps": 2000000, "throttle_backlog_ms": 150}},
+    {"kind": "blackhole", "at_s": 4, "duration_s": 0.5, "from": "relay", "to": "client/1"},
+    {"kind": "partition", "at_s": 5, "duration_s": 0.5, "a": "ctrl/b", "b": "relay"},
+    {"kind": "random", "from_s": 5.5, "until_s": 8, "stream": "relay-storm",
+     "model": {"flaps_per_min": 2, "mean_outage_s": 0.5, "bursts_per_min": 3,
+               "mean_burst_s": 0.75, "burst_loss": 0.5, "spikes_per_min": 1,
+               "mean_spike_s": 1.25, "spike_extra_ms": 90, "crashes_per_min": 1,
+               "mean_downtime_s": 1.5},
+     "links": [["client/0", "relay"], ["client/1", "relay"]], "nodes": ["client/1"]}
+  ],
+  "slos": [{"metric": "chaos.drop", "max": 5000}]
+})json";
+
+constexpr const char* kEveryKeyPooledCampus = R"json({
+  "scenario_version": 1, "name": "every-key-pooled", "world": "campus",
+  "backend": "sim", "seed": 3, "duration_s": 2, "hash_ms": 0,
+  "campus": {
+    "clients_per_region": 3, "batch_ms": 30, "lightweight": false,
+    "pooled": {"buildings": 2, "classrooms_per_building": 3,
+               "avatars_per_classroom": 4, "viewers_per_building": 2,
+               "tick_rate_hz": 10, "aggregate": false, "aggregate_ms": 40}
+  },
+  "slos": [{"metric": "campus/ticks", "min": 2}]
+})json";
+
+constexpr const char* kEveryKeyRegionCampus = R"json({
+  "scenario_version": 1, "name": "every-key-regions", "world": "campus",
+  "backend": "sim", "seed": 4, "duration_s": 3, "hash_ms": 200,
+  "campus": {
+    "regions": ["Seoul", "Frankfurt"], "clients_per_region": 2, "batch_ms": 10,
+    "lightweight": false,
+    "pooled": {"classrooms_per_building": 5, "avatars_per_classroom": 6,
+               "viewers_per_building": 1, "tick_rate_hz": 15, "aggregate": false,
+               "aggregate_ms": 25}
+  },
+  "timeline": [
+    {"kind": "link_outage", "at_s": 1, "duration_s": 0.5, "a": "cloud",
+     "b": "relay/Seoul"}
+  ]
+})json";
+
+// Every key of `in` appears in `out` with the same value (deeply).
+void expect_keys_survive(const common::Json& in, const common::Json& out,
+                         const std::string& path) {
+    if (in.is_object()) {
+        ASSERT_TRUE(out.is_object()) << path;
+        for (const auto& [key, value] : in.as_object()) {
+            const common::Json* o = out.find(key);
+            if (o == nullptr) {
+                ADD_FAILURE() << path << "." << key << " was not emitted";
+                continue;
+            }
+            expect_keys_survive(value, *o, path + "." + key);
+        }
+    } else if (in.is_array()) {
+        ASSERT_TRUE(out.is_array()) << path;
+        ASSERT_EQ(in.as_array().size(), out.as_array().size()) << path;
+        for (std::size_t i = 0; i < in.as_array().size(); ++i)
+            expect_keys_survive(in.as_array()[i], out.as_array()[i],
+                                path + "[" + std::to_string(i) + "]");
+    } else {
+        EXPECT_EQ(in, out) << path << ": " << in.dump() << " became " << out.dump();
+    }
+}
+
+TEST(SpecRoundTripTest, EveryKeyOffDefault) {
+    for (const char* text : {kEveryKeyClassroom, kEveryKeyRelay, kEveryKeyPooledCampus,
+                             kEveryKeyRegionCampus}) {
+        const common::Json in = common::Json::parse(text);
+        SCOPED_TRACE(in.find("name")->as_string());
+        const ScenarioSpec s = scenario_from_json(in);
+        const common::Json out = spec_to_json(s);
+        expect_keys_survive(in, out, "");
+        const ScenarioSpec reparsed = scenario_from_json(out);
+        EXPECT_EQ(spec_to_json(reparsed).dump(2), out.dump(2));
+        EXPECT_EQ(spec_stamp(reparsed), spec_stamp(s));
+    }
+}
+
 // --------------------------------------------------- timeline -> FaultPlan
 
 TEST(TimelineCompileTest, EntriesLandInThePlan) {
@@ -331,6 +482,86 @@ TEST(CorpusTest, BadSpecsAllRejectedAsSpecError) {
         ++checked;
     }
     EXPECT_GE(checked, 10u);
+}
+
+// The full message for each bad-corpus file, as the reader reports it.
+TEST(SpecErrorTest, BadCorpusMessagesPinned) {
+    const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"chaos_window_on_classroom.json",
+         "scenario: timeline[0]: chaos needs world=relay, backend=chaos"},
+        {"missing_version.json",
+         "scenario: scenario_version: required"},
+        {"not_an_object.json",
+         "scenario: must be an object"},
+        {"overcrowded_room.json",
+         "scenario: classroom.rooms[0].students: exceed seat capacity"},
+        {"preset_room_geometry.json",
+         "scenario: classroom.rooms[0].cols: unknown key"},
+        {"random_window_backwards.json",
+         "scenario: timeline[0].until_s: must exceed from_s"},
+        {"real_udp_with_timeline.json",
+         "scenario: timeline: real_udp backend cannot schedule faults (no simulated links to fail)"},
+        {"relay_no_clients.json",
+         "scenario: relay.clients: needs at least one cohort"},
+        {"seed_wrong_type.json",
+         "scenario: seed: must be a number"},
+        {"slo_no_metric.json",
+         "scenario: slos[0].metric: required"},
+        {"truncated.json",
+         "scenario: invalid JSON at line 2, column 1: control character in string at offset 39"},
+        {"unknown_key.json",
+         "scenario: wrold: unknown key"},
+        {"unknown_region.json",
+         "scenario: classroom.rooms[0].region: unknown region 'Atlantis'"},
+        {"wrong_version.json",
+         "scenario: scenario_version: unsupported (this build understands version 1)"},
+        {"zero_duration_event.json",
+         "scenario: timeline[0].duration_s: must be > 0"},
+    };
+    for (const auto& [file, message] : pinned) {
+        SCOPED_TRACE(file);
+        try {
+            (void)scenario_from_text(slurp(corpus_dir() + "/bad/" + file));
+            ADD_FAILURE() << "accepted";
+        } catch (const SpecError& e) {
+            EXPECT_EQ(std::string{e.what()}, message);
+        }
+    }
+}
+
+// Numbers the reader must bound before converting: each of these once
+// reached an out-of-range float->integer conversion (undefined behaviour) or
+// was silently wrapped into a different spec.
+TEST(SpecErrorTest, NumericBoundsRejected) {
+    const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"count_overflow.json",
+         "scenario: campus.pooled.buildings: must be at most 9007199254740992"},
+        {"media_room_negative.json",
+         "scenario: classroom.lecture_media_room: must be a non-negative integer"},
+        {"max_level_wraps.json",
+         "scenario: classroom.degradation.max_level: must be at most 62"},
+        {"hold_overflow.json",
+         "scenario: classroom.admission.hold_ms: out of range (int64 nanoseconds)"},
+    };
+    for (const auto& [file, message] : pinned) {
+        SCOPED_TRACE(file);
+        try {
+            (void)scenario_from_text(slurp(corpus_dir() + "/bad/" + file));
+            ADD_FAILURE() << "accepted";
+        } catch (const SpecError& e) {
+            EXPECT_EQ(std::string{e.what()}, message);
+        }
+    }
+    // A fractional room index is rejected rather than truncated, and the
+    // bounds themselves are accepted.
+    EXPECT_THROW((void)scenario_from_text(
+                     R"({"scenario_version": 1, "classroom": {"lecture_media_room": 1.5}})"),
+                 SpecError);
+    const ScenarioSpec edge = scenario_from_text(
+        R"({"scenario_version": 1, "seed": 9007199254740992,
+            "classroom": {"degradation": {"max_level": 62}}})");
+    EXPECT_EQ(edge.seed, std::uint64_t{1} << 53);
+    EXPECT_EQ(edge.classroom.degradation.params.max_level, 62);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-shot CI: tier-1 verify (default preset build + full ctest), the
-# ASan+UBSan `sanitize` preset build + ctest, and the ThreadSanitizer `tsan`
+# ASan+UBSan `sanitize` preset build + ctest (UBSan findings, float->int
+# overflow included, abort the run), and the ThreadSanitizer `tsan`
 # preset, which builds with -fsanitize=thread and runs the sharded-engine
 # tests (the only multi-threaded code). The optional perf smoke stage builds
 # the `profile` preset and runs the E17 hot-path bench in quick mode; the
@@ -40,6 +41,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
+# A UBSan report fails the binary that made it (the stages below run test
+# binaries directly, outside ctest's preset environment).
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
 run_tier1=1
 run_sanitize=1

@@ -74,8 +74,8 @@ inline constexpr Experiment kExperiments[] = {
      "and the campus thread-count sweep are byte-identical, and the spec "
      "fuzzer finds no crashes or divergence on the corpus"},
     {"e22", "bench_e22_campus", "campus-scale dense hot path",
-     "a 100k-avatar campus sweeps its SoA pools, flat interest grids, and "
-     "cell-delta aggregated egress at interactive rates; merged metrics are "
+     "a 100k-avatar campus sweeps its SoA pools and cell-delta aggregated "
+     "egress at interactive rates; merged metrics are "
      "byte-identical across 1/2/4/8 worker threads, and aggregation cuts "
      "client-bound bytes per avatar well below the per-update fan-out "
      "baseline"},
