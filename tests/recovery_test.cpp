@@ -6,16 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "avatar/codec.hpp"
+#include "cloud/cloud_server.hpp"
 #include "common/bytes.hpp"
+#include "common/hash.hpp"
 #include "core/classroom.hpp"
 #include "edge/edge_server.hpp"
 #include "edge/seats.hpp"
 #include "fault/fault_plan.hpp"
+#include "net/network.hpp"
 #include "recovery/admission.hpp"
 #include "recovery/checkpoint.hpp"
 #include "recovery/checkpointer.hpp"
@@ -499,20 +505,90 @@ TEST(CrashRecoveryIntegrationTest, WithoutCheckpointsRestartIsCold) {
 }
 
 // ------------------------------------------------------ overload admission
+//
+// One rig drives the avatar ingress of either classroom server: a sender
+// streams keyframes over a fixed 1 ms link into an EdgeServer or a
+// CloudServer with the same per-wire compute cost. The cloud mirrors every
+// processed wire to a sink peer, so a tap on its sends sees each processed
+// wire as (time, participant, seq). The edge keeps nothing per wire that a
+// caller can read except its `edge.<name>.ingest_ms` series (one sample per
+// processed wire, in processing order) and the per-participant decode counts.
+
+enum class ServerKind { Edge, Cloud };
+
+constexpr ServerKind kServerKinds[] = {ServerKind::Edge, ServerKind::Cloud};
+const sim::Time kLinkLatency = sim::Time::ms(1);
+
+const char* kind_name(ServerKind kind) { return kind == ServerKind::Edge ? "edge" : "cloud"; }
+
+/// Every avatar wire the observed server puts on a link, in send order.
+class ForwardTap final : public net::PacketTap {
+public:
+    struct Sent {
+        sim::Time at;
+        ParticipantId who;
+        std::uint32_t seq;
+        sim::Time captured_at;
+    };
+
+    explicit ForwardTap(net::NodeId server) : server_(server) {}
+    void on_send(const net::Packet& p, net::Priority) override {
+        if (p.src != server_ || p.flow != sync::kAvatarFlow) return;
+        const auto& w = p.payload.get<sync::AvatarWire>();
+        sent.push_back(Sent{p.sent_at, w.participant, w.seq, w.captured_at});
+    }
+
+    std::vector<Sent> sent;
+
+private:
+    net::NodeId server_;
+};
 
 struct OverloadRig {
     sim::Simulator sim{41};
     net::Network net{sim};
     net::NodeId src = net.add_node("src", net::Region::HongKong);
     net::NodeId dst = net.add_node("dst", net::Region::Guangzhou);
+    net::NodeId sink = net.add_node("sink", net::Region::Guangzhou);
     avatar::AvatarCodec codec{avatar::CodecBounds{}};
-    edge::EdgeServer server;
+    ForwardTap tap{dst};
+    CheckpointStore store;
+    std::unique_ptr<edge::EdgeServer> edge;
+    std::unique_ptr<cloud::CloudServer> cloud;
+    std::map<std::uint32_t, std::uint32_t> seqs;
 
-    explicit OverloadRig(edge::EdgeServerConfig config)
-        : server(net, dst, std::move(config), edge::SeatMap::grid(6, 6)) {
-        net::WanTopology wan;
-        net.connect_wan(src, dst, wan);
-        server.start();
+    /// `process` is the compute charged per inbound wire (the edge's
+    /// process_time, the cloud's process_in). With `recovery` enabled the
+    /// server checkpoints into the rig's store and reacts to node crashes.
+    OverloadRig(ServerKind kind, AdmissionParams admission, sim::Time process,
+                RecoveryParams recovery = {}) {
+        net.connect(src, dst, net::LinkParams{.latency = kLinkLatency});
+        net.set_tap(&tap);
+        if (recovery.enabled) recovery.store = &store;
+        if (kind == ServerKind::Edge) {
+            edge::EdgeServerConfig config;
+            config.room = ClassroomId{2};
+            config.name = "dst";
+            config.process_time = process;
+            config.admission = admission;
+            config.recovery = recovery;
+            edge = std::make_unique<edge::EdgeServer>(net, dst, std::move(config),
+                                                      edge::SeatMap::grid(6, 6));
+            edge->start();
+        } else {
+            cloud::CloudServerConfig config;
+            config.room = ClassroomId{2};
+            config.name = "dst";
+            config.process_in = process;
+            config.process_out = sim::Time::zero();
+            config.mirror_all_streams = true;
+            config.admission = admission;
+            config.recovery = recovery;
+            cloud = std::make_unique<cloud::CloudServer>(net, dst, std::move(config));
+            net.connect(dst, sink, net::LinkParams{.latency = kLinkLatency});
+            cloud->add_peer(sink);
+            cloud->start();
+        }
     }
 
     void send_update(std::uint32_t id) {
@@ -527,26 +603,79 @@ struct OverloadRig {
         wire.keyframe = true;
         wire.bytes = codec.encode_full(s);
         wire.captured_at = s.captured_at;
+        wire.seq = ++seqs[id];
         net.send(src, dst, wire.bytes.size() + 32, std::string{sync::kAvatarFlow},
                  std::move(wire));
     }
+
+    /// Wires of `who` the server has processed so far.
+    [[nodiscard]] std::uint64_t processed(std::uint32_t who) const {
+        if (edge) return edge->remote_update_count(ParticipantId{who});
+        return static_cast<std::uint64_t>(
+            std::count_if(tap.sent.begin(), tap.sent.end(),
+                          [who](const ForwardTap::Sent& s) { return s.who.value() == who; }));
+    }
+    /// Processing time minus send time of every processed wire, in order.
+    [[nodiscard]] std::vector<double> delays_ms() const {
+        if (edge) {
+            const auto samples = net.metrics().series("edge.dst.ingest_ms").samples();
+            return {samples.begin(), samples.end()};
+        }
+        std::vector<double> out;
+        for (const ForwardTap::Sent& s : tap.sent) out.push_back((s.at - s.captured_at).to_ms());
+        return out;
+    }
+    /// Digest of every processed wire: (time, participant, seq) from the
+    /// cloud's sends; the ingest-delay stream plus per-participant decode
+    /// counts for the edge.
+    [[nodiscard]] std::uint64_t processed_digest() const {
+        common::Hash64 h;
+        if (edge) {
+            for (const double d : delays_ms()) h.f64(d);
+            for (const ParticipantId who : edge->remote_participants())
+                h.u32(who.value()).u64(edge->remote_update_count(who));
+        } else {
+            for (const ForwardTap::Sent& s : tap.sent)
+                h.i64(s.at.nanos()).u32(s.who.value()).u32(s.seq);
+        }
+        return h.digest();
+    }
+
+    [[nodiscard]] std::uint64_t arrivals() const {
+        return edge ? edge->avatar_packets_in() : cloud->messages_in();
+    }
+    [[nodiscard]] std::uint64_t shed_streams() const {
+        return edge ? edge->shed_streams() : cloud->shed_streams();
+    }
+    [[nodiscard]] std::uint64_t queue_dropped() const {
+        return edge ? edge->queue_dropped() : cloud->queue_dropped();
+    }
+    [[nodiscard]] std::size_t ingress_depth() const {
+        return edge ? edge->ingress_depth() : cloud->ingress_depth();
+    }
+    [[nodiscard]] const AdmissionGate& admission_gate() const {
+        return edge ? edge->admission_gate() : cloud->admission_gate();
+    }
+    [[nodiscard]] std::uint64_t state_digest() const {
+        return edge ? edge->state_digest() : cloud->state_digest();
+    }
 };
 
-edge::EdgeServerConfig overload_config() {
-    edge::EdgeServerConfig config;
-    config.room = ClassroomId{2};
-    config.name = "dst";
-    config.process_time = sim::Time::ms(2);  // 500 wires/s service capacity
-    config.admission.enabled = true;
-    config.admission.queue_capacity = 32;
-    config.admission.shed_enter_depth = 24;
-    config.admission.shed_exit_depth = 4;
-    config.admission.hold = sim::Time::ms(200);
-    return config;
+AdmissionParams overload_admission() {
+    AdmissionParams admission;
+    admission.enabled = true;
+    admission.queue_capacity = 32;
+    admission.shed_enter_depth = 24;
+    admission.shed_exit_depth = 4;
+    admission.hold = sim::Time::ms(200);
+    return admission;
 }
 
-TEST(OverloadAdmissionTest, ShedsLateJoinersKeepsAdmittedFlowing) {
-    OverloadRig rig{overload_config()};
+const sim::Time kOverloadProcess = sim::Time::ms(2);  // 500 wires/s service capacity
+
+/// Six streams at 60 Hz from the start (within capacity), then twelve late
+/// joiners at 60 Hz from 3 s (past it).
+void drive_late_joiners(OverloadRig& rig) {
     const sim::Time tick = sim::Time::us(16667);
     for (std::uint32_t i = 0; i < 6; ++i) {
         rig.sim.schedule_every(tick, sim::Time::ms(1 + i),
@@ -560,45 +689,112 @@ TEST(OverloadAdmissionTest, ShedsLateJoinersKeepsAdmittedFlowing) {
                                     tick, [&rig, i] { rig.send_update(200 + i); });
                             });
     }
-    rig.sim.run_until(sim::Time::seconds(5.0));
-    const std::uint64_t mid_count = rig.server.remote_update_count(ParticipantId{100});
-    rig.sim.run_until(sim::Time::seconds(8.0));
+}
 
-    EXPECT_GT(rig.server.shed_streams(), 0u);
-    EXPECT_LE(rig.server.admission_gate().transitions(), 2u);  // no flapping
-    EXPECT_LE(rig.server.ingress_depth(), 32u);
-    // Admitted (pre-overload) streams keep receiving decodable updates.
-    EXPECT_GT(rig.server.remote_update_count(ParticipantId{100}), mid_count);
+TEST(OverloadAdmissionTest, ShedsLateJoinersKeepsAdmittedFlowing) {
+    for (const ServerKind kind : kServerKinds) {
+        SCOPED_TRACE(kind_name(kind));
+        OverloadRig rig{kind, overload_admission(), kOverloadProcess};
+        drive_late_joiners(rig);
+        rig.sim.run_until(sim::Time::seconds(5.0));
+        const std::uint64_t mid_count = rig.processed(100);
+        rig.sim.run_until(sim::Time::seconds(8.0));
+
+        EXPECT_GT(rig.shed_streams(), 0u);
+        EXPECT_LE(rig.admission_gate().transitions(), 2u);  // no flapping
+        EXPECT_LE(rig.ingress_depth(), 32u);
+        // Admitted (pre-overload) streams keep being processed.
+        EXPECT_GT(rig.processed(100), mid_count);
+    }
 }
 
 TEST(OverloadAdmissionTest, BoundedQueueDropsOldestAtCapacity) {
-    edge::EdgeServerConfig config = overload_config();
-    config.admission.queue_capacity = 8;
-    config.admission.shed_enter_depth = 1000;  // never shed: isolate the queue
-    config.admission.shed_exit_depth = 0;
-    OverloadRig rig{config};
-    // Burst far beyond capacity in one tick.
-    rig.sim.schedule_at(sim::Time::ms(10), [&rig] {
-        for (std::uint32_t i = 0; i < 40; ++i) rig.send_update(100 + i);
-    });
-    rig.sim.run_until(sim::Time::seconds(2.0));
-    EXPECT_GT(rig.server.queue_dropped(), 0u);
-    EXPECT_EQ(rig.server.ingress_depth(), 0u);  // fully drained afterwards
-    EXPECT_EQ(rig.server.shed_streams(), 0u);
+    for (const ServerKind kind : kServerKinds) {
+        SCOPED_TRACE(kind_name(kind));
+        AdmissionParams admission = overload_admission();
+        admission.queue_capacity = 8;
+        admission.shed_enter_depth = 1000;  // never shed: isolate the queue
+        admission.shed_exit_depth = 0;
+        OverloadRig rig{kind, admission, kOverloadProcess};
+        // Burst far beyond capacity in one tick.
+        rig.sim.schedule_at(sim::Time::ms(10), [&rig] {
+            for (std::uint32_t i = 0; i < 40; ++i) rig.send_update(100 + i);
+        });
+        rig.sim.run_until(sim::Time::seconds(2.0));
+        EXPECT_EQ(rig.queue_dropped(), 32u);
+        EXPECT_EQ(rig.ingress_depth(), 0u);  // fully drained afterwards
+        EXPECT_EQ(rig.shed_streams(), 0u);
+        // The newest eight survive the drop-oldest queue.
+        EXPECT_EQ(rig.processed(100), 0u);
+        EXPECT_EQ(rig.processed(139), 1u);
+    }
 }
 
 TEST(OverloadAdmissionTest, DisabledAdmissionUsesDirectPath) {
-    edge::EdgeServerConfig config;
-    config.room = ClassroomId{2};
-    config.name = "dst";
-    OverloadRig rig{config};
-    const sim::Time tick = sim::Time::us(16667);
-    rig.sim.schedule_every(tick, [&rig] { rig.send_update(100); });
-    rig.sim.run_until(sim::Time::seconds(2.0));
-    EXPECT_GT(rig.server.remote_update_count(ParticipantId{100}), 0u);
-    EXPECT_EQ(rig.server.queue_dropped(), 0u);
-    EXPECT_EQ(rig.server.shed_streams(), 0u);
-    EXPECT_EQ(rig.server.ingress_depth(), 0u);
+    for (const ServerKind kind : kServerKinds) {
+        SCOPED_TRACE(kind_name(kind));
+        OverloadRig rig{kind, AdmissionParams{}, sim::Time::us(30)};
+        const sim::Time tick = sim::Time::us(16667);
+        rig.sim.schedule_every(tick, [&rig] { rig.send_update(100); });
+        rig.sim.run_until(sim::Time::seconds(2.0));
+        EXPECT_GT(rig.processed(100), 0u);
+        EXPECT_EQ(rig.queue_dropped(), 0u);
+        EXPECT_EQ(rig.shed_streams(), 0u);
+        EXPECT_EQ(rig.ingress_depth(), 0u);
+    }
+}
+
+// --------------------------------------------------------- ingress golden
+//
+// Pins the avatar ingress of both servers wire by wire under overload. The
+// constants were taken from a run of the code before the two servers shared
+// one ingress; any change to which wires are processed, when, or in which
+// order, moves them.
+
+struct IngressRun {
+    std::uint64_t processed_digest{0};
+    std::size_t processed{0};
+    std::uint64_t arrivals{0};
+    std::uint64_t shed{0};
+    std::uint64_t dropped{0};
+    std::size_t depth{0};
+    std::uint64_t transitions{0};
+    std::uint64_t state_digest{0};
+};
+
+IngressRun run_ingress(ServerKind kind, AdmissionParams admission) {
+    OverloadRig rig{kind, admission, kOverloadProcess};
+    drive_late_joiners(rig);
+    rig.sim.run_until(sim::Time::seconds(6.0));
+    return IngressRun{rig.processed_digest(), rig.delays_ms().size(), rig.arrivals(),
+                      rig.shed_streams(),     rig.queue_dropped(),    rig.ingress_depth(),
+                      rig.admission_gate().transitions(),             rig.state_digest()};
+}
+
+TEST(IngressGoldenTest, EdgeShedsAndDrops) {
+    const IngressRun r = run_ingress(ServerKind::Edge, overload_admission());
+    EXPECT_EQ(r.processed_digest, 560586927266171441ULL);
+    EXPECT_EQ(r.processed, 2569u);
+    EXPECT_EQ(r.arrivals, 3924u);
+    EXPECT_EQ(r.shed, 630u);
+    EXPECT_EQ(r.dropped, 698u);
+    EXPECT_EQ(r.depth, 27u);
+    EXPECT_EQ(r.transitions, 1u);
+    EXPECT_EQ(r.state_digest, 16557122995280238183ULL);
+}
+
+TEST(IngressGoldenTest, CloudDropsOnly) {
+    AdmissionParams admission = overload_admission();
+    admission.shed_enter_depth = admission.queue_capacity + 1;  // never sheds
+    const IngressRun r = run_ingress(ServerKind::Cloud, admission);
+    EXPECT_EQ(r.processed_digest, 3211552090496657027ULL);
+    EXPECT_EQ(r.processed, 2569u);
+    EXPECT_EQ(r.arrivals, 3924u);
+    EXPECT_EQ(r.shed, 0u);
+    EXPECT_EQ(r.dropped, 1328u);
+    EXPECT_EQ(r.depth, 27u);
+    EXPECT_EQ(r.transitions, 0u);
+    EXPECT_EQ(r.state_digest, 14588391123372390660ULL);
 }
 
 }  // namespace
