@@ -14,27 +14,21 @@ CloudServer::CloudServer(net::Backend& net, net::NodeId node, CloudServerConfig 
       ids_{.relayed_failover =
                net.metrics().counter_id("cloud." + config_.name + ".relayed_failover"),
            .suppressed_dead_peer = net.metrics().counter_id(
-               "cloud." + config_.name + ".suppressed_dead_peer"),
-           .admission_shed =
-               net.metrics().counter_id("admission.shed", {{"server", config_.name}}),
-           .queue_dropped =
-               net.metrics().counter_id("queue.dropped", {{"server", config_.name}}),
-           .queue_depth =
-               net.metrics().series_id("queue.depth", {{"server", config_.name}}),
-           .recovery_gap_ms =
-               net.metrics().series_id("recovery.gap_ms", {{"server", config_.name}}),
-           .recovery_restore =
-               net.metrics().counter_id("recovery.restore", {{"server", config_.name}}),
-           .recovery_cold_start = net.metrics().counter_id(
-               "recovery.cold_start", {{"server", config_.name}})},
+               "cloud." + config_.name + ".suppressed_dead_peer")},
       demux_(net, node),
       egress_(net, node, config_),
       layout_(config_.layout),
-      gate_(config_.admission) {
-    demux_.on_flow(std::string{sync::kAvatarFlow},
-                   [this](net::Packet&& p) { handle_avatar_packet(std::move(p)); });
-    demux_.on_flow(std::string{sync::kAvatarBatchFlow},
-                   [this](net::Packet&& p) { handle_avatar_batch(std::move(p)); });
+      ingress_(
+          net, demux_, config_.name, config_.admission,
+          [this] {
+              const sim::Time ready = egress_.charge(config_.process_in);
+              queue_delay_accum_ms_ += (ready - net_.clock().now()).to_ms();
+              return ready;
+          },
+          [this](sync::AvatarWire&& wire, net::NodeId origin, sim::Time) {
+              forward(std::move(wire), origin);
+          }),
+      restorer_(net.clock(), net.metrics(), config_.name) {
     net_.context(node_).bind<CloudServer>(this);
     if (config_.heartbeat.enabled) {
         hb_ = std::make_unique<fault::HeartbeatMonitor>(
@@ -114,8 +108,8 @@ std::optional<math::Pose> CloudServer::seat_of(ParticipantId who) const {
 }
 
 double CloudServer::mean_queue_delay_ms() const {
-    if (messages_in_ == 0) return 0.0;
-    return queue_delay_accum_ms_ / static_cast<double>(messages_in_);
+    if (messages_in() == 0) return 0.0;
+    return queue_delay_accum_ms_ / static_cast<double>(messages_in());
 }
 
 std::uint64_t CloudServer::state_digest() const {
@@ -128,65 +122,14 @@ std::uint64_t CloudServer::state_digest() const {
     h.size(seats_.size());
     for (const auto& [who, seat] : seats_) h.u32(who.value()).size(seat);
     h.size(next_seat_);
-    h.u64(messages_in_).u64(egress_.messages_out()).u64(egress_.egress_bytes());
+    h.u64(messages_in()).u64(egress_.messages_out()).u64(egress_.egress_bytes());
     h.u64(relayed_failover_);
-    h.u64(shed_).u64(queue_dropped_).u64(restores_).u64(cold_starts_);
-    h.size(ingress_.size()).size(admitted_.size());
+    h.u64(shed_streams()).u64(queue_dropped()).u64(restores()).u64(cold_starts());
+    h.size(ingress_.depth()).size(ingress_.admitted());
     return h.digest();
 }
 
-void CloudServer::handle_avatar_packet(net::Packet&& p) {
-    auto wire = p.payload.take<sync::AvatarWire>();
-    ingest(std::move(wire), p.src);
-}
-
-void CloudServer::handle_avatar_batch(net::Packet&& p) {
-    auto batch = p.payload.take<sync::AvatarBatchWire>();
-    const net::NodeId origin = p.src;
-    for (sync::AvatarWire& wire : batch.updates) ingest(std::move(wire), origin);
-}
-
-void CloudServer::ingest(sync::AvatarWire&& wire, net::NodeId origin) {
-    ++messages_in_;
-    const sim::Time ready = egress_.charge(config_.process_in);
-    queue_delay_accum_ms_ += (ready - net_.clock().now()).to_ms();
-    if (!config_.admission.enabled) {
-        net_.clock().schedule_at(ready,
-                                     [this, wire = std::move(wire), origin]() mutable {
-                                         forward(std::move(wire), origin);
-                                     });
-        return;
-    }
-
-    // Bounded ingress + admission: depth-triggered shedding of never-seen
-    // (late-joining) streams keeps the queue serving the admitted class.
-    if (gate_.update(ingress_.size(), net_.clock().now()))
-        net_.metrics().count("admission.transition",
-                             {{"server", config_.name},
-                              {"state", gate_.shedding() ? "shed" : "admit"}});
-    if (gate_.shedding() && !admitted_.contains(wire.participant)) {
-        ++shed_;
-        net_.metrics().count(ids_.admission_shed);
-        return;
-    }
-    admitted_.insert(wire.participant);
-    ingress_.push_back(QueuedWire{std::move(wire), origin});
-    if (ingress_.size() > config_.admission.queue_capacity) {
-        ingress_.pop_front();
-        ++queue_dropped_;
-        net_.metrics().count(ids_.queue_dropped);
-    }
-    net_.metrics().sample(ids_.queue_depth, static_cast<double>(ingress_.size()));
-    // One drain per push; drops leave excess drains that find an empty queue.
-    net_.clock().schedule_at(ready, [this] {
-        if (ingress_.empty()) return;
-        QueuedWire q = std::move(ingress_.front());
-        ingress_.pop_front();
-        forward(std::move(q.wire), q.origin);
-    });
-}
-
-void CloudServer::forward(sync::AvatarWire wire, net::NodeId origin) {
+void CloudServer::forward(sync::AvatarWire&& wire, net::NodeId origin) {
     // Failover relaying: the origin edge listed peers whose direct link is
     // dead; forward this update to them on its behalf. The forwarded copy
     // carries no relay_to of its own (one relay hop only — no loops).
@@ -262,33 +205,11 @@ void CloudServer::on_node_state(bool up) {
         clients_.clear();
         seats_.clear();
         next_seat_ = 0;
-        ingress_.clear();
-        admitted_.clear();
+        ingress_.crash();
         return;
     }
-    const sim::Time now = net_.clock().now();
-    bool restored = false;
-    std::optional<std::vector<std::uint8_t>> bytes;
-    if (checkpointer_ != nullptr) {
-        bytes = config_.recovery.store->latest(net_.name_of(node_));
-    }
-    if (bytes) {
-        try {
-            const recovery::ClassroomCheckpoint cp = recovery::decode_checkpoint(*bytes);
-            restore_checkpoint(cp);
-            last_recovery_gap_ms_ = (now - cp.taken_at()).to_ms();
-            ++restores_;
-            restored = true;
-            net_.metrics().sample(ids_.recovery_gap_ms, last_recovery_gap_ms_);
-            net_.metrics().count(ids_.recovery_restore);
-        } catch (const recovery::CheckpointError&) {
-            // Corrupt checkpoint: fall through to a cold start.
-        }
-    }
-    if (!restored) {
-        ++cold_starts_;
-        net_.metrics().count(ids_.recovery_cold_start);
-    }
+    restorer_.restart(checkpointer_.get(),
+                      [this](recovery::ClassroomCheckpoint&& cp) { restore_checkpoint(cp); });
     start();
 }
 

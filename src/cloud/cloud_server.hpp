@@ -10,10 +10,8 @@
 // processing so saturation shows up as queueing delay in the scalability
 // experiment (E3).
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -83,7 +81,7 @@ public:
     void start();
     void stop();
 
-    [[nodiscard]] std::uint64_t messages_in() const { return messages_in_; }
+    [[nodiscard]] std::uint64_t messages_in() const { return ingress_.arrivals(); }
     [[nodiscard]] std::uint64_t messages_out() const { return egress_.messages_out(); }
     [[nodiscard]] std::uint64_t egress_bytes() const { return egress_.egress_bytes(); }
     /// Client fan-out or aggregation, relay/peer batching, and counters.
@@ -97,13 +95,13 @@ public:
 
     // ----- crash recovery / overload admission ------------------------------
 
-    [[nodiscard]] std::uint64_t restores() const { return restores_; }
-    [[nodiscard]] std::uint64_t cold_starts() const { return cold_starts_; }
-    [[nodiscard]] double last_recovery_gap_ms() const { return last_recovery_gap_ms_; }
-    [[nodiscard]] const recovery::AdmissionGate& admission_gate() const { return gate_; }
-    [[nodiscard]] std::uint64_t shed_streams() const { return shed_; }
-    [[nodiscard]] std::uint64_t queue_dropped() const { return queue_dropped_; }
-    [[nodiscard]] std::size_t ingress_depth() const { return ingress_.size(); }
+    [[nodiscard]] std::uint64_t restores() const { return restorer_.restores(); }
+    [[nodiscard]] std::uint64_t cold_starts() const { return restorer_.cold_starts(); }
+    [[nodiscard]] double last_recovery_gap_ms() const { return restorer_.last_gap_ms(); }
+    [[nodiscard]] const recovery::AdmissionGate& admission_gate() const { return ingress_.gate(); }
+    [[nodiscard]] std::uint64_t shed_streams() const { return ingress_.shed(); }
+    [[nodiscard]] std::uint64_t queue_dropped() const { return ingress_.dropped(); }
+    [[nodiscard]] std::size_t ingress_depth() const { return ingress_.depth(); }
 
     /// Deterministic fingerprint of the virtual-room state: client roster,
     /// placement map, message counters. Recorded per epoch so the replay
@@ -117,16 +115,10 @@ private:
     };
 
     /// Telemetry handles interned once at construction; the per-update
-    /// forward/admission paths record through these.
+    /// forward path records through these.
     struct MetricIds {
         sim::MetricId relayed_failover;
         sim::MetricId suppressed_dead_peer;
-        sim::MetricId admission_shed;
-        sim::MetricId queue_dropped;
-        sim::MetricId queue_depth;
-        sim::MetricId recovery_gap_ms;
-        sim::MetricId recovery_restore;
-        sim::MetricId recovery_cold_start;
     };
 
     net::Backend& net_;
@@ -142,31 +134,15 @@ private:
     std::vector<net::NodeId> peers_;
     std::unique_ptr<fault::HeartbeatMonitor> hb_;
     std::size_t next_seat_{0};
-    std::uint64_t messages_in_{0};
     std::uint64_t relayed_failover_{0};
     double queue_delay_accum_ms_{0.0};
+    recovery::AvatarIngress ingress_;
 
     // Crash recovery of the placement state.
     std::unique_ptr<recovery::Checkpointer> checkpointer_;
-    std::uint64_t restores_{0};
-    std::uint64_t cold_starts_{0};
-    double last_recovery_gap_ms_{0.0};
+    recovery::Restorer restorer_;
 
-    // Overload admission.
-    struct QueuedWire {
-        sync::AvatarWire wire;
-        net::NodeId origin{};
-    };
-    recovery::AdmissionGate gate_;
-    std::deque<QueuedWire> ingress_;
-    std::set<ParticipantId> admitted_;
-    std::uint64_t shed_{0};
-    std::uint64_t queue_dropped_{0};
-
-    void handle_avatar_packet(net::Packet&& p);
-    void handle_avatar_batch(net::Packet&& p);
-    void ingest(sync::AvatarWire&& wire, net::NodeId origin);
-    void forward(sync::AvatarWire wire, net::NodeId origin);
+    void forward(sync::AvatarWire&& wire, net::NodeId origin);
     [[nodiscard]] bool target_alive(net::NodeId target) const;
     void on_node_state(bool up);
     void make_checkpoint(recovery::ClassroomCheckpoint& cp) const;

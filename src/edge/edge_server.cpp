@@ -18,19 +18,7 @@ EdgeServer::EdgeServer(net::Backend& net, net::NodeId node, EdgeServerConfig con
                net.metrics().series_id("edge." + config_.name + ".sensor_ingest_ms"),
            .degrade_level =
                net.metrics().series_id("edge." + config_.name + ".degrade_level"),
-           .ingest_ms = net.metrics().series_id("edge." + config_.name + ".ingest_ms"),
-           .admission_shed =
-               net.metrics().counter_id("admission.shed", {{"server", config_.name}}),
-           .queue_dropped =
-               net.metrics().counter_id("queue.dropped", {{"server", config_.name}}),
-           .queue_depth =
-               net.metrics().series_id("queue.depth", {{"server", config_.name}}),
-           .recovery_gap_ms =
-               net.metrics().series_id("recovery.gap_ms", {{"server", config_.name}}),
-           .recovery_restore =
-               net.metrics().counter_id("recovery.restore", {{"server", config_.name}}),
-           .recovery_cold_start = net.metrics().counter_id(
-               "recovery.cold_start", {{"server", config_.name}})},
+           .ingest_ms = net.metrics().series_id("edge." + config_.name + ".ingest_ms")},
       seats_(std::move(seats)),
       demux_(net, node),
       avatar_tx_(net.open_channel({.src = node_,
@@ -41,11 +29,17 @@ EdgeServer::EdgeServer(net::Backend& net, net::NodeId node, EdgeServerConfig con
       retargeter_(config_.retarget),
       degrade_(config_.degradation),
       health_(config_.path_health),
-      gate_(config_.admission) {
-    demux_.on_flow(std::string{sync::kAvatarFlow},
-                   [this](net::Packet&& p) { handle_avatar_packet(std::move(p)); });
-    demux_.on_flow(std::string{sync::kAvatarBatchFlow},
-                   [this](net::Packet&& p) { handle_avatar_batch(std::move(p)); });
+      ingress_(
+          net, demux_, config_.name, config_.admission,
+          [this] {
+              // One compute queue: a wire starts when the previous one is done.
+              busy_until_ = std::max(net_.clock().now(), busy_until_) + config_.process_time;
+              return busy_until_;
+          },
+          [this](sync::AvatarWire&& wire, net::NodeId, sim::Time sent_at) {
+              process_avatar_wire(std::move(wire), sent_at);
+          }),
+      restorer_(net.clock(), net.metrics(), config_.name) {
     if (config_.batch_interval > sim::Time::zero()) {
         batcher_ = std::make_unique<sync::WireBatcher>(net_, node_,
                                                        config_.batch_interval);
@@ -311,65 +305,6 @@ avatar::AvatarState EdgeServer::synthesize_avatar(ParticipantId who,
     return s;
 }
 
-sim::Time EdgeServer::charge_processing() {
-    const sim::Time start = std::max(net_.clock().now(), busy_until_);
-    busy_until_ = start + config_.process_time;
-    return busy_until_;
-}
-
-void EdgeServer::handle_avatar_packet(net::Packet&& p) {
-    auto wire = p.payload.take<sync::AvatarWire>();
-    ingest_avatar(std::move(wire), p.sent_at);
-}
-
-void EdgeServer::handle_avatar_batch(net::Packet&& p) {
-    auto batch = p.payload.take<sync::AvatarBatchWire>();
-    const sim::Time sent_at = p.sent_at;
-    for (sync::AvatarWire& wire : batch.updates)
-        ingest_avatar(std::move(wire), sent_at);
-}
-
-void EdgeServer::ingest_avatar(sync::AvatarWire&& wire, sim::Time sent_at) {
-    ++packets_in_;
-    if (!config_.admission.enabled) {
-        const sim::Time ready = charge_processing();
-        net_.clock().schedule_at(ready,
-                                     [this, wire = std::move(wire), sent_at]() mutable {
-                                         process_avatar_wire(std::move(wire), sent_at);
-                                     });
-        return;
-    }
-
-    // Bounded ingress with admission control: the gate watches queue depth;
-    // while shedding, streams never seen before (late joiners) are rejected
-    // so the queue capacity serves the already-admitted class.
-    if (gate_.update(ingress_.size(), net_.clock().now()))
-        net_.metrics().count("admission.transition",
-                             {{"server", config_.name},
-                              {"state", gate_.shedding() ? "shed" : "admit"}});
-    if (gate_.shedding() && !admitted_.contains(wire.participant)) {
-        ++shed_;
-        net_.metrics().count(ids_.admission_shed);
-        return;
-    }
-    admitted_.insert(wire.participant);
-    ingress_.push_back(QueuedWire{std::move(wire), sent_at});
-    if (ingress_.size() > config_.admission.queue_capacity) {
-        ingress_.pop_front();
-        ++queue_dropped_;
-        net_.metrics().count(ids_.queue_dropped);
-    }
-    net_.metrics().sample(ids_.queue_depth, static_cast<double>(ingress_.size()));
-    const sim::Time ready = charge_processing();
-    // One drain per push; drops leave excess drains that find an empty queue.
-    net_.clock().schedule_at(ready, [this] {
-        if (ingress_.empty()) return;
-        QueuedWire q = std::move(ingress_.front());
-        ingress_.pop_front();
-        process_avatar_wire(std::move(q.wire), q.sent_at);
-    });
-}
-
 void EdgeServer::process_avatar_wire(sync::AvatarWire&& wire, sim::Time sent_at) {
     const sim::Time now = net_.clock().now();
     health_.observe(wire.participant.value(), wire.seq,
@@ -455,9 +390,9 @@ std::uint64_t EdgeServer::state_digest() const {
     for (const auto& [who, seat] : reserved_seats_) h.u32(who.value()).size(seat);
     for (const auto& s : seats_.seats())
         h.boolean(s.occupied).u32(s.occupied ? s.occupant.value() : 0);
-    h.u64(packets_in_).u64(packets_out_).u64(seats_exhausted_).u64(relayed_out_);
-    h.u64(shed_).u64(queue_dropped_).u64(restores_).u64(cold_starts_);
-    h.size(ingress_.size()).size(admitted_.size());
+    h.u64(avatar_packets_in()).u64(packets_out_).u64(seats_exhausted_).u64(relayed_out_);
+    h.u64(shed_streams()).u64(queue_dropped()).u64(restores()).u64(cold_starts());
+    h.size(ingress_.depth()).size(ingress_.admitted());
     return h.digest();
 }
 
@@ -540,8 +475,7 @@ void EdgeServer::wipe_replicated_state() {
     remotes_.clear();
     for (const auto& [who, seat] : reserved_seats_) seats_.vacate(seat);
     reserved_seats_.clear();
-    ingress_.clear();
-    admitted_.clear();
+    ingress_.crash();
 }
 
 void EdgeServer::on_node_state(bool up) {
@@ -556,30 +490,10 @@ void EdgeServer::on_node_state(bool up) {
     }
     // Restart: restore from the last durable checkpoint, report the gap,
     // then resync live peers for everything newer.
-    const sim::Time now = net_.clock().now();
-    bool restored = false;
-    std::optional<std::vector<std::uint8_t>> bytes;
-    if (checkpointer_ != nullptr) {
-        bytes = config_.recovery.store->latest(net_.name_of(node_));
-    }
-    if (bytes) {
-        try {
-            recovery::ClassroomCheckpoint cp = recovery::decode_checkpoint(*bytes);
-            restore_checkpoint(cp);
-            last_recovery_gap_ms_ = (now - cp.taken_at()).to_ms();
-            last_restored_ = std::move(cp);
-            ++restores_;
-            restored = true;
-            net_.metrics().sample(ids_.recovery_gap_ms, last_recovery_gap_ms_);
-            net_.metrics().count(ids_.recovery_restore);
-        } catch (const recovery::CheckpointError&) {
-            // Corrupt checkpoint: fall through to a cold start.
-        }
-    }
-    if (!restored) {
-        ++cold_starts_;
-        net_.metrics().count(ids_.recovery_cold_start);
-    }
+    restorer_.restart(checkpointer_.get(), [this](recovery::ClassroomCheckpoint&& cp) {
+        restore_checkpoint(cp);
+        last_restored_ = std::move(cp);
+    });
     start();
     // A real restart loses publisher delta chains; re-anchor the receivers.
     for (auto& [who, lp] : locals_) lp.publisher->request_keyframe();

@@ -27,11 +27,9 @@
 // (late-joining) streams while queue depth stays past the hysteresis
 // threshold — newcomers wait, admitted streams keep their bounds.
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -138,7 +136,7 @@ public:
                                                                  sim::Time now) const;
 
     [[nodiscard]] const sensing::PoseFusion& fusion() const { return fusion_; }
-    [[nodiscard]] std::uint64_t avatar_packets_in() const { return packets_in_; }
+    [[nodiscard]] std::uint64_t avatar_packets_in() const { return ingress_.arrivals(); }
     [[nodiscard]] std::uint64_t avatar_packets_out() const { return packets_out_; }
     [[nodiscard]] std::uint64_t seats_exhausted() const { return seats_exhausted_; }
 
@@ -170,9 +168,9 @@ public:
     /// their exact retarget bindings.
     void restore_checkpoint(const recovery::ClassroomCheckpoint& cp);
 
-    [[nodiscard]] std::uint64_t restores() const { return restores_; }
-    [[nodiscard]] std::uint64_t cold_starts() const { return cold_starts_; }
-    [[nodiscard]] double last_recovery_gap_ms() const { return last_recovery_gap_ms_; }
+    [[nodiscard]] std::uint64_t restores() const { return restorer_.restores(); }
+    [[nodiscard]] std::uint64_t cold_starts() const { return restorer_.cold_starts(); }
+    [[nodiscard]] double last_recovery_gap_ms() const { return restorer_.last_gap_ms(); }
     /// The checkpoint applied by the most recent restart; nullopt before any.
     [[nodiscard]] const std::optional<recovery::ClassroomCheckpoint>& last_restored()
         const {
@@ -183,10 +181,10 @@ public:
 
     // ----- overload admission -----------------------------------------------
 
-    [[nodiscard]] const recovery::AdmissionGate& admission_gate() const { return gate_; }
-    [[nodiscard]] std::uint64_t shed_streams() const { return shed_; }
-    [[nodiscard]] std::uint64_t queue_dropped() const { return queue_dropped_; }
-    [[nodiscard]] std::size_t ingress_depth() const { return ingress_.size(); }
+    [[nodiscard]] const recovery::AdmissionGate& admission_gate() const { return ingress_.gate(); }
+    [[nodiscard]] std::uint64_t shed_streams() const { return ingress_.shed(); }
+    [[nodiscard]] std::uint64_t queue_dropped() const { return ingress_.dropped(); }
+    [[nodiscard]] std::size_t ingress_depth() const { return ingress_.depth(); }
 
     /// Deterministic fingerprint of this server's replicated state: local
     /// roster, remote replicas (seat bindings + replica digests), seat
@@ -224,12 +222,6 @@ private:
         sim::MetricId sensor_ingest_ms;
         sim::MetricId degrade_level;
         sim::MetricId ingest_ms;
-        sim::MetricId admission_shed;
-        sim::MetricId queue_dropped;
-        sim::MetricId queue_depth;
-        sim::MetricId recovery_gap_ms;
-        sim::MetricId recovery_restore;
-        sim::MetricId recovery_cold_start;
     };
 
     net::Backend& net_;
@@ -255,7 +247,7 @@ private:
     sim::EventHandle degrade_task_;
     bool running_{false};
     sim::Time busy_until_{};
-    std::uint64_t packets_in_{0};
+    recovery::AvatarIngress ingress_;
     std::uint64_t packets_out_{0};
     std::uint64_t seats_exhausted_{0};
     std::uint64_t relayed_out_{0};
@@ -266,24 +258,8 @@ private:
     std::unique_ptr<recovery::ResyncClient> resync_client_;
     CheckpointDecorator checkpoint_decorator_;
     std::optional<recovery::ClassroomCheckpoint> last_restored_;
-    std::uint64_t restores_{0};
-    std::uint64_t cold_starts_{0};
-    double last_recovery_gap_ms_{0.0};
+    recovery::Restorer restorer_;
 
-    // Overload admission.
-    struct QueuedWire {
-        sync::AvatarWire wire;
-        sim::Time sent_at{};
-    };
-    recovery::AdmissionGate gate_;
-    std::deque<QueuedWire> ingress_;
-    std::set<ParticipantId> admitted_;
-    std::uint64_t shed_{0};
-    std::uint64_t queue_dropped_{0};
-
-    void handle_avatar_packet(net::Packet&& p);
-    void handle_avatar_batch(net::Packet&& p);
-    void ingest_avatar(sync::AvatarWire&& wire, sim::Time sent_at);
     void process_avatar_wire(sync::AvatarWire&& wire, sim::Time sent_at);
     void try_anchor(ParticipantId who, RemoteParticipant& rp);
     void on_node_state(bool up);
@@ -296,8 +272,6 @@ private:
     [[nodiscard]] avatar::AvatarState synthesize_avatar(ParticipantId who,
                                                         const sensing::FusedTrack& track,
                                                         sim::Time now) const;
-    /// Queue a unit of server compute; returns when the result is ready.
-    [[nodiscard]] sim::Time charge_processing();
 };
 
 }  // namespace mvc::edge

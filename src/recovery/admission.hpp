@@ -7,10 +7,18 @@
 // shedding, the server rejects *new* (late-joining, low-priority) avatar
 // streams but keeps already-admitted streams flowing, so overload degrades
 // the experience of newcomers instead of everyone.
+//
+// AvatarIngress is that ingress, shared by the edge and cloud servers.
 
 #include <cstddef>
+#include <deque>
+#include <functional>
+#include <set>
+#include <string>
 
+#include "net/transport.hpp"
 #include "sim/time.hpp"
+#include "sync/wire.hpp"
 
 namespace mvc::recovery {
 
@@ -46,6 +54,62 @@ private:
     // Time::max() means "signal not currently past that threshold".
     sim::Time above_since_{sim::Time::max()};
     sim::Time below_since_{sim::Time::max()};
+};
+
+/// The avatar ingress of a classroom server (DESIGN §6). It registers the
+/// `avatar` and `avatar.batch` flows on the server's demux, counts every
+/// arriving wire, charges its compute through the server's ChargeFn, and
+/// hands it to the server's ProcessFn at the returned ready time. With
+/// admission on, wires wait in a bounded drop-oldest queue behind an
+/// AdmissionGate that sheds never-seen streams while it is shedding; a shed
+/// wire is charged no compute. With admission off, each wire is scheduled
+/// directly and the queue stays empty.
+class AvatarIngress {
+public:
+    /// Charge one wire's compute on the server; returns when it is done.
+    using ChargeFn = std::function<sim::Time()>;
+    /// Process one wire; `src` sent the packet at `sent_at`.
+    using ProcessFn = std::function<void(sync::AvatarWire&&, net::NodeId src, sim::Time sent_at)>;
+
+    /// `server` labels the admission and queue metrics.
+    AvatarIngress(net::Backend& net, net::PacketDemux& demux, std::string server,
+                  AdmissionParams params, ChargeFn charge, ProcessFn process);
+
+    AvatarIngress(const AvatarIngress&) = delete;
+    AvatarIngress& operator=(const AvatarIngress&) = delete;
+
+    /// Process crash: the queue and the admitted set are volatile.
+    void crash();
+
+    [[nodiscard]] std::uint64_t arrivals() const { return arrivals_; }
+    [[nodiscard]] const AdmissionGate& gate() const { return gate_; }
+    [[nodiscard]] std::uint64_t shed() const { return shed_; }
+    [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+    [[nodiscard]] std::size_t depth() const { return queue_.size(); }
+    [[nodiscard]] std::size_t admitted() const { return admitted_.size(); }
+
+private:
+    struct Queued {
+        sync::AvatarWire wire;
+        net::NodeId src{};
+        sim::Time sent_at{};
+    };
+
+    net::Backend& net_;
+    std::string server_;
+    ChargeFn charge_;
+    ProcessFn process_;
+    sim::MetricId shed_id_;
+    sim::MetricId dropped_id_;
+    sim::MetricId depth_id_;
+    AdmissionGate gate_;
+    std::deque<Queued> queue_;
+    std::set<ParticipantId> admitted_;
+    std::uint64_t arrivals_{0};
+    std::uint64_t shed_{0};
+    std::uint64_t dropped_{0};
+
+    void ingest(sync::AvatarWire&& wire, net::NodeId src, sim::Time sent_at);
 };
 
 }  // namespace mvc::recovery

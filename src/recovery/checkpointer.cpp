@@ -46,4 +46,34 @@ void Checkpointer::checkpoint_now() {
     ++taken_;
 }
 
+Restorer::Restorer(sim::Clock& clock, sim::MetricsRecorder& metrics,
+                   const std::string& server)
+    : clock_(clock),
+      metrics_(metrics),
+      gap_ms_id_(metrics.series_id("recovery.gap_ms", {{"server", server}})),
+      restore_id_(metrics.counter_id("recovery.restore", {{"server", server}})),
+      cold_start_id_(metrics.counter_id("recovery.cold_start", {{"server", server}})) {}
+
+bool Restorer::restart(const Checkpointer* source, const ApplyFn& apply) {
+    std::optional<std::vector<std::uint8_t>> bytes;
+    if (source != nullptr) bytes = source->params().store->latest(source->owner());
+    if (bytes) {
+        try {
+            ClassroomCheckpoint cp = decode_checkpoint(*bytes);
+            const double gap_ms = (clock_.now() - cp.taken_at()).to_ms();
+            apply(std::move(cp));
+            last_gap_ms_ = gap_ms;
+            ++restores_;
+            metrics_.sample(gap_ms_id_, last_gap_ms_);
+            metrics_.count(restore_id_);
+            return true;
+        } catch (const CheckpointError&) {
+            // Corrupt checkpoint: fall through to a cold start.
+        }
+    }
+    ++cold_starts_;
+    metrics_.count(cold_start_id_);
+    return false;
+}
+
 }  // namespace mvc::recovery

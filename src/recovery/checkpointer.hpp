@@ -5,6 +5,8 @@
 // (checksummed, versioned — see checkpoint.hpp) and writes the result into
 // the CheckpointStore. Pause/resume brackets a simulated crash: a down
 // process takes no checkpoints, but the store keeps what it already wrote.
+// Restorer is the matching restart step: restore the latest checkpoint, or
+// cold-start when there is none.
 
 #include <functional>
 #include <string>
@@ -54,6 +56,7 @@ public:
     [[nodiscard]] std::uint64_t taken() const { return taken_; }
     [[nodiscard]] std::uint64_t next_sequence() const { return next_sequence_; }
     [[nodiscard]] const RecoveryParams& params() const { return params_; }
+    [[nodiscard]] const std::string& owner() const { return owner_; }
 
 private:
     sim::Clock& sim_;
@@ -67,6 +70,36 @@ private:
     bool running_{false};
     std::uint64_t next_sequence_{1};
     std::uint64_t taken_{0};
+};
+
+/// The restart step of a classroom server (DESIGN §6). On a node restart it
+/// looks up the owner's latest checkpoint, decodes it and hands it to the
+/// server's ApplyFn; without a checkpoint, or when it fails to decode, the
+/// restart is a cold start. Outcomes are counted under
+/// `recovery.{restore,cold_start,gap_ms}{server=…}`.
+class Restorer {
+public:
+    using ApplyFn = std::function<void(ClassroomCheckpoint&&)>;
+
+    Restorer(sim::Clock& clock, sim::MetricsRecorder& metrics, const std::string& server);
+
+    /// Restore from `source`'s latest checkpoint (`source` null: the server
+    /// takes none, so every restart is cold). Returns true when restored.
+    bool restart(const Checkpointer* source, const ApplyFn& apply);
+
+    [[nodiscard]] std::uint64_t restores() const { return restores_; }
+    [[nodiscard]] std::uint64_t cold_starts() const { return cold_starts_; }
+    [[nodiscard]] double last_gap_ms() const { return last_gap_ms_; }
+
+private:
+    sim::Clock& clock_;
+    sim::MetricsRecorder& metrics_;
+    sim::MetricId gap_ms_id_;
+    sim::MetricId restore_id_;
+    sim::MetricId cold_start_id_;
+    std::uint64_t restores_{0};
+    std::uint64_t cold_starts_{0};
+    double last_gap_ms_{0.0};
 };
 
 }  // namespace mvc::recovery

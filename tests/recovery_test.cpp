@@ -744,6 +744,42 @@ TEST(OverloadAdmissionTest, DisabledAdmissionUsesDirectPath) {
     }
 }
 
+TEST(OverloadAdmissionTest, ShedWireCostsNoCompute) {
+    for (const ServerKind kind : kServerKinds) {
+        SCOPED_TRACE(kind_name(kind));
+        // No drops in this case: a dropped wire keeps the compute it was
+        // charged, and its drain would serve the next queued wire early.
+        AdmissionParams admission = overload_admission();
+        admission.queue_capacity = 1000;
+        OverloadRig rig{kind, admission, kOverloadProcess};
+        // Four admitted streams at 1000 wires/s for 390 ms: the queue stays
+        // past the enter depth long enough for the gate to start shedding.
+        for (int ms = 10; ms <= 400; ++ms) {
+            rig.sim.schedule_at(sim::Time::ms(ms), [&rig, ms] {
+                rig.send_update(100 + static_cast<std::uint32_t>(ms % 4));
+            });
+        }
+        rig.sim.run_until(sim::Time::ms(899));
+        ASSERT_TRUE(rig.admission_gate().shedding());
+        ASSERT_EQ(rig.ingress_depth(), 0u);  // drained; the gate holds its state
+        ASSERT_EQ(rig.queue_dropped(), 0u);
+        const std::uint64_t shed_before = rig.shed_streams();
+        const std::size_t processed_before = rig.delays_ms().size();
+
+        // A burst of unseen streams, then one wire of an admitted stream.
+        rig.sim.schedule_at(sim::Time::ms(900), [&rig] {
+            for (std::uint32_t i = 0; i < 20; ++i) rig.send_update(300 + i);
+            rig.send_update(100);
+        });
+        rig.sim.run_until(sim::Time::seconds(1.5));
+        EXPECT_EQ(rig.shed_streams(), shed_before + 20);
+        const std::vector<double> delays = rig.delays_ms();
+        ASSERT_EQ(delays.size(), processed_before + 1);
+        // Processed at arrival + its own compute: the shed burst cost none.
+        EXPECT_DOUBLE_EQ(delays.back(), (kLinkLatency + kOverloadProcess).to_ms());
+    }
+}
+
 // --------------------------------------------------------- ingress golden
 //
 // Pins the avatar ingress of both servers wire by wire under overload. The
