@@ -60,13 +60,14 @@ AvatarIngress::AvatarIngress(net::Backend& net, net::PacketDemux& demux, std::st
 void AvatarIngress::crash() {
     queue_.clear();
     admitted_.clear();
+    ++epoch_;
 }
 
 void AvatarIngress::ingest(sync::AvatarWire&& wire, net::NodeId src, sim::Time sent_at) {
     ++arrivals_;
     if (!gate_.params().enabled) {
-        auto task = [this, wire = std::move(wire), src, sent_at]() mutable {
-            process_(std::move(wire), src, sent_at);
+        auto task = [this, epoch = epoch_, wire = std::move(wire), src, sent_at]() mutable {
+            if (epoch == epoch_) process_(std::move(wire), src, sent_at);
         };
         // A pooled event block holds a max-aligned header, then the capture.
         static_assert(sizeof(task) + alignof(std::max_align_t) <= sim::EventPool::kBlockBytes,
@@ -95,8 +96,8 @@ void AvatarIngress::ingest(sync::AvatarWire&& wire, net::NodeId src, sim::Time s
     }
     net_.metrics().sample(depth_id_, static_cast<double>(queue_.size()));
     // One drain per push; drops leave excess drains that find an empty queue.
-    net_.clock().schedule_at(charge_(), [this] {
-        if (queue_.empty()) return;
+    net_.clock().schedule_at(charge_(), [this, epoch = epoch_] {
+        if (epoch != epoch_ || queue_.empty()) return;
         Queued q = std::move(queue_.front());
         queue_.pop_front();
         process_(std::move(q.wire), q.src, q.sent_at);

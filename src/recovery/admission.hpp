@@ -78,7 +78,8 @@ public:
     AvatarIngress(const AvatarIngress&) = delete;
     AvatarIngress& operator=(const AvatarIngress&) = delete;
 
-    /// Process crash: the queue and the admitted set are volatile.
+    /// Process crash: drops the queue, the admitted set and every wire
+    /// already charged, so no work from before the crash runs after it.
     void crash();
 
     [[nodiscard]] std::uint64_t arrivals() const { return arrivals_; }
@@ -108,6 +109,8 @@ private:
     std::uint64_t arrivals_{0};
     std::uint64_t shed_{0};
     std::uint64_t dropped_{0};
+    /// Bumped by crash(); scheduled work from an older epoch does nothing.
+    std::uint32_t epoch_{0};
 
     void ingest(sync::AvatarWire&& wire, net::NodeId src, sim::Time sent_at);
 };

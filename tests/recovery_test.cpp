@@ -780,6 +780,53 @@ TEST(OverloadAdmissionTest, ShedWireCostsNoCompute) {
     }
 }
 
+// ------------------------------------------- a crash drops interrupted work
+
+TEST(CrashDropsChargedWorkTest, NothingChargedBeforeACrashRunsAfterIt) {
+    for (const ServerKind kind : kServerKinds) {
+        for (const bool admission_on : {false, true}) {
+            SCOPED_TRACE(std::string{kind_name(kind)} +
+                         (admission_on ? " admission on" : " admission off"));
+            AdmissionParams admission;
+            admission.enabled = admission_on;
+            RecoveryParams recovery;
+            recovery.enabled = true;
+            OverloadRig rig{kind, admission, sim::Time::ms(5), recovery};
+            // Ten streams arrive together at 11 ms; their compute is charged
+            // back to back and would complete at 16, 21, ..., 61 ms. The node
+            // crashes after the first is processed and is back at 30 ms,
+            // while the rest are still charged; one more wire follows.
+            rig.sim.schedule_at(sim::Time::ms(10), [&rig] {
+                for (std::uint32_t i = 0; i < 10; ++i) rig.send_update(100 + i);
+            });
+            rig.sim.schedule_at(sim::Time::ms(18), [&rig] { rig.net.set_node_up(rig.dst, false); });
+            rig.sim.schedule_at(sim::Time::ms(30), [&rig] { rig.net.set_node_up(rig.dst, true); });
+            rig.sim.schedule_at(sim::Time::ms(32), [&rig] { rig.send_update(200); });
+
+            rig.sim.run_until(sim::Time::ms(29));  // down
+            EXPECT_EQ(rig.delays_ms(), std::vector<double>{6.0});
+            if (rig.edge) {
+                EXPECT_TRUE(rig.edge->remote_participants().empty());
+            } else {
+                EXPECT_EQ(rig.cloud->messages_out(), 1u);
+            }
+
+            rig.sim.run_until(sim::Time::seconds(1.0));
+            // Only the post-restart wire is processed, at its own charged
+            // time: behind the 61 ms compute backlog (a crash keeps the
+            // compute clock), plus 5 ms.
+            EXPECT_EQ(rig.delays_ms(), (std::vector<double>{6.0, 34.0}));
+            if (rig.edge) {
+                EXPECT_EQ(rig.edge->remote_participants(),
+                          std::vector<ParticipantId>{ParticipantId{200}});
+            } else {
+                EXPECT_EQ(rig.cloud->messages_out(), 2u);
+            }
+            EXPECT_EQ(rig.ingress_depth(), 0u);
+        }
+    }
+}
+
 // --------------------------------------------------------- ingress golden
 //
 // Pins the avatar ingress of both servers wire by wire under overload. The
