@@ -54,7 +54,7 @@ Restorer::Restorer(sim::Clock& clock, sim::MetricsRecorder& metrics,
       restore_id_(metrics.counter_id("recovery.restore", {{"server", server}})),
       cold_start_id_(metrics.counter_id("recovery.cold_start", {{"server", server}})) {}
 
-bool Restorer::restart(const Checkpointer* source, const ApplyFn& apply) {
+void Restorer::restart(const Checkpointer* source, const ApplyFn& apply) {
     std::optional<std::vector<std::uint8_t>> bytes;
     if (source != nullptr) bytes = source->params().store->latest(source->owner());
     if (bytes) {
@@ -66,14 +66,13 @@ bool Restorer::restart(const Checkpointer* source, const ApplyFn& apply) {
             ++restores_;
             metrics_.sample(gap_ms_id_, last_gap_ms_);
             metrics_.count(restore_id_);
-            return true;
+            return;
         } catch (const CheckpointError&) {
             // Corrupt checkpoint: fall through to a cold start.
         }
     }
     ++cold_starts_;
     metrics_.count(cold_start_id_);
-    return false;
 }
 
 }  // namespace mvc::recovery

@@ -84,8 +84,8 @@ public:
     Restorer(sim::Clock& clock, sim::MetricsRecorder& metrics, const std::string& server);
 
     /// Restore from `source`'s latest checkpoint (`source` null: the server
-    /// takes none, so every restart is cold). Returns true when restored.
-    bool restart(const Checkpointer* source, const ApplyFn& apply);
+    /// takes none, so every restart is cold).
+    void restart(const Checkpointer* source, const ApplyFn& apply);
 
     [[nodiscard]] std::uint64_t restores() const { return restores_; }
     [[nodiscard]] std::uint64_t cold_starts() const { return cold_starts_; }

@@ -25,7 +25,8 @@
 #                          # gates + same-seed determinism) in quick mode
 #   tools/ci.sh --scenario # scenario-engine unit tests under ASan+UBSan,
 #                          # the shipped .scenario.json specs through
-#                          # metaclass_scenario, the E21 gate in quick mode,
+#                          # metaclass_scenario, the E15 crash/overload gates,
+#                          # the E21 gate in quick mode,
 #                          # a 60 s spec-mutation fuzz smoke, and the
 #                          # recorded-corpus fuzz-trace sweep (ASan+UBSan)
 #   tools/ci.sh --qoe      # qoe unit tests under ASan+UBSan, the shipped
@@ -154,9 +155,9 @@ chaos_stage() {
 scenario_stage() {
   echo "==> [sanitize] configure"
   cmake --preset sanitize
-  echo "==> [sanitize] build scenario_test + metaclass_scenario"
+  echo "==> [sanitize] build scenario_test + metaclass_scenario + bench_e15_crash_recovery"
   cmake --build --preset sanitize -j "$jobs" --target scenario_test \
-    --target metaclass_scenario
+    --target metaclass_scenario --target bench_e15_crash_recovery
   echo "==> [scenario] engine unit tests under ASan+UBSan"
   # gtest_discover_tests registers individual case names, so ctest -R on the
   # binary name would select nothing (and exit 0); run the binary directly.
@@ -165,9 +166,13 @@ scenario_stage() {
   for spec in scenarios/exam.scenario.json \
               scenarios/campus_event.scenario.json \
               scenarios/campus_lecture.scenario.json \
-              scenarios/breakout_groups.scenario.json; do
+              scenarios/breakout_groups.scenario.json \
+              scenarios/storm_lecture.scenario.json \
+              scenarios/fault_recovery.scenario.json; do
     ./build-sanitize/tools/metaclass_scenario run "$spec"
   done
+  echo "==> [scenario] E15 crash-recovery + overload gates (ASan+UBSan)"
+  ./build-sanitize/bench/bench_e15_crash_recovery
   echo "==> [scenario] 60 s spec-mutation fuzz smoke (ASan+UBSan)"
   ./build-sanitize/tools/metaclass_scenario fuzz --seconds 60 \
     scenarios/exam.scenario.json
