@@ -20,12 +20,16 @@
 //  - section F: a small cell-aggregated CampusWorld (pool sweep, grid,
 //    aggregator, batcher, viewer delivery) after warm-up, allocations per
 //    update and per batch delivered to a viewer — the campus egress path
-//    with its avatar records stored inline and each batch sized once.
+//    with its avatar records stored inline and each batch sized once;
+//  - section G: a small blended classroom (headsets and room cameras ->
+//    edge fusion -> cloud -> relays -> VR clients) after warm-up,
+//    allocations per delivered avatar update — the sensing-to-client path
+//    with its expression channels inline and its jitter buffers rings.
 //
 // Exit code gates the perf CI stage: steady-state allocations/event must
 // stay within a small budget, the pooled loop must allocate at least 5x
-// less than the reference loop, and the campus must stay within its
-// per-update and per-batch budgets.
+// less than the reference loop, the campus must stay within its per-update
+// and per-batch budgets, and the classroom within its per-update budget.
 
 #include <algorithm>
 #include <array>
@@ -38,6 +42,7 @@
 #include <new>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -45,6 +50,7 @@
 #include "cloud/relay.hpp"
 #include "cloud/vr_client.hpp"
 #include "core/campus.hpp"
+#include "core/classroom.hpp"
 #include "core/sharded_world.hpp"
 #include "net/channel.hpp"
 #include "net/network.hpp"
@@ -102,6 +108,10 @@ constexpr double kCampusAllocBudget = 0.1;
 /// A batch's update vector is allocated once at its final size; the rest is
 /// the payload box and the flush's per-packet work.
 constexpr double kCampusBatchAllocBudget = 4.0;
+/// CI gate: steady-state allocations per avatar update delivered in the
+/// blended classroom (section G). What remains is mostly the boxed payload
+/// of each packet.
+constexpr double kClassroomAllocBudget = 4.0;
 
 struct Measured {
     double ops_per_sec{0.0};
@@ -384,6 +394,61 @@ CampusResult run_campus(bool quick) {
     return out;
 }
 
+// ------------------------------------------------------------- section G
+struct ClassroomResult {
+    std::size_t participants{0};
+    std::uint64_t updates{0};
+    double wall_seconds{0.0};
+    double allocs_per_update{0.0};
+};
+
+/// Avatar updates any node has received: the `net.rx.<flow>` counters of
+/// the avatar flows.
+std::uint64_t avatar_updates_received(const sim::MetricsRecorder& m) {
+    std::uint64_t total = 0;
+    m.for_each_counter([&total](std::string_view key, std::uint64_t value) {
+        if (key.starts_with("net.rx.avatar")) total += value;
+    });
+    return total;
+}
+
+/// Blended CWB + GZ classroom with remote VR students behind regional
+/// relays: warm up past the first keyframes, seat anchoring and a full
+/// jitter-buffer history, then count allocations per delivered update.
+ClassroomResult run_classroom(bool quick) {
+    core::ClassroomConfig c;
+    c.seed = kSeed;
+    c.regional_mesh = true;
+    core::MetaverseClassroom classroom{c};
+    const int students = quick ? 6 : 12;
+    classroom.add_instructor(0);
+    for (int i = 0; i < students; ++i) {
+        classroom.add_physical_student(0);
+        classroom.add_physical_student(1);
+    }
+    for (int i = 0; i < students / 2; ++i) {
+        classroom.add_remote_student(net::Region::Seoul);
+        classroom.add_remote_student(net::Region::London);
+    }
+    classroom.start();
+    classroom.run_for(sim::Time::seconds(3.0));
+
+    const sim::MetricsRecorder& metrics = classroom.network().metrics();
+    const std::uint64_t updates_before = avatar_updates_received(metrics);
+    const std::uint64_t before_allocs = allocations();
+    const auto start = std::chrono::steady_clock::now();
+    classroom.run_for(sim::Time::seconds(quick ? 2.0 : 5.0));
+    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
+    const auto allocs = static_cast<double>(allocations() - before_allocs);
+
+    ClassroomResult out;
+    out.participants = classroom.class_session().roster().size();
+    out.updates = avatar_updates_received(metrics) - updates_before;
+    out.wall_seconds = wall.count();
+    out.allocs_per_update = out.updates > 0 ? allocs / static_cast<double>(out.updates) : 0.0;
+    return out;
+}
+
 }  // namespace
 
 int main() {
@@ -538,6 +603,18 @@ int main() {
     session.record("F campus / allocs_per_update", campus.allocs_per_update);
     session.record("F campus / allocs_per_batch", campus.allocs_per_batch);
 
+    // ----------------------------------------- G: blended classroom path
+    std::printf("\nG. blended classroom avatar path (CWB + GZ + 2 relays, after warm-up)\n");
+    const ClassroomResult room = run_classroom(quick);
+    std::printf("%zu participants: %llu avatar updates delivered in %.3f s "
+                "(%.3f allocs/update)\n",
+                room.participants, static_cast<unsigned long long>(room.updates),
+                room.wall_seconds, room.allocs_per_update);
+    session.count("G classroom / participants", room.participants);
+    session.count("G classroom / updates", room.updates);
+    session.record("G classroom / wall_seconds", room.wall_seconds);
+    session.record("G classroom / allocs_per_update", room.allocs_per_update);
+
     // --------------------------------------------------------------- gates
     const double floor = 1e-9;
     const double reduction_small =
@@ -556,6 +633,8 @@ int main() {
     const bool campus_ok = campus.updates > 0 && campus.allocs_per_update <= kCampusAllocBudget;
     const bool campus_batch_ok =
         campus.batches > 0 && campus.allocs_per_batch <= kCampusBatchAllocBudget;
+    const bool classroom_ok =
+        room.updates > 0 && room.allocs_per_update <= kClassroomAllocBudget;
 
     session.record("gate / reduction_small_x", reduction_small);
     session.record("gate / reduction_large_x", reduction_large);
@@ -564,6 +643,7 @@ int main() {
     session.count("gate / handle_throughput_ok", throughput_ok ? 1 : 0);
     session.count("gate / campus_alloc_budget_ok", campus_ok ? 1 : 0);
     session.count("gate / campus_batch_alloc_budget_ok", campus_batch_ok ? 1 : 0);
+    session.count("gate / classroom_alloc_budget_ok", classroom_ok ? 1 : 0);
 
     std::printf("\nexpected shape: steady-state allocs per event/send/query <= %.2f "
                 "-> %s\n",
@@ -578,6 +658,10 @@ int main() {
     std::printf("expected shape: campus allocs per delivered batch <= %.2f (%.2f) -> %s\n",
                 kCampusBatchAllocBudget, campus.allocs_per_batch,
                 campus_batch_ok ? "PASS" : "FAIL");
-    return budget_ok && reduction_ok && throughput_ok && campus_ok && campus_batch_ok ? 0
-                                                                                       : 1;
+    std::printf("expected shape: classroom allocs per delivered update <= %.2f (%.3f) -> %s\n",
+                kClassroomAllocBudget, room.allocs_per_update, classroom_ok ? "PASS" : "FAIL");
+    return budget_ok && reduction_ok && throughput_ok && campus_ok && campus_batch_ok &&
+                   classroom_ok
+               ? 0
+               : 1;
 }

@@ -3,8 +3,7 @@
 // participant's digital twin — root kinematics, the tracked upper-body
 // joints, facial expression, and the current speech viseme.
 
-#include <vector>
-
+#include "common/fixed_vector.hpp"
 #include "common/ids.hpp"
 #include "math/pose.hpp"
 #include "sim/time.hpp"
@@ -29,7 +28,7 @@ struct AvatarState {
     math::KinematicState root;
     BodyPose body;
     /// Blendshape coefficients in [0,1]; size kExpressionChannels.
-    std::vector<double> expression;
+    common::FixedVector<double, kExpressionChannels> expression;
     /// Current mouth viseme index (0 = silence), driven by the audio stream.
     std::uint8_t viseme{0};
     /// Capture timestamp at the source.

@@ -176,8 +176,7 @@ void VrClient::behave() {
 }
 
 void VrClient::handle_avatar_packet(net::Packet&& p) {
-    const auto wire = p.payload.take<sync::AvatarWire>();
-    ingest_wire(wire);
+    ingest_wire(p.payload.get<sync::AvatarWire>());
 }
 
 void VrClient::handle_avatar_batch(net::Packet&& p) {

@@ -456,10 +456,13 @@ void MetaverseClassroom::start() {
             sim_, room.config.name, room.config.room_sensors,
             [this](ParticipantId who) { return truth_of(who, sim_.now()); },
             [this, server, wire_latency](sensing::SensorSample&& s) {
-                sim_.schedule_after(wire_latency,
-                                    [server, s = std::move(s)]() mutable {
-                                        server->ingest_sample(std::move(s));
-                                    });
+                // A camera sample is a position; carrying only that keeps
+                // the closure inside one event-pool block.
+                sim_.schedule_after(wire_latency, [server, who = s.participant,
+                                                   at = s.captured_at,
+                                                   position = s.pose.position] {
+                    server->ingest_sample(sensing::room_camera_sample(who, at, position));
+                });
             });
         for (const auto& [id, person] : physical_) {
             if (person.room_index == i) room.sensors->track(id);

@@ -299,9 +299,9 @@ avatar::AvatarState EdgeServer::synthesize_avatar(ParticipantId who,
     s.body.head = {base + q.rotate({0.0, 0.65, 0.0}), q};
     s.body.left_hand = {base + q.rotate({-0.25, 0.35, -0.20}), q};
     s.body.right_hand = {base + q.rotate({0.25, 0.35, -0.20}), q};
-    s.expression = track.expression;
-    if (s.expression.size() > avatar::kExpressionChannels)
-        s.expression.resize(avatar::kExpressionChannels);
+    // The wire carries the first kExpressionChannels of the fused channels.
+    const std::size_t channels = std::min(track.expression.size(), avatar::kExpressionChannels);
+    s.expression.assign(track.expression.begin(), track.expression.begin() + channels);
     return s;
 }
 
@@ -334,16 +334,17 @@ void EdgeServer::try_anchor(ParticipantId who, RemoteParticipant& rp) {
         return;
     }
     // First decodable state: pick a vacant seat and anchor the retargeting
-    // transform there.
-    const std::vector<SeatRequest> req{{who, latest->root.pose.position}};
-    const AssignmentResult res = assign_seats_optimal(seats_, req);
-    if (res.assignments.empty()) {
+    // transform there. A full room is checked before the matcher runs, since
+    // every wire of an unseated participant comes back here.
+    if (seats_.vacant_count() == 0) {
         if (!rp.seat_shortage_reported) {
             rp.seat_shortage_reported = true;
             ++seats_exhausted_;
         }
         return;
     }
+    const std::vector<SeatRequest> req{{who, latest->root.pose.position}};
+    const AssignmentResult res = assign_seats_optimal(seats_, req);
     const std::size_t seat_index = res.assignments.front().seat_index;
     seats_.occupy(seat_index, who);
     rp.seat = seat_index;

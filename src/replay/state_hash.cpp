@@ -13,15 +13,15 @@ std::uint64_t simulation_hash(const sim::Simulator& sim, const net::Network& net
     h.size(sim.executed_events());
     h.size(sim.pending_events());
     h.u64(net.total_bytes_sent());
-    for (const auto& [name, value] : net.metrics().counters()) {
+    net.metrics().for_each_counter([&h](std::string_view name, std::uint64_t value) {
         h.str(name);
         h.u64(value);
-    }
-    for (const auto& [name, series] : net.metrics().all_series()) {
+    });
+    net.metrics().for_each_series([&h](std::string_view name, const math::SampleSeries& series) {
         h.str(name);
-        h.size(series->count());
-        if (!series->empty()) h.f64(series->samples().back());
-    }
+        h.size(series.count());
+        if (!series.empty()) h.f64(series.samples().back());
+    });
     return h.digest();
 }
 

@@ -35,7 +35,7 @@ struct FusionParams {
 /// Fused, time-stamped participant state.
 struct FusedTrack {
     math::KinematicState state;
-    std::vector<double> expression;
+    ExpressionChannels expression;
     sim::Time last_update{};
     std::uint64_t updates{0};
 };
@@ -74,7 +74,7 @@ private:
         math::Vec3 angular_velocity{};
         bool have_orientation{false};
         sim::Time last_orientation_at{};
-        std::vector<double> expression;
+        ExpressionChannels expression;
         sim::Time last_update{};
         bool initialized{false};
         std::uint64_t updates{0};

@@ -29,6 +29,8 @@ Headset::Headset(sim::Simulator& sim, std::string name, ParticipantId wearer,
       rng_(sim.rng_stream("headset/" + name_)) {
     if (params_.sample_rate_hz <= 0.0)
         throw std::invalid_argument("Headset: sample rate must be positive");
+    if (params_.expression_channels > kMaxExpressionChannels)
+        throw std::invalid_argument("Headset: more expression channels than a sample holds");
     if (!truth_ || !emit_) throw std::invalid_argument("Headset: null callbacks");
 }
 
@@ -69,7 +71,6 @@ void Headset::sample_once() {
     s.pose.orientation =
         (math::Quat::from_axis_angle(axis, wobble) * pose.orientation).normalized();
 
-    s.expression.reserve(params_.expression_channels);
     for (std::size_t i = 0; i < params_.expression_channels; ++i) {
         const double truth_coeff = i < gt.expression.size() ? gt.expression[i] : 0.0;
         s.expression.push_back(

@@ -24,7 +24,8 @@ struct HeadsetParams {
     double orientation_noise_rad{0.002};
     /// Probability a sample is lost (tracking hiccup, camera blur).
     double dropout{0.01};
-    /// Number of facial blendshape channels captured (0 = no face tracking).
+    /// Number of facial blendshape channels captured (0 = no face tracking,
+    /// at most kMaxExpressionChannels).
     std::size_t expression_channels{16};
     /// 1-sigma noise on each blendshape coefficient.
     double expression_noise{0.02};

@@ -48,6 +48,17 @@ void RoomSensorArray::stop() {
     sim_.cancel(task_);
 }
 
+SensorSample room_camera_sample(ParticipantId participant, sim::Time captured_at,
+                                const math::Vec3& position) {
+    SensorSample s;
+    s.participant = participant;
+    s.captured_at = captured_at;
+    s.source = SensorSource::RoomCamera;
+    s.has_orientation = false;
+    s.pose.position = position;
+    return s;
+}
+
 void RoomSensorArray::sweep() {
     for (const ParticipantId p : tracked_) {
         // Two-state occlusion Markov chain: bursts of missing observations
@@ -59,17 +70,11 @@ void RoomSensorArray::sweep() {
             continue;
         }
         const GroundTruth gt = truth_(p);
-        SensorSample s;
-        s.participant = p;
-        s.captured_at = sim_.now();
-        s.source = SensorSource::RoomCamera;
-        s.has_orientation = false;
-        s.pose.position = gt.kinematics.pose.position +
-                          math::Vec3{rng_.normal(0.0, params_.position_noise_m),
-                                     rng_.normal(0.0, params_.position_noise_m),
-                                     rng_.normal(0.0, params_.position_noise_m)};
+        const math::Vec3 noise{rng_.normal(0.0, params_.position_noise_m),
+                               rng_.normal(0.0, params_.position_noise_m),
+                               rng_.normal(0.0, params_.position_noise_m)};
         ++emitted_;
-        emit_(std::move(s));
+        emit_(room_camera_sample(p, sim_.now(), gt.kinematics.pose.position + noise));
     }
 }
 

@@ -26,6 +26,12 @@ struct RoomSensorParams {
     double occlusion_end{0.3};
 };
 
+/// A room-camera observation: a position with no orientation and no
+/// expression channels. The camera array and the wired backhaul that carries
+/// its samples to the edge both build them here.
+[[nodiscard]] SensorSample room_camera_sample(ParticipantId participant, sim::Time captured_at,
+                                              const math::Vec3& position);
+
 class RoomSensorArray {
 public:
     using TruthFn = std::function<GroundTruth(ParticipantId)>;

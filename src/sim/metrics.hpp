@@ -111,6 +111,20 @@ public:
         std::string_view name, std::initializer_list<Label> labels) const;
     [[nodiscard]] bool has_series(std::string_view name) const;
 
+    /// Visit every counter as fn(key, value), in key order, without
+    /// building a snapshot.
+    template <class Fn>
+    void for_each_counter(Fn&& fn) const {
+        for (const auto& [name, slot] : counter_index_)
+            fn(std::string_view{name}, counter_values_[slot]);
+    }
+    /// Visit every series as fn(key, series), in key order.
+    template <class Fn>
+    void for_each_series(Fn&& fn) const {
+        for (const auto& [name, slot] : series_index_)
+            fn(std::string_view{name}, series_values_[slot]);
+    }
+
     /// Snapshot of all counters by canonical key (sorted). Cold path: built
     /// on demand now that live values sit in dense slots.
     [[nodiscard]] std::map<std::string, std::uint64_t, std::less<>> counters() const;

@@ -5,6 +5,11 @@
 
 namespace mvc::sync {
 
+namespace {
+/// Fewest slots a ring holds once it has held anything.
+constexpr std::size_t kMinCapacity = 4;
+}  // namespace
+
 JitterBuffer::JitterBuffer(JitterBufferParams params) : params_(params) {}
 
 void JitterBuffer::push(avatar::AvatarState state, sim::Time arrival) {
@@ -19,19 +24,41 @@ void JitterBuffer::push(avatar::AvatarState state, sim::Time arrival) {
                                : transit_ms;
     have_transit_ = true;
 
-    // Insert sorted by capture time (arrivals may reorder).
-    auto it = std::upper_bound(
-        buffer_.begin(), buffer_.end(), state.captured_at,
-        [](sim::Time t, const Entry& e) { return t < e.state.captured_at; });
-    buffer_.insert(it, Entry{std::move(state), arrival});
+    // Insert sorted by capture time (arrivals may reorder): after every
+    // state captured at or before this one, shifting newer ones up a slot.
+    if (count_ == ring_.size()) reallocate(std::max(kMinCapacity, ring_.size() * 5 / 4));
+    std::size_t pos = count_;
+    for (; pos > 0 && state.captured_at < at(pos - 1).captured_at; --pos)
+        at(pos) = std::move(at(pos - 1));
+    at(pos) = std::move(state);
+    ++count_;
     prune(arrival);
 }
 
+avatar::AvatarState& JitterBuffer::at(std::size_t i) {
+    const std::size_t slot = head_ + i;
+    return ring_[slot < ring_.size() ? slot : slot - ring_.size()];
+}
+
+const avatar::AvatarState& JitterBuffer::at(std::size_t i) const {
+    const std::size_t slot = head_ + i;
+    return ring_[slot < ring_.size() ? slot : slot - ring_.size()];
+}
+
+void JitterBuffer::reallocate(std::size_t capacity) {
+    std::vector<avatar::AvatarState> ring(capacity);
+    for (std::size_t i = 0; i < count_; ++i) ring[i] = std::move(at(i));
+    ring_.swap(ring);
+    head_ = 0;
+}
+
 void JitterBuffer::prune(sim::Time now) {
-    while (!buffer_.empty() &&
-           now - buffer_.front().state.captured_at > params_.history) {
-        buffer_.pop_front();
+    while (count_ > 0 && now - at(0).captured_at > params_.history) {
+        head_ = head_ + 1 < ring_.size() ? head_ + 1 : 0;
+        --count_;
     }
+    if (ring_.size() > kMinCapacity && count_ < ring_.size() / 2)
+        reallocate(std::max(kMinCapacity, ring_.size() * 3 / 4));
 }
 
 sim::Time JitterBuffer::playout_delay() const {
@@ -40,34 +67,33 @@ sim::Time JitterBuffer::playout_delay() const {
 }
 
 std::optional<avatar::AvatarState> JitterBuffer::sample(sim::Time now) const {
-    if (buffer_.empty()) return std::nullopt;
+    if (count_ == 0) return std::nullopt;
     // Playout point on the capture-time axis: the newest capture timestamp we
     // have seen, minus the (smoothed) transit, gives the source-time "now";
     // we render delayed by playout_delay from that.
     const sim::Time target = now - sim::Time::ms(smoothed_transit_ms_) - playout_delay();
 
-    const Entry* before = nullptr;
-    const Entry* after = nullptr;
-    for (const Entry& e : buffer_) {
-        if (e.state.captured_at <= target) {
-            before = &e;
+    const avatar::AvatarState* before = nullptr;
+    const avatar::AvatarState* after = nullptr;
+    for (std::size_t i = 0; i < count_; ++i) {
+        const avatar::AvatarState& s = at(i);
+        if (s.captured_at <= target) {
+            before = &s;
         } else {
-            after = &e;
+            after = &s;
             break;
         }
     }
     if (before != nullptr && after != nullptr) {
-        const double span = (after->state.captured_at - before->state.captured_at).to_seconds();
-        const double t = span > 0.0
-                             ? (target - before->state.captured_at).to_seconds() / span
-                             : 0.0;
-        avatar::AvatarState out = before->state;
-        out.root.pose = math::interpolate(before->state.root.pose, after->state.root.pose, t);
-        out.body.head = math::interpolate(before->state.body.head, after->state.body.head, t);
-        out.body.left_hand =
-            math::interpolate(before->state.body.left_hand, after->state.body.left_hand, t);
+        const double span = (after->captured_at - before->captured_at).to_seconds();
+        const double t =
+            span > 0.0 ? (target - before->captured_at).to_seconds() / span : 0.0;
+        avatar::AvatarState out = *before;
+        out.root.pose = math::interpolate(before->root.pose, after->root.pose, t);
+        out.body.head = math::interpolate(before->body.head, after->body.head, t);
+        out.body.left_hand = math::interpolate(before->body.left_hand, after->body.left_hand, t);
         out.body.right_hand =
-            math::interpolate(before->state.body.right_hand, after->state.body.right_hand, t);
+            math::interpolate(before->body.right_hand, after->body.right_hand, t);
         out.captured_at = target;
         return out;
     }
@@ -76,16 +102,16 @@ std::optional<avatar::AvatarState> JitterBuffer::sample(sim::Time now) const {
         // timestamp stays anchored to real data (last capture + the amount
         // extrapolated) so stale displays are visible as stale — an outage
         // must not masquerade as a fresh frame.
-        const sim::Time gap = target - before->state.captured_at;
+        const sim::Time gap = target - before->captured_at;
         if (gap > sim::Time::zero()) ++underruns_;
         const double dt =
             std::min(gap, params_.max_extrapolation).to_seconds();
-        avatar::AvatarState out = avatar::extrapolate(before->state, std::max(0.0, dt));
-        out.captured_at = before->state.captured_at + sim::Time::seconds(std::max(0.0, dt));
+        avatar::AvatarState out = avatar::extrapolate(*before, std::max(0.0, dt));
+        out.captured_at = before->captured_at + sim::Time::seconds(std::max(0.0, dt));
         return out;
     }
     // Target earlier than everything buffered (startup): show the oldest.
-    return buffer_.front().state;
+    return at(0);
 }
 
 }  // namespace mvc::sync

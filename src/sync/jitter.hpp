@@ -4,9 +4,14 @@
 // produces visible stutter. The buffer delays playout by an adaptive amount
 // (EWMA jitter * margin), then serves interpolated states at
 // now - playout_delay, extrapolating when the buffer runs dry.
+//
+// The history is a ring of states sorted by capture time. Its capacity
+// follows the depth: it grows by a quarter when full and shrinks by a
+// quarter when a prune leaves it under half full, so a stream at a steady
+// rate pushes and prunes without allocating (DESIGN §9.5).
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "avatar/state.hpp"
 
@@ -37,22 +42,24 @@ public:
 
     [[nodiscard]] sim::Time playout_delay() const;
     [[nodiscard]] double jitter_estimate_ms() const { return jitter_ms_; }
-    [[nodiscard]] std::size_t depth() const { return buffer_.size(); }
+    [[nodiscard]] std::size_t depth() const { return count_; }
     [[nodiscard]] std::uint64_t underruns() const { return underruns_; }
 
 private:
-    struct Entry {
-        avatar::AvatarState state;
-        sim::Time arrival;
-    };
-
     JitterBufferParams params_;
-    std::deque<Entry> buffer_;  // sorted by capture time
+    std::vector<avatar::AvatarState> ring_;  // slots; the first live one is head_
+    std::size_t head_{0};
+    std::size_t count_{0};                   // live states, sorted by capture time
     double jitter_ms_{0.0};
     bool have_transit_{false};
     double smoothed_transit_ms_{0.0};
     mutable std::uint64_t underruns_{0};
 
+    /// The i-th buffered state, oldest first.
+    [[nodiscard]] avatar::AvatarState& at(std::size_t i);
+    [[nodiscard]] const avatar::AvatarState& at(std::size_t i) const;
+    /// Move the live states, oldest first, into a ring of `capacity` slots.
+    void reallocate(std::size_t capacity);
     void prune(sim::Time now);
 };
 

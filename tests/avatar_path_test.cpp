@@ -1,6 +1,7 @@
-// Tests for the blended classroom's per-sample avatar path: the jitter
-// buffer's ordering and pruning over a long stream, the tethered headset's
-// 32 expression channels and their WiFi charge.
+// Tests for the blended classroom's per-sample avatar path: the inline
+// expression channels, the jitter buffer's ordering and pruning over a long
+// stream, the tethered headset's 32 expression channels and their WiFi
+// charge.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,9 @@
 #include <cmath>
 #include <iterator>
 #include <set>
+#include <stdexcept>
 
+#include "common/fixed_vector.hpp"
 #include "core/classroom.hpp"
 #include "net/packet.hpp"
 #include "sensing/headset.hpp"
@@ -16,6 +19,61 @@
 
 namespace mvc {
 namespace {
+
+// --------------------------------------------------------- inline channels
+
+using Channels = common::FixedVector<double, 4>;
+
+TEST(FixedVectorTest, VectorSubset) {
+    Channels c;
+    EXPECT_TRUE(c.empty());
+    c.reserve(4);
+    c.push_back(0.5);
+    c.push_back(0.25);
+    EXPECT_EQ(c.size(), 2u);
+    EXPECT_EQ(c[1], 0.25);
+    c.resize(4);
+    EXPECT_EQ(c[2], 0.0);
+    EXPECT_EQ(c[3], 0.0);
+    c.resize(1);
+    c.resize(3, 0.75);
+    EXPECT_EQ(c, (Channels{0.5, 0.75, 0.75}));
+    c.assign(2, 0.125);
+    double sum = 0.0;
+    for (const double v : c) sum += v;
+    EXPECT_EQ(sum, 0.25);
+    c = {1.0};
+    EXPECT_EQ(c.size(), 1u);
+    EXPECT_EQ(c[0], 1.0);
+    const double more[] = {0.1, 0.2, 0.3};
+    c.assign(std::begin(more), std::end(more));
+    EXPECT_EQ(c, (Channels{0.1, 0.2, 0.3}));
+}
+
+TEST(FixedVectorTest, CopiesAreIndependentValues) {
+    Channels a{0.1, 0.2};
+    Channels b = a;
+    b[0] = 0.9;
+    b.push_back(0.3);
+    EXPECT_EQ(a, (Channels{0.1, 0.2}));
+    EXPECT_EQ(b, (Channels{0.9, 0.2, 0.3}));
+    a = b;
+    EXPECT_EQ(a, b);
+    a.clear();
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(b.size(), 3u);
+    static_assert(sizeof(Channels) <= 4 * sizeof(double) + 8, "values are stored inline");
+}
+
+TEST(FixedVectorTest, OverflowThrowsAndLeavesContents) {
+    Channels c{0.1, 0.2, 0.3, 0.4};
+    EXPECT_THROW(c.push_back(0.5), std::length_error);
+    EXPECT_THROW(c.resize(5), std::length_error);
+    EXPECT_THROW(c.assign(5, 0.0), std::length_error);
+    EXPECT_THROW(c.reserve(5), std::length_error);
+    EXPECT_THROW((c = {0.0, 0.0, 0.0, 0.0, 0.0}), std::length_error);
+    EXPECT_EQ(c, (Channels{0.1, 0.2, 0.3, 0.4}));
+}
 
 // ------------------------------------------------------------ jitter buffer
 
@@ -114,6 +172,20 @@ TEST(TetheredHeadsetTest, SamplesThirtyTwoExpressionChannels) {
     hs.start();
     sim.run_until(sim::Time::seconds(1));
     EXPECT_EQ(samples, 90u);
+}
+
+TEST(TetheredHeadsetTest, RejectsMoreChannelsThanASampleHolds) {
+    sim::Simulator sim;
+    sensing::HeadsetParams params = sensing::tethered_mr_params();
+    const auto make = [&] {
+        return sensing::Headset{sim, "h", ParticipantId{1}, params,
+                                [] { return sensing::GroundTruth{}; },
+                                [](sensing::SensorSample&&) {}};
+    };
+    params.expression_channels = sensing::kMaxExpressionChannels;
+    EXPECT_NO_THROW(make());
+    params.expression_channels = sensing::kMaxExpressionChannels + 1;
+    EXPECT_THROW(make(), std::invalid_argument);
 }
 
 /// Fused expression channels the CWB edge holds for one student after a
