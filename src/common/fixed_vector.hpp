@@ -27,7 +27,6 @@ class FixedVector {
 
 public:
     using value_type = T;
-    using size_type = std::size_t;
     using iterator = T*;
     using const_iterator = const T*;
 
@@ -47,8 +46,6 @@ public:
         assign(values.begin(), values.end());
         return *this;
     }
-
-    ~FixedVector() = default;
 
     /// Replace the contents with `n` copies of `value`.
     void assign(std::size_t n, const T& value) {
@@ -79,13 +76,8 @@ public:
     /// Storage is fixed; only checks that `n` elements fit.
     void reserve(std::size_t n) const { check(n); }
 
-    void clear() { size_ = 0; }
-
-    [[nodiscard]] static constexpr std::size_t capacity() { return N; }
     [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] bool empty() const { return size_ == 0; }
-    [[nodiscard]] T* data() { return values_; }
-    [[nodiscard]] const T* data() const { return values_; }
 
     [[nodiscard]] T& operator[](std::size_t i) { return values_[i]; }
     [[nodiscard]] const T& operator[](std::size_t i) const { return values_[i]; }

@@ -1,6 +1,7 @@
 #include "sync/jitter.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace mvc::sync {
@@ -8,6 +9,14 @@ namespace mvc::sync {
 namespace {
 /// Fewest slots a ring holds once it has held anything.
 constexpr std::size_t kMinCapacity = 4;
+
+/// Ring capacities run 4, 6, 8, 12, 16, 24, ...: a power of two or one and a
+/// half times one. Rings that grow and shrink share these few block sizes,
+/// so a block one ring frees is reused by the next that grows into it.
+std::size_t next_capacity(std::size_t c) {
+    if (c < kMinCapacity) return kMinCapacity;
+    return std::has_single_bit(c) ? c + c / 2 : c / 3 * 4;
+}
 }  // namespace
 
 JitterBuffer::JitterBuffer(JitterBufferParams params) : params_(params) {}
@@ -26,39 +35,35 @@ void JitterBuffer::push(avatar::AvatarState state, sim::Time arrival) {
 
     // Insert sorted by capture time (arrivals may reorder): after every
     // state captured at or before this one, shifting newer ones up a slot.
-    if (count_ == ring_.size()) reallocate(std::max(kMinCapacity, ring_.size() * 5 / 4));
+    if (count_ == ring_.size()) reallocate(next_capacity(ring_.size()));
     std::size_t pos = count_;
-    for (; pos > 0 && state.captured_at < at(pos - 1).captured_at; --pos)
-        at(pos) = std::move(at(pos - 1));
-    at(pos) = std::move(state);
+    for (; pos > 0 && state.captured_at < ring_[slot(pos - 1)].captured_at; --pos)
+        ring_[slot(pos)] = std::move(ring_[slot(pos - 1)]);
+    ring_[slot(pos)] = std::move(state);
     ++count_;
     prune(arrival);
 }
 
-avatar::AvatarState& JitterBuffer::at(std::size_t i) {
-    const std::size_t slot = head_ + i;
-    return ring_[slot < ring_.size() ? slot : slot - ring_.size()];
-}
-
-const avatar::AvatarState& JitterBuffer::at(std::size_t i) const {
-    const std::size_t slot = head_ + i;
-    return ring_[slot < ring_.size() ? slot : slot - ring_.size()];
+std::size_t JitterBuffer::slot(std::size_t i) const {
+    const std::size_t s = head_ + i;
+    return s < ring_.size() ? s : s - ring_.size();
 }
 
 void JitterBuffer::reallocate(std::size_t capacity) {
     std::vector<avatar::AvatarState> ring(capacity);
-    for (std::size_t i = 0; i < count_; ++i) ring[i] = std::move(at(i));
+    for (std::size_t i = 0; i < count_; ++i) ring[i] = std::move(ring_[slot(i)]);
     ring_.swap(ring);
     head_ = 0;
 }
 
 void JitterBuffer::prune(sim::Time now) {
-    while (count_ > 0 && now - at(0).captured_at > params_.history) {
-        head_ = head_ + 1 < ring_.size() ? head_ + 1 : 0;
+    while (count_ > 0 && now - ring_[head_].captured_at > params_.history) {
+        head_ = slot(1);
         --count_;
     }
-    if (ring_.size() > kMinCapacity && count_ < ring_.size() / 2)
-        reallocate(std::max(kMinCapacity, ring_.size() * 3 / 4));
+    // Halving (two capacity steps) leaves the ring at most two thirds full.
+    if (ring_.size() >= 2 * kMinCapacity && count_ < ring_.size() / 3)
+        reallocate(ring_.size() / 2);
 }
 
 sim::Time JitterBuffer::playout_delay() const {
@@ -76,7 +81,7 @@ std::optional<avatar::AvatarState> JitterBuffer::sample(sim::Time now) const {
     const avatar::AvatarState* before = nullptr;
     const avatar::AvatarState* after = nullptr;
     for (std::size_t i = 0; i < count_; ++i) {
-        const avatar::AvatarState& s = at(i);
+        const avatar::AvatarState& s = ring_[slot(i)];
         if (s.captured_at <= target) {
             before = &s;
         } else {
@@ -111,7 +116,7 @@ std::optional<avatar::AvatarState> JitterBuffer::sample(sim::Time now) const {
         return out;
     }
     // Target earlier than everything buffered (startup): show the oldest.
-    return at(0);
+    return ring_[head_];
 }
 
 }  // namespace mvc::sync

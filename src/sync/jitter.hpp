@@ -6,9 +6,9 @@
 // now - playout_delay, extrapolating when the buffer runs dry.
 //
 // The history is a ring of states sorted by capture time. Its capacity
-// follows the depth: it grows by a quarter when full and shrinks by a
-// quarter when a prune leaves it under half full, so a stream at a steady
-// rate pushes and prunes without allocating (DESIGN §9.5).
+// follows the depth: it steps up (x1.5 or x1.33) when full and halves when a
+// prune leaves it under a third full, so a stream at a steady rate pushes
+// and prunes without allocating (DESIGN §9.5).
 
 #include <optional>
 #include <vector>
@@ -55,9 +55,8 @@ private:
     double smoothed_transit_ms_{0.0};
     mutable std::uint64_t underruns_{0};
 
-    /// The i-th buffered state, oldest first.
-    [[nodiscard]] avatar::AvatarState& at(std::size_t i);
-    [[nodiscard]] const avatar::AvatarState& at(std::size_t i) const;
+    /// Ring slot of the i-th buffered state, oldest first.
+    [[nodiscard]] std::size_t slot(std::size_t i) const;
     /// Move the live states, oldest first, into a ring of `capacity` slots.
     void reallocate(std::size_t capacity);
     void prune(sim::Time now);

@@ -59,7 +59,7 @@ TEST(FixedVectorTest, CopiesAreIndependentValues) {
     EXPECT_EQ(b, (Channels{0.9, 0.2, 0.3}));
     a = b;
     EXPECT_EQ(a, b);
-    a.clear();
+    a.resize(0);
     EXPECT_TRUE(a.empty());
     EXPECT_EQ(b.size(), 3u);
     static_assert(sizeof(Channels) <= 4 * sizeof(double) + 8, "values are stored inline");
