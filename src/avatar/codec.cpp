@@ -76,6 +76,11 @@ enum : std::uint16_t {
     kViseme = 1u << 8,
 };
 
+/// Bytes of one full snapshot: participant and capture time, root pose and
+/// velocities, three body joints, the expression channels and the viseme.
+constexpr std::size_t kFullSnapshotBytes =
+    4 + 8 + (6 + 7 + 6 + 6) + 3 * (6 + 7) + kExpressionChannels + 1;
+
 bool pose_changed(const math::Pose& a, const math::Pose& b, const DeltaThresholds& t) {
     return a.position.distance_to(b.position) > t.position_m ||
            math::angular_distance(a.orientation, b.orientation) > t.rotation_rad;
@@ -109,6 +114,7 @@ double AvatarCodec::position_resolution() const {
 
 std::vector<std::uint8_t> AvatarCodec::encode_full(const AvatarState& s) const {
     Bytes w;
+    w.reserve(kFullSnapshotBytes);
     encode_full(s, w);
     return w;
 }

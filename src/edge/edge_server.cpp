@@ -135,8 +135,11 @@ void EdgeServer::publish(ParticipantId who, const std::vector<std::uint8_t>& byt
             relay_to.push_back(peer.node);
     }
     // Every plain peer shares one payload box; only the cloud-relay copy
-    // (which piggybacks the failover routing list) needs its own value.
-    const net::Payload shared{wire};
+    // (which piggybacks the failover routing list) needs its own value. The
+    // box takes the wire itself when nothing reads the wire afterwards.
+    net::Payload shared;
+    if (!batcher_)
+        shared = relay_to.empty() ? net::Payload{std::move(wire)} : net::Payload{wire};
     for (const PeerLink& peer : peers_) {
         if (!peer.alive) continue;
         ++packets_out_;

@@ -286,6 +286,7 @@ void FecStream::seal_block() {
     }
     sender_blocks_.emplace(block_id, std::move(open_block_));
     open_block_.clear();
+    open_block_.reserve(options_.block_size);
 
     // Bound sender memory; keep enough history that bursty senders (many
     // blocks per timeout window) can still deliver recovered payloads.

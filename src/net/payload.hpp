@@ -6,11 +6,26 @@
 // `holds<T>()` lets handlers branch without exceptions. Copies share the box
 // (like shared_ptr), which makes N-way fan-out of one wire value cheap;
 // `take<T>()` moves the value out when the box is uniquely owned.
+//
+// Boxes come from per-thread, per-box-type free lists (DESIGN §9.6): a box
+// freed on a thread is reused by that thread's next box of the same type,
+// whichever thread allocated it.
 
+#include <array>
+#include <cstddef>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
+
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace mvc::net {
 
@@ -25,6 +40,85 @@ template <class T>
 [[nodiscard]] constexpr PayloadTypeId payload_type_id() {
     return &payload_tag_v<T>;
 }
+
+/// Freed blocks a thread keeps per block type. Small on purpose: whatever
+/// the lists hold is memory the next allocation of another size cannot use.
+inline constexpr std::size_t kBoxPoolCap = 128;
+
+/// One thread's free blocks of one type. Its destructor runs at thread exit
+/// and hands the blocks back to the global allocator.
+template <class Block>
+struct BoxFreeList {
+    // Trivially destructible, so it can still be read after the list is gone.
+    static thread_local inline bool closed = false;
+
+    std::array<void*, kBoxPoolCap> blocks{};
+    std::size_t size{0};
+
+    BoxFreeList() = default;
+    BoxFreeList(const BoxFreeList&) = delete;
+    BoxFreeList& operator=(const BoxFreeList&) = delete;
+    ~BoxFreeList() {
+        closed = true;
+        while (size > 0) {
+            void* p = blocks[--size];
+            ASAN_UNPOISON_MEMORY_REGION(p, sizeof(Block));
+            ::operator delete(p, sizeof(Block));
+        }
+    }
+};
+
+/// The calling thread's list. A function-local thread_local registers its
+/// destructor when first reached; with GCC 12 a thread_local variable
+/// template was not always destroyed at thread exit, leaking its blocks.
+template <class Block>
+[[nodiscard]] BoxFreeList<Block>& box_free_list() {
+    thread_local BoxFreeList<Block> list;
+    return list;
+}
+
+/// Allocator for `std::allocate_shared`. It is rebound to the control-block
+/// type, so each payload type draws blocks of exactly its own size.
+template <class T>
+struct BoxAllocator {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    using value_type = T;
+
+    BoxAllocator() = default;
+    template <class U>
+    BoxAllocator(const BoxAllocator<U>&) noexcept {}  // NOLINT: rebinding
+
+    [[nodiscard]] T* allocate(std::size_t n) {
+        if (n == 1 && !BoxFreeList<T>::closed) {
+            BoxFreeList<T>& list = box_free_list<T>();
+            if (list.size > 0) {
+                void* p = list.blocks[--list.size];
+                ASAN_UNPOISON_MEMORY_REGION(p, sizeof(T));
+                return static_cast<T*>(p);
+            }
+        }
+        return static_cast<T*>(::operator new(n * sizeof(T)));
+    }
+
+    /// The block joins the freeing thread's list; past the cap, or once the
+    /// thread's list is gone, it goes back to the global allocator.
+    void deallocate(T* p, std::size_t n) noexcept {
+        if (n == 1 && !BoxFreeList<T>::closed) {
+            BoxFreeList<T>& list = box_free_list<T>();
+            if (list.size < kBoxPoolCap) {
+                ASAN_POISON_MEMORY_REGION(p, sizeof(T));
+                list.blocks[list.size++] = p;
+                return;
+            }
+        }
+        ::operator delete(p, n * sizeof(T));
+    }
+
+    template <class U>
+    friend bool operator==(const BoxAllocator&, const BoxAllocator<U>&) {
+        return true;
+    }
+};
 }  // namespace detail
 
 class Payload {
@@ -34,7 +128,8 @@ public:
     template <class T, class D = std::decay_t<T>,
               class = std::enable_if_t<!std::is_same_v<D, Payload>>>
     Payload(T&& value)  // NOLINT(google-explicit-constructor): mirrors std::any
-        : box_(std::make_shared<Box<D>>(std::forward<T>(value))) {}
+        : box_(std::allocate_shared<Box<D>>(detail::BoxAllocator<Box<D>>{},
+                                            std::forward<T>(value))) {}
 
     [[nodiscard]] bool empty() const { return box_ == nullptr; }
 
