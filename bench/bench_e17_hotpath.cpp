@@ -6,9 +6,12 @@
 //  - section A: labeled metric recording through the string API (canonical
 //    key built per call) vs a pre-resolved MetricId (one indexed add);
 //  - section B: the Simulator event loop (SBO callbacks + pooled overflow
-//    blocks + bitmap liveness) vs an in-bench reference loop using the old
-//    design (std::function events, priority_queue with copy-out top,
-//    unordered_set liveness) on the same self-rescheduling workload;
+//    blocks in the slot/generation timer queue) vs an in-bench reference
+//    loop using the old design (std::function events, priority_queue with
+//    copy-out top, unordered_set liveness) on the same self-rescheduling
+//    workload; then timer churn (64 periodic chains, each tick arming a
+//    one-shot and cancelling the previous one) and the WallClock path (arm,
+//    cancel, run_due), which must both make exactly zero allocations;
 //  - section C: the full Channel -> Network -> Link -> deliver packet path,
 //    allocations per send in steady state;
 //  - section D: an E16-style sharded sweep (origin + 6 regional relays +
@@ -28,8 +31,9 @@
 //
 // Exit code gates the perf CI stage: steady-state allocations/event must
 // stay within a small budget, the pooled loop must allocate at least 5x
-// less than the reference loop, the campus must stay within its per-update
-// and per-batch budgets, and the classroom within its per-update budget.
+// less than the reference loop, timer churn and WallClock timers must not
+// allocate at all, the campus must stay within its per-update and per-batch
+// budgets, and the classroom within its per-update budget.
 
 #include <algorithm>
 #include <array>
@@ -56,6 +60,7 @@
 #include "net/network.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "sim/wall_clock.hpp"
 #include "sync/interest.hpp"
 
 // ---------------------------------------------------------------------------
@@ -265,6 +270,49 @@ Measured run_event_loop(std::size_t sessions, std::uint64_t warmup_events,
 struct PooledLoop : sim::Simulator {
     PooledLoop() : sim::Simulator(kSeed) {}
 };
+
+struct ChurnResult {
+    std::uint64_t events{0};
+    std::uint64_t allocations{0};
+    double events_per_sec{0.0};
+};
+
+/// `chains` periodic timers on one Simulator; each tick cancels the one-shot
+/// its chain armed the tick before and arms a new one 1 ms out, so every
+/// one-shot is cancelled and leaves a stale queue entry behind. Counts the
+/// allocations made over `events` chain ticks after `warmup_events`.
+ChurnResult run_timer_churn(std::size_t chains, std::uint64_t warmup_events,
+                            std::uint64_t events) {
+    sim::Simulator sim{kSeed};
+    std::vector<sim::EventHandle> armed(chains);
+    for (std::size_t c = 0; c < chains; ++c) {
+        sim.schedule_every(sim::Time::us(100), sim::Time::us(static_cast<std::int64_t>(c) + 1),
+                           [&sim, &armed, c] {
+                               sim.cancel(armed[c]);
+                               armed[c] = sim.schedule_after(sim::Time::ms(1), [] {});
+                           });
+    }
+    const sim::Time slice = sim::Time::ms(10);
+    sim::Time horizon = slice;
+    while (sim.executed_events() < warmup_events) {
+        sim.run_until(horizon);
+        horizon = horizon + slice;
+    }
+    const std::uint64_t before_allocs = allocations();
+    const std::size_t before_events = sim.executed_events();
+    const auto start = std::chrono::steady_clock::now();
+    while (sim.executed_events() < warmup_events + events) {
+        sim.run_until(horizon);
+        horizon = horizon + slice;
+    }
+    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
+    ChurnResult r;
+    r.events = sim.executed_events() - before_events;
+    r.allocations = allocations() - before_allocs;
+    r.events_per_sec =
+        wall.count() > 0.0 ? static_cast<double>(r.events) / wall.count() : 0.0;
+    return r;
+}
 
 // ------------------------------------------------------------- section D
 constexpr net::Region kRegions[] = {net::Region::Seoul,  net::Region::Tokyo,
@@ -508,6 +556,31 @@ int main() {
     session.record("B pooled_large / events_per_sec", pooled_large.ops_per_sec);
     session.record("B pooled_large / allocs_per_event", pooled_large.allocs_per_op);
 
+    const ChurnResult churn = run_timer_churn(64, warmup_events, events);
+    std::printf("%-34s %14.0f ops/s %12llu allocs in %llu events\n",
+                "timer churn, 64 chains + one-shots", churn.events_per_sec,
+                static_cast<unsigned long long>(churn.allocations),
+                static_cast<unsigned long long>(churn.events));
+    session.count("B timer_churn / events", churn.events);
+    session.count("B timer_churn / allocations", churn.allocations);
+    session.record("B timer_churn / events_per_sec", churn.events_per_sec);
+
+    // Two timers armed already due per op: one cancelled, one fired by run_due.
+    sim::WallClock wall{kSeed};
+    std::uint64_t wall_fired = 0;
+    const Measured wall_ops = measure(1'000, ops / 10, [&wall, &wall_fired](std::size_t) {
+        const sim::EventHandle h = wall.schedule_at(sim::Time::zero(), [&wall_fired] { ++wall_fired; });
+        wall.schedule_at(sim::Time::zero(), [&wall_fired] { ++wall_fired; });
+        wall.cancel(h);
+        wall.run_due();
+    });
+    const double wall_allocs_per_timer = wall_ops.allocs_per_op / 2.0;
+    std::printf("%-34s %14.0f ops/s %12.3f allocs/timer\n", "WallClock arm+cancel+run_due",
+                wall_ops.ops_per_sec, wall_allocs_per_timer);
+    session.record("B wall_clock / ops_per_sec", wall_ops.ops_per_sec);
+    session.record("B wall_clock / allocs_per_timer", wall_allocs_per_timer);
+    session.count("B wall_clock / fired", wall_fired);
+
     // ---------------------------------------------------- C: channel sends
     std::printf("\nC. Channel -> Network -> Link -> deliver, empty payloads\n");
     sim::Simulator csim{kSeed};
@@ -631,6 +704,8 @@ int main() {
         legacy_small.allocs_per_op >= 5.0 * std::max(pooled_small.allocs_per_op, floor) &&
         legacy_large.allocs_per_op >= 5.0 * std::max(pooled_large.allocs_per_op, floor);
     const bool throughput_ok = via_handles.ops_per_sec > via_strings.ops_per_sec;
+    const bool timers_ok = churn.events > 0 && churn.allocations == 0 &&
+                           wall_fired > 0 && wall_allocs_per_timer == 0.0;
     const bool campus_ok = campus.updates > 0 && campus.allocs_per_update <= kCampusAllocBudget;
     const bool campus_batch_ok =
         campus.batches > 0 && campus.allocs_per_batch <= kCampusBatchAllocBudget;
@@ -642,6 +717,7 @@ int main() {
     session.count("gate / alloc_budget_ok", budget_ok ? 1 : 0);
     session.count("gate / reduction_5x_ok", reduction_ok ? 1 : 0);
     session.count("gate / handle_throughput_ok", throughput_ok ? 1 : 0);
+    session.count("gate / timer_zero_alloc_ok", timers_ok ? 1 : 0);
     session.count("gate / campus_alloc_budget_ok", campus_ok ? 1 : 0);
     session.count("gate / campus_batch_alloc_budget_ok", campus_batch_ok ? 1 : 0);
     session.count("gate / classroom_alloc_budget_ok", classroom_ok ? 1 : 0);
@@ -654,6 +730,10 @@ int main() {
                 reduction_small, reduction_large, reduction_ok ? "PASS" : "FAIL");
     std::printf("expected shape: handle API faster than string API -> %s\n",
                 throughput_ok ? "PASS" : "FAIL");
+    std::printf("expected shape: timer churn and WallClock timers make 0 allocations "
+                "(%llu, %.3f/timer) -> %s\n",
+                static_cast<unsigned long long>(churn.allocations), wall_allocs_per_timer,
+                timers_ok ? "PASS" : "FAIL");
     std::printf("expected shape: campus allocs per delivered update <= %.2f (%.3f) -> %s\n",
                 kCampusAllocBudget, campus.allocs_per_update, campus_ok ? "PASS" : "FAIL");
     std::printf("expected shape: campus allocs per delivered batch <= %.2f (%.2f) -> %s\n",
@@ -661,8 +741,8 @@ int main() {
                 campus_batch_ok ? "PASS" : "FAIL");
     std::printf("expected shape: classroom allocs per delivered update <= %.2f (%.3f) -> %s\n",
                 kClassroomAllocBudget, room.allocs_per_update, classroom_ok ? "PASS" : "FAIL");
-    return budget_ok && reduction_ok && throughput_ok && campus_ok && campus_batch_ok &&
-                   classroom_ok
+    return budget_ok && reduction_ok && throughput_ok && timers_ok && campus_ok &&
+                   campus_batch_ok && classroom_ok
                ? 0
                : 1;
 }

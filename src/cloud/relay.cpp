@@ -73,9 +73,13 @@ void RelayServer::ingest(sync::AvatarWire&& wire, bool from_origin) {
         kf.bytes = wire.bytes;
     }
     const sim::Time ready = egress_.charge(config_.process_in);
-    net_.clock().schedule_at(ready, [this, wire = std::move(wire), from_origin] {
+    net_.clock().schedule_at(ready, [this, wire = std::move(wire), from_origin]() mutable {
+        if (from_origin || origin_ == net::kInvalidNode) {
+            egress_.to_viewers(std::move(wire));
+            return;
+        }
         egress_.to_viewers(sync::AvatarWire{wire});
-        if (!from_origin && origin_ != net::kInvalidNode) egress_.to_server(origin_, wire);
+        egress_.to_server(origin_, wire);
     });
 }
 

@@ -212,43 +212,4 @@ void ReliableChannel::observe_rtt(double sample_ms) {
     srtt_ms_ = (1.0 - kAlpha) * srtt_ms_ + kAlpha * sample_ms;
 }
 
-// ----------------------------------------------------------------- TokenBucket
-
-TokenBucket::TokenBucket(sim::Clock& clock, double rate_bps, std::size_t burst_bytes)
-    : sim_(clock),
-      rate_bps_(rate_bps),
-      burst_bytes_(static_cast<double>(burst_bytes)),
-      tokens_(static_cast<double>(burst_bytes)),
-      last_refill_(clock.now()) {
-    if (rate_bps <= 0.0) throw std::invalid_argument("TokenBucket: rate must be positive");
-}
-
-void TokenBucket::refill() const {
-    const sim::Time now = sim_.now();
-    const double elapsed = (now - last_refill_).to_seconds();
-    if (elapsed > 0.0) {
-        tokens_ = std::min(burst_bytes_, tokens_ + elapsed * rate_bps_ / 8.0);
-        last_refill_ = now;
-    }
-}
-
-sim::Time TokenBucket::earliest_send(std::size_t bytes) const {
-    refill();
-    const double need = static_cast<double>(bytes);
-    if (tokens_ >= need) return sim_.now();
-    const double deficit = need - tokens_;
-    return sim_.now() + sim::Time::seconds(deficit * 8.0 / rate_bps_);
-}
-
-void TokenBucket::consume(std::size_t bytes) {
-    refill();
-    tokens_ -= static_cast<double>(bytes);
-}
-
-void TokenBucket::set_rate_bps(double r) {
-    if (r <= 0.0) throw std::invalid_argument("TokenBucket: rate must be positive");
-    refill();
-    rate_bps_ = r;
-}
-
 }  // namespace mvc::net

@@ -4,7 +4,6 @@
 //  - ReliableChannel: ACK + retransmission (Jacobson RTO, bounded attempts)
 //    with optional in-order delivery; models the ARQ alternative in the FEC
 //    experiments and reports segments abandoned during outages.
-//  - TokenBucket: application-level pacing for video senders.
 
 #include <cstdint>
 #include <deque>
@@ -156,30 +155,6 @@ private:
     void handle_ack(Packet&& p);
     void deliver_ready();
     void observe_rtt(double sample_ms);
-};
-
-/// Classic token bucket: `rate_bps` sustained, `burst_bytes` depth.
-class TokenBucket {
-public:
-    TokenBucket(sim::Clock& clock, double rate_bps, std::size_t burst_bytes);
-
-    /// Earliest time the given payload could be sent while conforming.
-    [[nodiscard]] sim::Time earliest_send(std::size_t bytes) const;
-    /// Consume tokens for a send at now() (callers should schedule at
-    /// earliest_send first). Debt is allowed; the bucket goes negative.
-    void consume(std::size_t bytes);
-
-    [[nodiscard]] double rate_bps() const { return rate_bps_; }
-    void set_rate_bps(double r);
-
-private:
-    sim::Clock& sim_;
-    double rate_bps_;
-    double burst_bytes_;
-    mutable double tokens_;
-    mutable sim::Time last_refill_{};
-
-    void refill() const;
 };
 
 }  // namespace mvc::net

@@ -23,9 +23,12 @@
 
 namespace mvc::sim {
 
-/// Handle used to cancel a scheduled event. Cheap value type; cancelling an
-/// already-fired or already-cancelled event is a no-op. Issued by any Clock
-/// implementation; only meaningful for the clock that issued it.
+class TimerQueue;
+
+/// Handle used to cancel a scheduled event. Cheap value type naming a
+/// (slot, generation) pair in the issuing clock's TimerQueue; cancelling an
+/// already-fired or already-cancelled event is a no-op. Only meaningful for
+/// the clock that issued it.
 class EventHandle {
 public:
     EventHandle() = default;
@@ -34,8 +37,7 @@ public:
 private:
     explicit EventHandle(std::uint64_t id) : id_(id) {}
     std::uint64_t id_{0};
-    friend class Simulator;
-    friend class Clock;
+    friend class TimerQueue;
 };
 
 class Clock {
@@ -85,13 +87,6 @@ protected:
     /// Pool backing oversized captures of events scheduled through this
     /// clock; may be null (captures then fall back to operator new).
     [[nodiscard]] virtual EventPool* timer_pool() = 0;
-
-    // Implementations outside the Simulator friendship mint and inspect
-    // handles through these.
-    [[nodiscard]] static EventHandle make_handle(std::uint64_t id) {
-        return EventHandle{id};
-    }
-    [[nodiscard]] static std::uint64_t handle_id(EventHandle h) { return h.id_; }
 };
 
 }  // namespace mvc::sim

@@ -3,9 +3,9 @@
 //
 // EventFn is a move-only type-erased callable with a 64-byte small-buffer:
 // the lambdas the model schedules (a few pointers, a Packet, a shared_ptr)
-// construct in place inside the event record, so the steady-state loop never
+// construct in place inside the timer slot, so the steady-state loop never
 // touches the heap. Captures that do not fit fall back to a fixed-size block
-// from the owning Simulator's EventPool free list — recycled on destruction,
+// from the owning clock's EventPool free list — recycled on destruction,
 // so even oversized events stop allocating once the pool is warm. Captures
 // larger than a pool block (rare; cold paths only) use plain operator new.
 //
@@ -25,7 +25,7 @@
 
 namespace mvc::sim {
 
-/// Free list of fixed-size callback blocks for one Simulator. Blocks are
+/// Free list of fixed-size callback blocks for one clock. Blocks are
 /// kBlockBytes each (header + capture payload); release() pushes onto the
 /// list, acquire() pops — O(1), no locks, no system allocator after warmup.
 class EventPool {

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "sim/simulator.hpp"
 
 namespace mvc::sim {
 
@@ -188,26 +187,6 @@ common::Json MetricsRecorder::to_json() const {
     root["counters"] = std::move(counters);
     root["series"] = std::move(series);
     return root;
-}
-
-ScopedTimer::ScopedTimer(MetricsRecorder& recorder, std::string name)
-    : recorder_(recorder),
-      name_(std::move(name)),
-      wall_start_(std::chrono::steady_clock::now()) {}
-
-ScopedTimer::ScopedTimer(MetricsRecorder& recorder, std::string name, const Simulator& sim)
-    : recorder_(recorder), name_(std::move(name)), sim_(&sim), sim_start_(sim.now()) {}
-
-ScopedTimer::~ScopedTimer() {
-    if (sim_ != nullptr) {
-        recorder_.sample(name_, (sim_->now() - sim_start_).to_ms());
-    } else {
-        const auto elapsed = std::chrono::steady_clock::now() - wall_start_;
-        recorder_.sample(
-            name_,
-            std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(elapsed)
-                .count());
-    }
 }
 
 }  // namespace mvc::sim

@@ -16,7 +16,6 @@
 // metric was recorded through a handle or through the string API, so sharded
 // exports stay byte-identical.
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
@@ -30,8 +29,6 @@
 #include "sim/time.hpp"
 
 namespace mvc::sim {
-
-class Simulator;
 
 /// One dimension of a labeled metric, e.g. {"flow", "avatar"}. Views must
 /// outlive the call only (keys are copied into the canonical name).
@@ -154,27 +151,6 @@ private:
     std::vector<std::uint64_t> counter_values_;
     std::map<std::string, std::uint32_t, std::less<>> series_index_;
     std::deque<math::SampleSeries> series_values_;
-};
-
-/// RAII section timer: samples the elapsed time (in ms) into a recorder
-/// series when it goes out of scope. Constructed with a Simulator it measures
-/// deterministic simulated time; without one it falls back to wall-clock,
-/// which is meant for harness-side sections of benchmarks, not model code.
-class ScopedTimer {
-public:
-    ScopedTimer(MetricsRecorder& recorder, std::string name);
-    ScopedTimer(MetricsRecorder& recorder, std::string name, const Simulator& sim);
-    ~ScopedTimer();
-
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-private:
-    MetricsRecorder& recorder_;
-    std::string name_;
-    const Simulator* sim_{nullptr};
-    Time sim_start_{};
-    std::chrono::steady_clock::time_point wall_start_{};
 };
 
 }  // namespace mvc::sim

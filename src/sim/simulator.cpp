@@ -1,7 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <ostream>
 #include <stdexcept>
 
@@ -15,31 +13,6 @@ Rng Simulator::rng_stream(std::string_view name) const {
     return Rng{derive_seed(seed_, name)};
 }
 
-EventHandle Simulator::push(Time at, EventFn fn) {
-    const std::uint64_t id = next_id_++;
-    queue_.push_back(Event{at, next_seq_++, id, std::move(fn)});
-    std::push_heap(queue_.begin(), queue_.end(), Later{});
-    mark_live(id);
-    return EventHandle{id};
-}
-
-void Simulator::mark_live(std::uint64_t id) {
-    const std::size_t word = id >> 6;
-    if (word >= live_bits_.size()) live_bits_.resize(word + 1, 0);
-    live_bits_[word] |= std::uint64_t{1} << (id & 63);
-}
-
-void Simulator::clear_live(std::uint64_t id) {
-    const std::size_t word = id >> 6;
-    if (word < live_bits_.size()) live_bits_[word] &= ~(std::uint64_t{1} << (id & 63));
-}
-
-bool Simulator::is_live(std::uint64_t id) const {
-    const std::size_t word = id >> 6;
-    return word < live_bits_.size() &&
-           (live_bits_[word] & (std::uint64_t{1} << (id & 63))) != 0;
-}
-
 EventHandle Simulator::schedule_every(Time period, std::function<void()> fn) {
     return schedule_every(period, period, std::move(fn));
 }
@@ -47,80 +20,23 @@ EventHandle Simulator::schedule_every(Time period, std::function<void()> fn) {
 EventHandle Simulator::schedule_every(Time period, Time phase, std::function<void()> fn) {
     if (period <= Time::zero())
         throw std::invalid_argument("schedule_every: period must be positive");
-    // The chain is identified by its own id; each firing checks whether the
-    // chain has been cancelled before running and rescheduling.
-    const std::uint64_t chain_id = next_id_++;
-    mark_live(chain_id);
-    // Ownership: each queued thunk holds the shared_ptr; the closure itself
-    // holds only a weak_ptr, so dropping the last queued copy frees the chain
-    // (a self-capturing shared_ptr would cycle and leak). The chain body is
-    // type-erased once here; each firing and re-arm captures only the 16-byte
-    // shared_ptr, which lives inline in the event record — no per-tick heap.
-    auto tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak = tick;
-    *tick = [this, chain_id, period, fn = std::move(fn), weak]() {
-        // A cancelled chain retires its own tombstone here — the chain id is
-        // virtual (never in the queue), so nothing else would purge it.
-        if (is_cancelled(chain_id)) {
-            retire_cancelled(chain_id);
-            return;
-        }
-        fn();
-        if (is_cancelled(chain_id)) {
-            retire_cancelled(chain_id);
-        } else if (auto self = weak.lock()) {
-            push(now_ + period, EventFn([self] { (*self)(); }, &pool_));
-        }
-    };
-    push(now_ + phase, EventFn([tick] { (*tick)(); }, &pool_));
-    return EventHandle{chain_id};
+    return queue_.arm(now_ + phase, EventFn(std::move(fn), &queue_.pool()), period);
 }
 
-void Simulator::cancel(EventHandle h) {
-    if (!h.valid()) return;
-    // Fired, drained, or already-retired handles can never pop again, so a
-    // tombstone for them would live forever — refuse to record one.
-    if (!is_live(h.id_)) return;
-    const auto it = std::lower_bound(cancelled_.begin(), cancelled_.end(), h.id_);
-    if (it == cancelled_.end() || *it != h.id_) cancelled_.insert(it, h.id_);
-}
-
-bool Simulator::is_cancelled(std::uint64_t id) const {
-    return std::binary_search(cancelled_.begin(), cancelled_.end(), id);
-}
-
-void Simulator::retire_cancelled(std::uint64_t id) {
-    const auto it = std::lower_bound(cancelled_.begin(), cancelled_.end(), id);
-    if (it != cancelled_.end() && *it == id) cancelled_.erase(it);
-    clear_live(id);
-}
-
-bool Simulator::step() {
-    while (!queue_.empty()) {
-        // pop_heap moves the min-(at, seq) event to the back; moving it out
-        // of the vector transfers the EventFn without copying its capture.
-        std::pop_heap(queue_.begin(), queue_.end(), Later{});
-        Event ev = std::move(queue_.back());
-        queue_.pop_back();
-        if (is_cancelled(ev.id)) {
-            // Retire the tombstone so cancelled_ stays small.
-            retire_cancelled(ev.id);
-            continue;
-        }
-        clear_live(ev.id);
-        now_ = ev.at;
-        ++executed_;
-        ev.fn();
-        return true;
-    }
-    return false;
+bool Simulator::run_next(Time limit) {
+    const std::optional<Time> due = queue_.next_due(limit);
+    if (!due) return false;
+    // now() and the executed count are updated before the callback runs:
+    // callbacks (the recorder's state hash among them) read both.
+    now_ = *due;
+    ++executed_;
+    queue_.fire_head([this](Time, Time period) { return now_ + period; });
+    return true;
 }
 
 std::size_t Simulator::run_until(Time until) {
     std::size_t n = 0;
-    while (!queue_.empty() && queue_.front().at <= until) {
-        if (step()) ++n;
-    }
+    while (run_next(until)) ++n;
     // Advance the clock to the horizon so back-to-back run_until calls see
     // monotonic time even across empty stretches.
     if (now_ < until) now_ = until;
@@ -132,7 +48,5 @@ std::size_t Simulator::run_all() {
     while (step()) ++n;
     return n;
 }
-
-std::size_t Simulator::pending_events() const { return queue_.size(); }
 
 }  // namespace mvc::sim

@@ -4,22 +4,21 @@
 // Everything in the classroom — sensors, links, servers, renderers — runs as
 // callbacks on one Simulator instance.
 //
-// The steady-state loop is allocation-free: callbacks are stored as EventFn
-// (64-byte small-buffer, pool-backed fallback), the queue is an explicit
-// binary heap over a flat vector (so the next event is moved out, never
-// copied), and liveness tracking is a growable bitmap instead of a per-event
-// hash-set insert. Pop order depends only on the (time, seq) total order, so
-// determinism is unaffected by the container swap.
+// The Simulator is a virtual clock over sim::TimerQueue: it advances now()
+// to each event's deadline and re-arms periodic timers at now() + period.
+// The steady-state loop is allocation-free: callbacks are EventFns (64-byte
+// small-buffer, pool-backed fallback) held in the queue's slots, and pop
+// order depends only on the (time, seq) total order.
 
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
-#include <vector>
 
 #include "sim/clock.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
+#include "sim/timer_queue.hpp"
 
 namespace mvc::sim {
 
@@ -46,85 +45,51 @@ public:
     /// schedule_after templates. `at` must be >= now().
     EventHandle schedule_at_erased(Time at, EventFn fn) override {
         if (at < now_) throw std::invalid_argument("schedule_at: time in the past");
-        return push(at, std::move(fn));
+        return queue_.arm(at, std::move(fn));
     }
     /// Schedule `fn` every `period`, first firing at now() + `phase`
     /// (defaults to one full period). Returns a handle cancelling the
-    /// whole periodic chain. The chain body is type-erased once at setup;
-    /// each subsequent firing re-arms with a 16-byte inline capture.
+    /// whole periodic chain; the chain keeps one queue slot for its life.
     EventHandle schedule_every(Time period, std::function<void()> fn) override;
     EventHandle schedule_every(Time period, Time phase,
                                std::function<void()> fn) override;
 
     /// Cancel a pending event; safe on fired/invalid handles.
-    void cancel(EventHandle h) override;
+    void cancel(EventHandle h) override { queue_.cancel(h); }
 
-    /// Run until the event queue drains or the horizon passes. Returns the
-    /// number of events executed. Events scheduled exactly at `until` run.
+    /// Run the events due at or before `until`, then advance the clock to
+    /// `until`. Returns the number of events executed. Events scheduled
+    /// exactly at `until` run; nothing later does.
     std::size_t run_until(Time until);
     /// Run until the queue is fully drained (use only with finite models).
     std::size_t run_all();
     /// Execute the single next event, if any; returns whether one ran.
-    bool step();
+    bool step() { return run_next(Time::max()); }
 
-    [[nodiscard]] std::size_t pending_events() const;
+    /// Queue entries, cancelled ones not yet dropped included.
+    [[nodiscard]] std::size_t pending_events() const { return queue_.entries(); }
     [[nodiscard]] std::size_t executed_events() const { return executed_; }
-    /// Number of cancellation tombstones currently held. Bounded by the
-    /// number of still-pending cancelled events; exposed so tests can assert
-    /// long-running simulations don't accumulate bookkeeping.
-    [[nodiscard]] std::size_t cancelled_backlog() const { return cancelled_.size(); }
+    /// Cancelled entries still queued. Bounded by the cancelled events whose
+    /// deadline has not yet been reached; exposed so tests can assert long
+    /// runs don't accumulate bookkeeping.
+    [[nodiscard]] std::size_t cancelled_backlog() const {
+        return queue_.entries() - queue_.live();
+    }
     /// Free-list pool backing oversized event captures; exposed for the
     /// hot-path benchmark and pool-reuse tests.
-    [[nodiscard]] const EventPool& event_pool() const { return pool_; }
+    [[nodiscard]] const EventPool& event_pool() const { return queue_.pool(); }
 
 protected:
-    [[nodiscard]] EventPool* timer_pool() override { return &pool_; }
+    [[nodiscard]] EventPool* timer_pool() override { return &queue_.pool(); }
 
 private:
-    struct Event {
-        Time at;
-        std::uint64_t seq;  // tie-break: FIFO among equal timestamps
-        std::uint64_t id;
-        EventFn fn;
-    };
-    struct Later {
-        bool operator()(const Event& a, const Event& b) const {
-            if (a.at != b.at) return a.at > b.at;
-            return a.seq > b.seq;
-        }
-    };
-
-    EventHandle push(Time at, EventFn fn);
+    /// Run the next event if it is due at or before `limit`.
+    bool run_next(Time limit);
 
     Time now_{};
     std::uint64_t seed_;
-    std::uint64_t next_seq_{1};
-    std::uint64_t next_id_{1};
     std::size_t executed_{0};
-    // pool_ is declared before queue_ so queued EventFns (which may hold
-    // pool blocks) are destroyed before the pool frees its list.
-    EventPool pool_;
-    // Explicit binary heap (std::push_heap/pop_heap over a vector): popping
-    // moves the event out instead of copying priority_queue::top(), which a
-    // move-only EventFn requires anyway. Heap shape is irrelevant to pop
-    // order because (at, seq) is a strict total order.
-    std::vector<Event> queue_;
-    // Cancellation is rare; a sorted vector of cancelled ids is enough and
-    // keeps the hot path allocation-free. Every tombstone is retired when its
-    // event pops (or, for periodic chains, when the chain notices the
-    // cancellation), and `cancel` refuses ids that can no longer fire, so the
-    // vector cannot grow without bound over a long simulation.
-    std::vector<std::uint64_t> cancelled_;
-    // Ids that may still fire: queued one-shot events plus active periodic
-    // chains. Gate for `cancel` so fired/stale handles never leave tombstones.
-    // One bit per id ever issued (ids are dense, starting at 1); marking a
-    // new id is a word index + OR, amortized allocation-free.
-    std::vector<std::uint64_t> live_bits_;
-    void mark_live(std::uint64_t id);
-    void clear_live(std::uint64_t id);
-    [[nodiscard]] bool is_live(std::uint64_t id) const;
-    [[nodiscard]] bool is_cancelled(std::uint64_t id) const;
-    void retire_cancelled(std::uint64_t id);
+    TimerQueue queue_;
 };
 
 }  // namespace mvc::sim

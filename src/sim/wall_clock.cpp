@@ -18,21 +18,11 @@ Rng WallClock::rng_stream(std::string_view name) const {
     return Rng{derive_seed(seed_, name)};
 }
 
-EventHandle WallClock::arm(Time at, Timer t) {
-    const std::uint64_t id = t.id;
-    by_id_[id] = timers_.emplace(at, std::move(t));
-    return make_handle(id);
-}
-
 EventHandle WallClock::schedule_at_erased(Time at, EventFn fn) {
     // Deadlines in the past are legal here: wall time advanced between the
     // caller computing `at` and this call. The timer fires on the next
     // run_due().
-    Timer t;
-    t.id = next_id_++;
-    t.seq = next_seq_++;
-    t.once = std::move(fn);
-    return arm(at, std::move(t));
+    return queue_.arm(at, std::move(fn));
 }
 
 EventHandle WallClock::schedule_every(Time period, std::function<void()> fn) {
@@ -43,67 +33,20 @@ EventHandle WallClock::schedule_every(Time period, Time phase,
                                       std::function<void()> fn) {
     if (period <= Time::zero())
         throw std::invalid_argument("schedule_every: period must be positive");
-    Timer t;
-    t.id = next_id_++;
-    t.seq = next_seq_++;
-    t.every = std::move(fn);
-    t.period = period;
-    return arm(now() + phase, std::move(t));
-}
-
-void WallClock::cancel(EventHandle h) {
-    if (!h.valid()) return;
-    const std::uint64_t id = handle_id(h);
-    if (id == firing_id_) {
-        firing_cancelled_ = true;
-        return;
-    }
-    const auto it = by_id_.find(id);
-    if (it == by_id_.end()) return;
-    timers_.erase(it->second);
-    by_id_.erase(it);
-}
-
-std::optional<Time> WallClock::next_deadline() const {
-    if (timers_.empty()) return std::nullopt;
-    return timers_.begin()->first;
+    return queue_.arm(now() + phase, EventFn(std::move(fn), &queue_.pool()), period);
 }
 
 std::size_t WallClock::run_due() {
     std::size_t ran = 0;
-    while (!timers_.empty()) {
-        // Among equal deadlines, fire in scheduling order.
-        auto it = timers_.begin();
-        const Time due = it->first;
-        if (due > now()) break;
-        auto range = timers_.equal_range(due);
-        for (auto cand = range.first; cand != range.second; ++cand) {
-            if (cand->second.seq < it->second.seq) it = cand;
-        }
-        Timer t = std::move(it->second);
-        by_id_.erase(t.id);
-        timers_.erase(it);
+    while (queue_.next_due(now())) {
         ++fired_;
         ++ran;
-        firing_id_ = t.id;
-        firing_cancelled_ = false;
-        if (t.every) {
-            t.every();
-        } else if (t.once) {
-            t.once();
-        }
-        const bool cancelled = firing_cancelled_;
-        firing_id_ = 0;
-        firing_cancelled_ = false;
-        if (t.every && !cancelled) {
-            // Re-arm relative to the original deadline while the loop keeps
-            // up; skip ahead (no catch-up burst) when it fell behind.
-            Time next = due + t.period;
+        // Re-arm relative to the original deadline while the loop keeps up;
+        // skip ahead (no catch-up burst) when it fell behind.
+        queue_.fire_head([this](Time due, Time period) {
             const Time n = now();
-            if (next <= n) next = n + t.period;
-            t.seq = next_seq_++;
-            arm(next, std::move(t));
-        }
+            return due + period <= n ? n + period : due + period;
+        });
     }
     return ran;
 }

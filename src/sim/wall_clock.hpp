@@ -2,8 +2,8 @@
 // Wall-clock implementation of sim::Clock for the real-transport backend.
 // now() is nanoseconds of std::chrono::steady_clock elapsed since
 // construction (so timestamps start near zero, like a simulation run), and
-// timers sit in a deadline-ordered map that the owning event loop drains:
-// poll the sockets with a timeout derived from next_deadline(), then call
+// timers sit in a sim::TimerQueue that the owning event loop drains: poll
+// the sockets with a timeout derived from next_deadline(), then call
 // run_due() to fire everything whose instant has passed.
 //
 // Unlike the simulator there is no event queue driving time forward — time
@@ -17,11 +17,11 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string_view>
 
 #include "sim/clock.hpp"
+#include "sim/timer_queue.hpp"
 
 namespace mvc::sim {
 
@@ -42,11 +42,11 @@ public:
     EventHandle schedule_every(Time period, std::function<void()> fn) override;
     EventHandle schedule_every(Time period, Time phase,
                                std::function<void()> fn) override;
-    void cancel(EventHandle h) override;
+    void cancel(EventHandle h) override { queue_.cancel(h); }
 
     /// Earliest pending deadline; nullopt when no timers are armed. The
     /// event loop turns this into its poll timeout.
-    [[nodiscard]] std::optional<Time> next_deadline() const;
+    [[nodiscard]] std::optional<Time> next_deadline() { return queue_.next_due(Time::max()); }
 
     /// Fire every timer whose deadline is <= now(), in deadline order
     /// (FIFO among equal deadlines). Returns how many fired. Callbacks may
@@ -54,37 +54,17 @@ public:
     /// chain.
     std::size_t run_due();
 
-    [[nodiscard]] std::size_t pending_timers() const { return timers_.size(); }
+    [[nodiscard]] std::size_t pending_timers() const { return queue_.live(); }
     [[nodiscard]] std::uint64_t fired() const { return fired_; }
 
 protected:
-    [[nodiscard]] EventPool* timer_pool() override { return &pool_; }
+    [[nodiscard]] EventPool* timer_pool() override { return &queue_.pool(); }
 
 private:
-    struct Timer {
-        std::uint64_t id{0};
-        std::uint64_t seq{0};          // FIFO tie-break among equal deadlines
-        EventFn once;                  // one-shot body (periodic timers leave it empty)
-        std::function<void()> every;   // periodic body (empty for one-shots)
-        Time period{};
-    };
-    using Queue = std::multimap<Time, Timer>;
-
-    EventHandle arm(Time at, Timer t);
-
     std::uint64_t seed_;
     std::chrono::steady_clock::time_point epoch_;
-    EventPool pool_;
-    Queue timers_;
-    std::map<std::uint64_t, Queue::iterator> by_id_;
-    std::uint64_t next_id_{1};
-    std::uint64_t next_seq_{1};
+    TimerQueue queue_;
     std::uint64_t fired_{0};
-    // Cancellation of the timer currently mid-callback (the common
-    // stop()-from-inside-tick pattern) is flagged here: its map entry is
-    // already gone, so cancel() has nothing to erase.
-    std::uint64_t firing_id_{0};
-    bool firing_cancelled_{false};
 };
 
 }  // namespace mvc::sim

@@ -479,47 +479,6 @@ TEST_F(ReliableFixture, TransmissionCountReported) {
     EXPECT_GT(max_tx, 1);
 }
 
-// --------------------------------------------------------------- token bucket
-
-TEST(TokenBucketTest, BurstThenPaced) {
-    sim::Simulator sim;
-    TokenBucket tb{sim, 8000.0, 1000};  // 1000 B/s, 1000 B burst
-    EXPECT_EQ(tb.earliest_send(1000), sim.now());
-    tb.consume(1000);
-    // Next kilobyte must wait ~1 second.
-    const sim::Time t = tb.earliest_send(1000);
-    EXPECT_NEAR((t - sim.now()).to_seconds(), 1.0, 0.01);
-}
-
-TEST(TokenBucketTest, RefillsOverTime) {
-    sim::Simulator sim;
-    TokenBucket tb{sim, 8000.0, 1000};
-    tb.consume(1000);
-    sim.schedule_at(sim::Time::seconds(0.5), [&] {
-        // Half refilled: 500 bytes available.
-        EXPECT_EQ(tb.earliest_send(500), sim.now());
-        const sim::Time t = tb.earliest_send(1000);
-        EXPECT_NEAR((t - sim.now()).to_seconds(), 0.5, 0.01);
-    });
-    sim.run_all();
-}
-
-TEST(TokenBucketTest, InvalidRateThrows) {
-    sim::Simulator sim;
-    EXPECT_THROW(TokenBucket(sim, 0.0, 100), std::invalid_argument);
-    TokenBucket tb{sim, 100.0, 10};
-    EXPECT_THROW(tb.set_rate_bps(-5.0), std::invalid_argument);
-}
-
-TEST(TokenBucketTest, RateChangeTakesEffect) {
-    sim::Simulator sim;
-    TokenBucket tb{sim, 8000.0, 100};
-    tb.consume(100);
-    tb.set_rate_bps(16000.0);
-    const sim::Time t = tb.earliest_send(100);
-    EXPECT_NEAR((t - sim.now()).to_seconds(), 0.05, 0.01);
-}
-
 TEST(PayloadTest, HoldsAndReadsTypedValue) {
     Payload p{42};
     EXPECT_FALSE(p.empty());

@@ -61,6 +61,24 @@ TEST(ShardSetTest, LookaheadViolationClampedToBoundaryAndCounted) {
     EXPECT_EQ(delivered_at, Time::ms(10));
 }
 
+TEST(ShardSetTest, CancelledHeadDoesNotRunShardPastItsEpoch) {
+    ShardSet shards{2, 7, Time::ms(5)};
+    sim::Simulator& s0 = shards.shard(0);
+    Time late_at = Time::zero();
+    Time posted_at = Time::zero();
+    // A cancelled event heads shard 0's queue inside the first epoch. Its
+    // drop must not carry the shard on to the live event at 50 ms, or the
+    // message due at 6 ms would be exchanged into that shard's past.
+    const sim::EventHandle early = s0.schedule_at(Time::ms(1), [] {});
+    s0.schedule_at(Time::ms(50), [&] { late_at = s0.now(); });
+    s0.cancel(early);
+    shards.post(1, 0, Time::ms(6), [&] { posted_at = s0.now(); });
+    EXPECT_NO_THROW(shards.run_until(Time::ms(100)));
+    EXPECT_EQ(posted_at, Time::ms(6));
+    EXPECT_EQ(late_at, Time::ms(50));
+    EXPECT_EQ(shards.lookahead_violations(), 0u);
+}
+
 TEST(ShardSetTest, EpochsAdvanceInLookaheadSteps) {
     ShardSet shards{2, 7, Time::ms(10)};
     shards.run_until(Time::ms(100));

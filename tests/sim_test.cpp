@@ -141,6 +141,20 @@ TEST(SimulatorTest, PeriodicCancelStopsChain) {
     EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+TEST(SimulatorTest, RunUntilStopsAtHorizonBehindCancelledHead) {
+    Simulator sim;
+    bool late_ran = false;
+    const EventHandle early = sim.schedule_at(Time::ms(5), [] {});
+    sim.schedule_at(Time::ms(50), [&] { late_ran = true; });
+    sim.cancel(early);
+    // Dropping the cancelled head must not run the next live event when
+    // that event lies beyond the horizon.
+    EXPECT_EQ(sim.run_until(Time::ms(10)), 0u);
+    EXPECT_FALSE(late_ran);
+    EXPECT_EQ(sim.now(), Time::ms(10));
+    EXPECT_EQ(sim.executed_events(), 0u);
+}
+
 TEST(SimulatorTest, InvalidPeriodThrows) {
     Simulator sim;
     EXPECT_THROW(sim.schedule_every(Time::zero(), [] {}), std::invalid_argument);
@@ -372,18 +386,6 @@ TEST(MetricsTest, ToJsonIsDeterministicAndComplete) {
     EXPECT_NE(json.find("\"count\": 3"), std::string::npos);
 }
 
-TEST(MetricsTest, ScopedTimerSamplesSimulatedTime) {
-    Simulator sim{1};
-    MetricsRecorder m;
-    sim.schedule_at(Time::ms(5), [] {});
-    {
-        ScopedTimer timer{m, "section_ms", sim};
-        sim.run_until(Time::ms(5));
-    }
-    ASSERT_TRUE(m.has_series("section_ms"));
-    EXPECT_DOUBLE_EQ(m.series("section_ms").mean(), 5.0);
-}
-
 TEST(MetricsTest, HandleAndStringPathsAreInterchangeable) {
     MetricsRecorder m;
     const MetricId pkts = m.counter_id("pkts");
@@ -542,6 +544,48 @@ TEST(SimulatorTest, CancelledPeriodicBeforeFirstTickNeverFires) {
     sim.run_until(Time::ms(100));
     EXPECT_EQ(fired, 0);
     EXPECT_EQ(sim.cancelled_backlog(), 0u);
+}
+
+TEST(SimulatorTest, StaleHandleDoesNotCancelTheSlotsNextTimer) {
+    Simulator sim{1};
+    const EventHandle fired = sim.schedule_at(Time::ms(1), [] {});
+    sim.run_until(Time::ms(1));
+    bool ran = false;
+    sim.schedule_at(Time::ms(2), [&] { ran = true; });  // reuses the freed slot
+    sim.cancel(fired);
+    sim.run_until(Time::ms(2));
+    EXPECT_TRUE(ran);
+}
+
+TEST(SimulatorTest, PeriodicBodyCancellingItselfMayArmTimers) {
+    Simulator sim{1};
+    int ticks = 0;
+    int follow_ups = 0;
+    EventHandle chain{};
+    chain = sim.schedule_every(Time::ms(10), [&] {
+        ++ticks;
+        sim.cancel(chain);
+        sim.schedule_after(Time::ms(1), [&] { ++follow_ups; });
+    });
+    sim.run_until(Time::ms(100));
+    EXPECT_EQ(ticks, 1);
+    EXPECT_EQ(follow_ups, 1);
+    EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, PeriodicChainsHoldOneEntryEach) {
+    Simulator sim{1};
+    std::vector<EventHandle> chains;
+    for (int i = 0; i < 64; ++i)
+        chains.push_back(sim.schedule_every(Time::us(100), Time::us(i + 1), [] {}));
+    sim.run_until(Time::ms(100));
+    EXPECT_EQ(sim.executed_events(), 64u * 1000u);
+    EXPECT_EQ(sim.pending_events(), 64u);
+    for (const EventHandle& h : chains) sim.cancel(h);
+    EXPECT_EQ(sim.cancelled_backlog(), 64u);
+    sim.run_until(Time::ms(101));
+    EXPECT_EQ(sim.pending_events(), 0u);
+    EXPECT_EQ(sim.executed_events(), 64u * 1000u);
 }
 
 TEST(RngStreamTest, CreationOrderDoesNotPerturbSiblingStreams) {
