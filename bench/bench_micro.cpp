@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the classroom
 // stack: avatar codec, Reed-Solomon coding, interest-grid queries, seat
-// assignment, pose fusion and the event engine. These bound how many
-// participants a single edge/cloud process can sustain.
+// assignment, pose fusion, the event engine and the sensor-noise sampler.
+// These bound how many participants a single edge/cloud process can sustain.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 #include "edge/seats.hpp"
 #include "net/fec.hpp"
 #include "sensing/fusion.hpp"
+#include "sensing/headset.hpp"
 #include "sim/simulator.hpp"
 #include "sync/interest.hpp"
 
@@ -165,6 +166,33 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_SimulatorEventChurn);
+
+void BM_RngNormal(benchmark::State& state) {
+    sim::Rng rng{1};
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(rng.normal(0.0, 1.0));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RngNormal);
+
+// One tethered-preset headset sample (32 expression channels, about 39
+// normal draws) per iteration, including the periodic event that fires it.
+void BM_HeadsetSample(benchmark::State& state) {
+    sim::Simulator sim{1};
+    sensing::GroundTruth truth;
+    truth.kinematics.pose.position = {1.0, 1.2, -3.0};
+    truth.expression.assign(sensing::kMaxExpressionChannels, 0.4);
+    sensing::Headset headset{sim, "bench", ParticipantId{1}, sensing::tethered_mr_params(),
+                             [&truth] { return truth; },
+                             [](sensing::SensorSample&& s) { benchmark::DoNotOptimize(s); }};
+    headset.start();
+    for (auto _ : state) {
+        sim.step();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HeadsetSample);
 
 void BM_HungarianSquare(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

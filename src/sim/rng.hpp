@@ -15,7 +15,12 @@
 //     sequence to be issued in the same order. In practice this falls out
 //     of the event loop's total order — models only draw from event
 //     callbacks, and the (time, seq) order is deterministic.
-//  3. Corollary: never share one stream between two models whose relative
+//  3. A draw may consume a variable number of engine outputs: `normal`'s
+//     ziggurat takes one about 99% of the time and more in its wedges and
+//     tail, and `uniform_int` may reject. The count, like the value, is a
+//     pure function of the stream's history, so a copied stream continues
+//     identically.
+//  4. Corollary: never share one stream between two models whose relative
 //     execution order is not fixed by the event loop; give each model its
 //     own name instead. Names are cheap and collision-resistant.
 
@@ -42,14 +47,13 @@ public:
     [[nodiscard]] double uniform(double lo, double hi);
     /// Uniform integer in [lo, hi] inclusive.
     [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-    /// Normal with the given mean and standard deviation.
+    /// Normal with the given mean and standard deviation; stddev <= 0
+    /// returns the mean. Sampled with a 256-layer ziggurat on the engine.
     [[nodiscard]] double normal(double mean, double stddev);
     /// Exponential with the given mean (= 1/rate); mean <= 0 returns 0.
     [[nodiscard]] double exponential(double mean);
     /// Bernoulli trial with probability p (clamped to [0,1]).
     [[nodiscard]] bool chance(double p);
-    /// Poisson with the given mean (mean <= 0 returns 0).
-    [[nodiscard]] std::uint64_t poisson(double mean);
     /// Pareto-distributed value with scale xm > 0 and shape alpha > 0
     /// (heavy tail used for WAN jitter spikes and think-time bursts).
     [[nodiscard]] double pareto(double xm, double alpha);

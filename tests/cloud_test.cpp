@@ -420,30 +420,30 @@ EgressRun run_egress(EgressMode mode) {
 
 TEST(EgressGoldenTest, PerUpdateFanout) {
     const EgressRun r = run_egress(EgressMode::PerUpdate);
-    EXPECT_EQ(r.packets, 1428u);
-    EXPECT_EQ(r.send_digest, 3247704949396039190ULL);
+    EXPECT_EQ(r.packets, 1432u);
+    EXPECT_EQ(r.send_digest, 16002194879166549967ULL);
     EXPECT_EQ(r.cloud_out, 747u);
     EXPECT_EQ(r.cloud_bytes, 42792u);
     EXPECT_EQ(r.cloud_state, 1105619778245620412ULL);
-    EXPECT_EQ(r.relay_out, 540u);
-    EXPECT_EQ(r.relay_bytes, 31868u);
+    EXPECT_EQ(r.relay_out, 544u);
+    EXPECT_EQ(r.relay_bytes, 32164u);
 }
 
 TEST(EgressGoldenTest, BatchedServerEgress) {
     const EgressRun r = run_egress(EgressMode::Batched);
-    EXPECT_EQ(r.packets, 1295u);
-    EXPECT_EQ(r.send_digest, 9922538115987269196ULL);
+    EXPECT_EQ(r.packets, 1307u);
+    EXPECT_EQ(r.send_digest, 15327746999159515132ULL);
     EXPECT_EQ(r.cloud_out, 747u);
     EXPECT_EQ(r.cloud_bytes, 42792u);
     EXPECT_EQ(r.cloud_state, 1105619778245620412ULL);
-    EXPECT_EQ(r.relay_out, 532u);
-    EXPECT_EQ(r.relay_bytes, 31608u);
+    EXPECT_EQ(r.relay_out, 544u);
+    EXPECT_EQ(r.relay_bytes, 32164u);
 }
 
 TEST(EgressGoldenTest, AggregatedViewerEgress) {
     const EgressRun r = run_egress(EgressMode::Aggregated);
-    EXPECT_EQ(r.packets, 875u);
-    EXPECT_EQ(r.send_digest, 14488524193801071399ULL);
+    EXPECT_EQ(r.packets, 877u);
+    EXPECT_EQ(r.send_digest, 2438880579947487894ULL);
     EXPECT_EQ(r.cloud_out, 416u);
     EXPECT_EQ(r.cloud_bytes, 23654u);
     EXPECT_EQ(r.cloud_state, 1185401737621455294ULL);

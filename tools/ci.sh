@@ -24,7 +24,7 @@
 #                          # then the E20 chaos soak (delivery/recovery SLO
 #                          # gates + same-seed determinism) in quick mode
 #   tools/ci.sh --scenario # scenario-engine unit tests under ASan+UBSan,
-#                          # the shipped .scenario.json specs through
+#                          # every shipped scenarios/*.scenario.json through
 #                          # metaclass_scenario, the E15 crash/overload gates,
 #                          # the E21 gate in quick mode,
 #                          # a 60 s spec-mutation fuzz smoke, and the
@@ -162,13 +162,8 @@ scenario_stage() {
   # gtest_discover_tests registers individual case names, so ctest -R on the
   # binary name would select nothing (and exit 0); run the binary directly.
   ./build-sanitize/tests/scenario_test
-  echo "==> [scenario] shipped specs end-to-end (ASan+UBSan)"
-  for spec in scenarios/exam.scenario.json \
-              scenarios/campus_event.scenario.json \
-              scenarios/campus_lecture.scenario.json \
-              scenarios/breakout_groups.scenario.json \
-              scenarios/storm_lecture.scenario.json \
-              scenarios/fault_recovery.scenario.json; do
+  echo "==> [scenario] every shipped spec end-to-end (ASan+UBSan)"
+  for spec in scenarios/*.scenario.json; do
     ./build-sanitize/tools/metaclass_scenario run "$spec"
   done
   echo "==> [scenario] E15 crash-recovery + overload gates (ASan+UBSan)"
