@@ -5,7 +5,8 @@
 
 namespace mvc::fault {
 
-DegradationPolicy::DegradationPolicy(DegradationParams params) : params_(params) {
+DegradationPolicy::DegradationPolicy(DegradationParams params)
+    : params_(params), hysteresis_(params.hold, params.hold) {
     if (params_.exit_loss > params_.enter_loss)
         throw std::invalid_argument(
             "DegradationPolicy: exit_loss must not exceed enter_loss");
@@ -22,28 +23,11 @@ bool DegradationPolicy::update(double loss, double rtt_ms, sim::Time now) {
                             (rtt_enabled && rtt_ms >= params_.enter_rtt_ms);
     const bool past_exit = loss <= params_.exit_loss &&
                            (!rtt_enabled || rtt_ms <= params_.exit_rtt_ms);
-    if (past_enter) {
-        below_since_ = sim::Time::max();
-        if (above_since_ == sim::Time::max()) above_since_ = now;
-        if (level_ < params_.max_level && now - above_since_ >= params_.hold) {
-            ++level_;
-            above_since_ = now;  // each further step needs its own hold
-            return true;
-        }
-    } else if (past_exit) {
-        above_since_ = sim::Time::max();
-        if (below_since_ == sim::Time::max()) below_since_ = now;
-        if (level_ > 0 && now - below_since_ >= params_.hold) {
-            --level_;
-            below_since_ = now;
-            return true;
-        }
-    } else {
-        // In the hysteresis band: hold the current level, restart both clocks.
-        above_since_ = sim::Time::max();
-        below_since_ = sim::Time::max();
-    }
-    return false;
+    const auto step = hysteresis_.update(past_enter && level_ < params_.max_level,
+                                         !past_enter && past_exit && level_ > 0, now);
+    if (step == sim::Hysteresis::Step::none) return false;
+    level_ += step == sim::Hysteresis::Step::enter ? 1 : -1;
+    return true;
 }
 
 double DegradationPolicy::rate_scale() const {
@@ -60,11 +44,9 @@ avatar::LodLevel DegradationPolicy::lod() const {
     return lod;
 }
 
-PathHealth::PathHealth(PathHealthParams params) : params_(params) {
+PathHealth::PathHealth(PathHealthParams params) : params_(params), rtt_(params.rtt_alpha) {
     if (params_.window <= sim::Time::zero())
         throw std::invalid_argument("PathHealth: window must be positive");
-    if (params_.rtt_alpha <= 0.0 || params_.rtt_alpha > 1.0)
-        throw std::invalid_argument("PathHealth: rtt_alpha must be in (0, 1]");
 }
 
 void PathHealth::observe(std::uint32_t source, std::uint32_t seq, double latency_ms,
@@ -85,9 +67,7 @@ void PathHealth::observe(std::uint32_t source, std::uint32_t seq, double latency
         it->second.last_seq = seq;
     }
     // seq <= last_seq: duplicate or late reorder; already accounted.
-    rtt_ms_ = have_rtt_ ? rtt_ms_ + params_.rtt_alpha * (latency_ms - rtt_ms_)
-                        : latency_ms;
-    have_rtt_ = true;
+    rtt_.add(latency_ms);
 }
 
 void PathHealth::roll(sim::Time now) {

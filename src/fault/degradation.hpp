@@ -5,7 +5,8 @@
 // level down — halving the avatar update rate, coarsening the dead-reckoning
 // threshold, and dropping one codec LOD — and steps back up only after the
 // signal stays at/below the exit threshold for `hold`. The enter/exit gap
-// plus the hold time prevent level flapping on a noisy signal.
+// plus the hold time prevent level flapping on a noisy signal; the holds are
+// a sim::Hysteresis, so each further step needs its own full hold.
 //
 // PathHealth produces that signal from the avatar stream itself: per-sender
 // wire sequence numbers expose genuine loss (dead-reckoning suppression
@@ -16,6 +17,8 @@
 #include <map>
 
 #include "avatar/lod.hpp"
+#include "math/stats.hpp"
+#include "sim/hysteresis.hpp"
 #include "sim/time.hpp"
 
 namespace mvc::fault {
@@ -60,9 +63,7 @@ public:
 private:
     DegradationParams params_;
     int level_{0};
-    // Time::max() means "signal not currently past that threshold".
-    sim::Time above_since_{sim::Time::max()};
-    sim::Time below_since_{sim::Time::max()};
+    sim::Hysteresis hysteresis_;
 };
 
 struct PathHealthParams {
@@ -100,7 +101,7 @@ public:
     /// Loss fraction over the last completed window, in [0, 1].
     [[nodiscard]] double loss() const { return loss_; }
     /// Smoothed e2e delay estimate (ms); 0 before any sample.
-    [[nodiscard]] double rtt_ms() const { return rtt_ms_; }
+    [[nodiscard]] double rtt_ms() const { return rtt_.value(); }
     [[nodiscard]] std::uint64_t received() const { return received_total_; }
     [[nodiscard]] std::uint64_t lost() const { return lost_total_; }
 
@@ -115,8 +116,7 @@ private:
     std::uint64_t window_expected_{0};
     std::uint64_t window_received_{0};
     double loss_{0.0};
-    double rtt_ms_{0.0};
-    bool have_rtt_{false};
+    math::Ewma rtt_;
     std::uint64_t received_total_{0};
     std::uint64_t lost_total_{0};
 };

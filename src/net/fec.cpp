@@ -210,19 +210,10 @@ bool ReedSolomon::reconstruct(
 AdaptiveRedundancy::AdaptiveRedundancy(double safety_factor, std::size_t max_parity)
     : safety_factor_(safety_factor), max_parity_(max_parity) {}
 
-void AdaptiveRedundancy::observe(bool packet_lost) {
-    constexpr double kAlpha = 0.05;
-    const double x = packet_lost ? 1.0 : 0.0;
-    if (!seeded_) {
-        loss_ewma_ = x;
-        seeded_ = true;
-    } else {
-        loss_ewma_ += kAlpha * (x - loss_ewma_);
-    }
-}
+void AdaptiveRedundancy::observe(bool packet_lost) { loss_.add(packet_lost ? 1.0 : 0.0); }
 
 std::size_t AdaptiveRedundancy::parity_for_block(std::size_t k) const {
-    const double expected_losses = loss_ewma_ * static_cast<double>(k);
+    const double expected_losses = loss_.value() * static_cast<double>(k);
     const auto r = static_cast<std::size_t>(
         std::ceil(expected_losses * safety_factor_ + 0.5));
     return std::clamp<std::size_t>(r, 1, max_parity_);

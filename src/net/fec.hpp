@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "math/stats.hpp"
 #include "net/channel.hpp"
 
 namespace mvc::net {
@@ -62,14 +63,13 @@ public:
     explicit AdaptiveRedundancy(double safety_factor = 2.0, std::size_t max_parity = 16);
 
     void observe(bool packet_lost);
-    [[nodiscard]] double loss_estimate() const { return loss_ewma_; }
+    [[nodiscard]] double loss_estimate() const { return loss_.value(); }
     [[nodiscard]] std::size_t parity_for_block(std::size_t k) const;
 
 private:
     double safety_factor_;
     std::size_t max_parity_;
-    double loss_ewma_{0.0};
-    bool seeded_{false};
+    math::Ewma loss_{0.05};
 };
 
 struct FecStreamOptions {

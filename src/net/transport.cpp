@@ -76,8 +76,8 @@ void ReliableChannel::register_wire_codecs(WireCodecs& codecs, std::uint16_t dat
 }
 
 sim::Time ReliableChannel::current_rto() const {
-    if (!have_rtt_) return options_.rto_initial;
-    const double rto_ms = srtt_ms_ + 4.0 * rttvar_ms_;
+    if (!srtt_.initialized()) return options_.rto_initial;
+    const double rto_ms = srtt_.value() + 4.0 * rttvar_.value();
     return std::max(options_.rto_min, sim::Time::ms(rto_ms));
 }
 
@@ -200,16 +200,10 @@ void ReliableChannel::handle_ack(Packet&& p) {
 }
 
 void ReliableChannel::observe_rtt(double sample_ms) {
-    if (!have_rtt_) {
-        srtt_ms_ = sample_ms;
-        rttvar_ms_ = sample_ms / 2.0;
-        have_rtt_ = true;
-        return;
-    }
-    constexpr double kAlpha = 1.0 / 8.0;
-    constexpr double kBeta = 1.0 / 4.0;
-    rttvar_ms_ = (1.0 - kBeta) * rttvar_ms_ + kBeta * std::abs(srtt_ms_ - sample_ms);
-    srtt_ms_ = (1.0 - kAlpha) * srtt_ms_ + kAlpha * sample_ms;
+    // RFC 6298: the first sample seeds SRTT and RTTVAR = sample / 2; later
+    // ones update RTTVAR from the old SRTT before SRTT moves.
+    rttvar_.add(srtt_.initialized() ? std::abs(srtt_.value() - sample_ms) : sample_ms / 2.0);
+    srtt_.add(sample_ms);
 }
 
 }  // namespace mvc::net

@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 
+#include "math/stats.hpp"
 #include "net/backend.hpp"
 
 namespace mvc::net {
@@ -90,7 +91,7 @@ public:
     void send(std::size_t size_bytes, Payload payload);
 
     [[nodiscard]] sim::Time current_rto() const;
-    [[nodiscard]] double smoothed_rtt_ms() const { return srtt_ms_; }
+    [[nodiscard]] double smoothed_rtt_ms() const { return srtt_.value(); }
     [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
     [[nodiscard]] std::uint64_t delivered_count() const { return delivered_count_; }
     [[nodiscard]] std::uint64_t failed_count() const { return failed_count_; }
@@ -139,10 +140,9 @@ private:
     std::uint64_t next_expected_{1};
     std::map<std::uint64_t, Wire> reorder_;
 
-    // Jacobson/Karels RTO estimation.
-    double srtt_ms_{0.0};
-    double rttvar_ms_{0.0};
-    bool have_rtt_{false};
+    // Jacobson/Karels RTO estimation (ms).
+    math::Ewma srtt_{1.0 / 8.0};
+    math::Ewma rttvar_{1.0 / 4.0};
 
     std::uint64_t retransmissions_{0};
     std::uint64_t delivered_count_{0};

@@ -6,8 +6,12 @@
 namespace mvc::qoe {
 
 AbrController::AbrController(std::vector<media::VideoProfile> ladder, AbrParams params)
-    : ladder_(std::move(ladder)), params_(params) {
+    : ladder_(std::move(ladder)),
+      params_(params),
+      hysteresis_(params.hold_down, params.hold_up, params.min_dwell) {
     if (ladder_.empty()) throw std::invalid_argument("AbrController: empty ladder");
+    if (params_.down_loss <= params_.up_loss)
+        throw std::invalid_argument("AbrController: down_loss must exceed up_loss");
     for (std::size_t i = 1; i < ladder_.size(); ++i) {
         if (ladder_[i].bitrate_bps < ladder_[i - 1].bitrate_bps)
             throw std::invalid_argument("AbrController: ladder must ascend");
@@ -50,43 +54,22 @@ bool AbrController::update(double loss, double rtt_ms, double capacity_bps,
                        (params_.down_rtt_ms <= 0.0 || rtt_ms <= params_.up_rtt_ms) &&
                        next_fits;
 
-    if (congested) {
-        if (congested_since_ == sim::Time::max()) congested_since_ = now;
-    } else {
-        congested_since_ = sim::Time::max();
+    switch (hysteresis_.update(congested && rung_ > 0, clear, now)) {
+        case sim::Hysteresis::Step::enter:
+            // Drop straight to the rung that fits (at least one step): the
+            // fast half of the hysteresis, so a throttled link drains its
+            // backlog instead of stalling one rung at a time.
+            rung_ = std::max(0, have_capacity ? std::min(rung_ - 1, best_fit(usable))
+                                              : rung_ - 1);
+            break;
+        case sim::Hysteresis::Step::exit:
+            ++rung_;  // the slow half: one rung per hold_up
+            break;
+        case sim::Hysteresis::Step::none:
+            return false;
     }
-    if (clear) {
-        if (clear_since_ == sim::Time::max()) clear_since_ = now;
-    } else {
-        clear_since_ = sim::Time::max();
-    }
-
-    const bool dwell_ok =
-        switches_ == 0 || now - last_switch_ >= params_.min_dwell;
-    if (!dwell_ok) return false;
-
-    if (congested && rung_ > 0 && now - congested_since_ >= params_.hold_down) {
-        // Drop straight to the rung that fits (at least one step): the fast
-        // half of the hysteresis, so a throttled link drains its backlog
-        // instead of stalling one rung at a time.
-        const int target =
-            have_capacity ? std::min(rung_ - 1, best_fit(usable)) : rung_ - 1;
-        rung_ = std::max(0, target);
-        ++switches_;
-        last_switch_ = now;
-        congested_since_ = sim::Time::max();
-        clear_since_ = sim::Time::max();
-        return true;
-    }
-    if (clear && rung_ < top_rung() && now - clear_since_ >= params_.hold_up) {
-        ++rung_;  // the slow half: one rung per hold_up
-        ++switches_;
-        last_switch_ = now;
-        congested_since_ = sim::Time::max();
-        clear_since_ = sim::Time::max();
-        return true;
-    }
-    return false;
+    ++switches_;
+    return true;
 }
 
 double AbrController::switches_per_minute(sim::Time elapsed) const {

@@ -8,13 +8,16 @@
 // that fits the usable capacity), up-switches are slow (a long clear-signal
 // hold, one rung at a time, and only when the next rung's bitrate already
 // fits the estimate), and a minimum dwell time bounds the switch rate, so a
-// 10x oversubscribed link converges instead of oscillating between rungs. The shape mirrors fault::DegradationPolicy's
-// enter/exit + hold ladder — same control-theory trick, different actuator.
+// 10x oversubscribed link converges instead of oscillating between rungs.
+// The holds and the dwell are a sim::Hysteresis, the same rule that drives
+// fault::DegradationPolicy's ladder — one control primitive, different
+// actuator.
 
 #include <cstdint>
 #include <vector>
 
 #include "media/video.hpp"
+#include "sim/hysteresis.hpp"
 #include "sim/time.hpp"
 
 namespace mvc::qoe {
@@ -29,7 +32,8 @@ struct AbrParams {
     double reserve_bps{5.0e4};
     /// Loss at/above which the path counts as congested (after hold_down).
     double down_loss{0.08};
-    /// Loss must be at/below this before an up-switch is considered.
+    /// Loss must be at/below this before an up-switch is considered; must
+    /// be below `down_loss`.
     double up_loss{0.02};
     /// Delay (ms) at/above which the path counts as congested; zero
     /// disables the delay criterion (mirrors fault::DegradationParams).
@@ -47,6 +51,8 @@ class AbrController {
 public:
     /// `ladder` is lowest-bitrate-first (media::default_ladder()); the
     /// controller starts at the top rung, so a clean link never switches.
+    /// Throws std::invalid_argument on an empty or descending ladder, or
+    /// unless down_loss > up_loss.
     explicit AbrController(std::vector<media::VideoProfile> ladder,
                            AbrParams params = {});
 
@@ -72,10 +78,7 @@ private:
     AbrParams params_;
     int rung_{0};
     std::uint64_t switches_{0};
-    // Time::max() means "signal not currently in that regime".
-    sim::Time congested_since_{sim::Time::max()};
-    sim::Time clear_since_{sim::Time::max()};
-    sim::Time last_switch_{};  // dwell ignored until the first switch
+    sim::Hysteresis hysteresis_;
 
     [[nodiscard]] int best_fit(double usable_bps) const;
 };

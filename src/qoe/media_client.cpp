@@ -17,6 +17,7 @@ MediaClient::MediaClient(net::Backend& net, net::PacketDemux& demux, Participant
       feedback_tx_(net.open_channel({.src = demux.node(),
                                      .flow = std::string{kQoeFeedbackFlow},
                                      .options = {.priority = net::Priority::Control}})),
+      capacity_(config_.capacity_alpha),
       client_label_(std::to_string(who.value())) {
     // The receiver's freeze accounting uses one fps for the whole session
     // (the top rung's); lower rungs at lower fps slightly under-count
@@ -86,21 +87,16 @@ void MediaClient::tick() {
     const double window_s = (now - last_tick_).to_seconds();
     const double inst_bps =
         window_s > 0.0 ? static_cast<double>(window_bytes_) * 8.0 / window_s : 0.0;
-    if (inst_bps > 0.0) {
-        if (capacity_bps_ <= 0.0) {
-            capacity_bps_ = inst_bps;
-        } else if (inst_bps > capacity_bps_ || health_.loss() > 0.0) {
-            capacity_bps_ = config_.capacity_alpha * inst_bps +
-                            (1.0 - config_.capacity_alpha) * capacity_bps_;
-        }
-    }
+    if (inst_bps > 0.0 &&
+        (!capacity_.initialized() || inst_bps > capacity_.value() || health_.loss() > 0.0))
+        capacity_.add(inst_bps);
     window_bytes_ = 0;
     last_tick_ = now;
 
-    abr_.update(health_.loss(), health_.rtt_ms(), capacity_bps_, now);
+    abr_.update(health_.loss(), health_.rtt_ms(), capacity_.value(), now);
     const std::size_t tiers = config_.interest.tiers().size();
     LodAllocation alloc =
-        allocator_.allocate(capacity_bps_, abr_.profile().bitrate_bps, tiers);
+        allocator_.allocate(capacity_.value(), abr_.profile().bitrate_bps, tiers);
 
     QoeFeedbackWire wire{.participant = who_,
                          .seq = ++feedback_seq_,

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "fault/degradation.hpp"
+#include "math/stats.hpp"
 #include "media/video.hpp"
 #include "net/channel.hpp"
 #include "qoe/abr.hpp"
@@ -81,7 +82,7 @@ public:
     [[nodiscard]] const media::PlaybackStats& playback() const {
         return receiver_->stats();
     }
-    [[nodiscard]] double capacity_bps() const { return capacity_bps_; }
+    [[nodiscard]] double capacity_bps() const { return capacity_.value(); }
     /// Most recent per-tick QoE score (100 before the first tick).
     [[nodiscard]] double last_score() const { return last_score_; }
     [[nodiscard]] std::uint64_t feedback_sent() const { return feedback_seq_; }
@@ -103,7 +104,7 @@ private:
     sim::Time last_tick_{};
     sim::Time last_avatar_rx_{};
     std::size_t window_bytes_{0};
-    double capacity_bps_{0.0};
+    math::Ewma capacity_;
     double last_score_{100.0};
     std::uint32_t feedback_seq_{0};
     std::uint64_t stall_ms_reported_{0};

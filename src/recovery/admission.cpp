@@ -1,41 +1,26 @@
 #include "recovery/admission.hpp"
 
 #include <cstddef>
+#include <stdexcept>
 #include <utility>
 
 namespace mvc::recovery {
 
-AdmissionGate::AdmissionGate(AdmissionParams params) : params_(params) {}
+AdmissionGate::AdmissionGate(AdmissionParams params)
+    : params_(params), hysteresis_(params.hold, params.hold) {
+    if (params_.shed_exit_depth >= params_.shed_enter_depth)
+        throw std::invalid_argument(
+            "AdmissionGate: shed_exit_depth must be below shed_enter_depth");
+}
 
 bool AdmissionGate::update(std::size_t depth, sim::Time now) {
     if (!params_.enabled) return false;
-
-    if (depth >= params_.shed_enter_depth) {
-        if (above_since_ == sim::Time::max()) above_since_ = now;
-    } else {
-        above_since_ = sim::Time::max();
-    }
-    if (depth <= params_.shed_exit_depth) {
-        if (below_since_ == sim::Time::max()) below_since_ = now;
-    } else {
-        below_since_ = sim::Time::max();
-    }
-
-    if (!shedding_ && above_since_ != sim::Time::max() &&
-        now - above_since_ >= params_.hold) {
-        shedding_ = true;
-        ++transitions_;
-        above_since_ = sim::Time::max();
-        return true;
-    }
-    if (shedding_ && below_since_ != sim::Time::max() &&
-        now - below_since_ >= params_.hold) {
-        shedding_ = false;
-        ++transitions_;
-        below_since_ = sim::Time::max();
-        return true;
-    }
-    return false;
+    const auto step = hysteresis_.update(!shedding_ && depth >= params_.shed_enter_depth,
+                                         shedding_ && depth <= params_.shed_exit_depth, now);
+    if (step == sim::Hysteresis::Step::none) return false;
+    shedding_ = step == sim::Hysteresis::Step::enter;
+    ++transitions_;
+    return true;
 }
 
 AvatarIngress::AvatarIngress(net::Backend& net, net::PacketDemux& demux, std::string server,

@@ -1,12 +1,12 @@
 #pragma once
 // Overload admission control for edge/cloud ingress. The server's ingress
 // queue is bounded (drop-oldest); on top of it the AdmissionGate watches
-// queue depth with the same enter/exit-threshold + hold hysteresis as
-// fault::DegradationPolicy: depth at/above `shed_enter_depth` for `hold`
-// starts shedding, depth at/below `shed_exit_depth` for `hold` stops. While
-// shedding, the server rejects *new* (late-joining, low-priority) avatar
-// streams but keeps already-admitted streams flowing, so overload degrades
-// the experience of newcomers instead of everyone.
+// queue depth with the same sim::Hysteresis as fault::DegradationPolicy:
+// depth at/above `shed_enter_depth` for `hold` starts shedding, depth
+// at/below `shed_exit_depth` for `hold` stops. While shedding, the server
+// rejects *new* (late-joining, low-priority) avatar streams but keeps
+// already-admitted streams flowing, so overload degrades the experience of
+// newcomers instead of everyone.
 //
 // AvatarIngress is that ingress, shared by the edge and cloud servers.
 
@@ -17,6 +17,7 @@
 #include <string>
 
 #include "net/transport.hpp"
+#include "sim/hysteresis.hpp"
 #include "sim/time.hpp"
 #include "sync/wire.hpp"
 
@@ -28,7 +29,8 @@ struct AdmissionParams {
     std::size_t queue_capacity{256};
     /// Queue depth at/above which the gate starts shedding after `hold`.
     std::size_t shed_enter_depth{192};
-    /// Queue depth at/below which the gate stops shedding after `hold`.
+    /// Queue depth at/below which the gate stops shedding after `hold`;
+    /// must be below `shed_enter_depth`.
     std::size_t shed_exit_depth{64};
     /// How long depth must stay past a threshold before the gate acts.
     sim::Time hold{sim::Time::ms(50.0)};
@@ -36,6 +38,7 @@ struct AdmissionParams {
 
 class AdmissionGate {
 public:
+    /// Throws std::invalid_argument unless shed_exit_depth < shed_enter_depth.
     explicit AdmissionGate(AdmissionParams params = {});
 
     /// Feed one queue-depth observation at simulated time `now`; returns
@@ -51,9 +54,7 @@ private:
     AdmissionParams params_;
     bool shedding_{false};
     std::uint64_t transitions_{0};
-    // Time::max() means "signal not currently past that threshold".
-    sim::Time above_since_{sim::Time::max()};
-    sim::Time below_since_{sim::Time::max()};
+    sim::Hysteresis hysteresis_;
 };
 
 /// The avatar ingress of a classroom server (DESIGN §6). It registers the

@@ -339,6 +339,10 @@ void walk(Io& io, fault::DegradationParams& p) {
     io.number("exit_rtt_ms", p.exit_rtt_ms);
     // The policy scales rates by 2^-level in an int64 shift.
     io.count("max_level", p.max_level, 62);
+    io.check(p.exit_loss <= p.enter_loss, "exit_loss",
+             "must not exceed enter_loss (hysteresis gap)");
+    io.check(p.enter_rtt_ms <= 0.0 || p.exit_rtt_ms <= p.enter_rtt_ms, "exit_rtt_ms",
+             "must not exceed enter_rtt_ms (hysteresis gap)");
 }
 
 template <class Io>
@@ -366,6 +370,8 @@ void walk(Io& io, ClassroomSpec& c) {
         a.count("shed_enter_depth", p.shed_enter_depth);
         a.count("shed_exit_depth", p.shed_exit_depth);
         a.millis("hold_ms", p.hold);
+        a.check(p.shed_exit_depth < p.shed_enter_depth, "shed_exit_depth",
+                "must be below shed_enter_depth (hysteresis gap)");
     });
     io.list("rooms", c.rooms, [](Io& r, RoomSpec& room, std::size_t i) {
         r.str("preset", room.preset);

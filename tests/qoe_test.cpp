@@ -115,6 +115,13 @@ TEST(AbrTest, InvalidLadderThrows) {
     EXPECT_THROW(AbrController{descending}, std::invalid_argument);
 }
 
+TEST(AbrTest, LossBandWithoutGapThrows) {
+    EXPECT_THROW((AbrController{media::default_ladder(), {.down_loss = 0.02, .up_loss = 0.08}}),
+                 std::invalid_argument);
+    EXPECT_THROW((AbrController{media::default_ladder(), {.down_loss = 0.05, .up_loss = 0.05}}),
+                 std::invalid_argument);
+}
+
 // ---------------------------------------------------------------- budget
 
 TEST(BudgetTest, NoEstimateAndAmpleCapacityAllocateFullRates) {

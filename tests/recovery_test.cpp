@@ -310,6 +310,17 @@ TEST(AdmissionGateTest, OscillationAcrossMidBandNeverFlaps) {
     EXPECT_FALSE(gate.shedding());
 }
 
+TEST(AdmissionGateTest, InvertedOrEmptyBandThrows) {
+    AdmissionParams p;
+    p.shed_enter_depth = 10;
+    p.shed_exit_depth = 50;
+    EXPECT_THROW(AdmissionGate{p}, std::invalid_argument);
+    p.shed_exit_depth = 10;  // no gap: exit must sit strictly below enter
+    EXPECT_THROW(AdmissionGate{p}, std::invalid_argument);
+    p.shed_exit_depth = 9;
+    EXPECT_NO_THROW(AdmissionGate{p});
+}
+
 // ------------------------------------------------------------------ resync
 
 struct ResyncRig {

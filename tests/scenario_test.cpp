@@ -487,8 +487,12 @@ TEST(CorpusTest, BadSpecsAllRejectedAsSpecError) {
 // The full message for each bad-corpus file, as the reader reports it.
 TEST(SpecErrorTest, BadCorpusMessagesPinned) {
     const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"admission_band_inverted.json",
+         "scenario: classroom.admission.shed_exit_depth: must be below shed_enter_depth (hysteresis gap)"},
         {"chaos_window_on_classroom.json",
          "scenario: timeline[0]: chaos needs world=relay, backend=chaos"},
+        {"degradation_band_inverted.json",
+         "scenario: classroom.degradation.exit_loss: must not exceed enter_loss (hysteresis gap)"},
         {"missing_version.json",
          "scenario: scenario_version: required"},
         {"not_an_object.json",

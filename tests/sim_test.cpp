@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/hysteresis.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
@@ -732,6 +733,61 @@ TEST(RngStreamTest, DerivingChildrenConsumesNoParentRandomness) {
     (void)parent.stream("child-a");
     (void)parent.stream("child-b").uniform();
     for (int i = 0; i < 16; ++i) EXPECT_EQ(parent.raw(), untouched.raw());
+}
+
+using Step = Hysteresis::Step;
+
+TEST(HysteresisTest, NothingFiresBeforeTheHold) {
+    Hysteresis h{Time::ms(100), Time::ms(300)};
+    EXPECT_EQ(h.update(true, false, Time::ms(0)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(99)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(100)), Step::enter);
+    // The exit side has its own, longer hold.
+    EXPECT_EQ(h.update(false, true, Time::ms(200)), Step::none);
+    EXPECT_EQ(h.update(false, true, Time::ms(499)), Step::none);
+    EXPECT_EQ(h.update(false, true, Time::ms(500)), Step::exit);
+}
+
+TEST(HysteresisTest, BandResetsBothClocks) {
+    Hysteresis h{Time::ms(100), Time::ms(100)};
+    EXPECT_EQ(h.update(true, false, Time::ms(0)), Step::none);
+    EXPECT_EQ(h.update(false, false, Time::ms(50)), Step::none);  // band
+    // The enter clock re-arms at 60, not 0: 150 is only 90 ms in.
+    EXPECT_EQ(h.update(true, false, Time::ms(60)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(150)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(160)), Step::enter);
+    // Same for the exit side; an enter observation also stops its clock.
+    EXPECT_EQ(h.update(false, true, Time::ms(200)), Step::none);
+    EXPECT_EQ(h.update(false, false, Time::ms(250)), Step::none);
+    EXPECT_EQ(h.update(false, true, Time::ms(260)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(300)), Step::none);
+    EXPECT_EQ(h.update(false, true, Time::ms(310)), Step::none);
+    EXPECT_EQ(h.update(false, true, Time::ms(400)), Step::none);
+    EXPECT_EQ(h.update(false, true, Time::ms(410)), Step::exit);
+}
+
+TEST(HysteresisTest, RepeatStepNeedsAFullHoldFromTheStepInstant) {
+    Hysteresis h{Time::ms(100), Time::ms(100)};
+    EXPECT_EQ(h.update(true, false, Time::ms(0)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(100)), Step::enter);
+    // The clock restarted at 100, not at the next observation (130).
+    EXPECT_EQ(h.update(true, false, Time::ms(130)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(199)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(200)), Step::enter);
+    EXPECT_EQ(h.update(true, false, Time::ms(250)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(300)), Step::enter);
+}
+
+TEST(HysteresisTest, ClockArmsDuringDwellButNothingFiresInsideIt) {
+    Hysteresis h{Time::ms(100), Time::ms(100), Time::seconds(1.0)};
+    EXPECT_EQ(h.update(true, false, Time::ms(0)), Step::none);
+    EXPECT_EQ(h.update(true, false, Time::ms(100)), Step::enter);
+    // The exit clock arms at 200; its hold is over by 300, but the dwell
+    // since the step at 100 runs until 1100.
+    EXPECT_EQ(h.update(false, true, Time::ms(200)), Step::none);
+    EXPECT_EQ(h.update(false, true, Time::ms(300)), Step::none);
+    EXPECT_EQ(h.update(false, true, Time::ms(1099)), Step::none);
+    EXPECT_EQ(h.update(false, true, Time::ms(1100)), Step::exit);
 }
 
 }  // namespace

@@ -23,6 +23,8 @@
 #   tools/ci.sh --chaos    # chaos/reconnect unit tests under ASan+UBSan,
 #                          # then the E20 chaos soak (delivery/recovery SLO
 #                          # gates + same-seed determinism) in quick mode
+#                          # and the E14 fault-recovery gates (a loss burst
+#                          # degrades the ladder, which then fully recovers)
 #   tools/ci.sh --scenario # scenario-engine unit tests under ASan+UBSan,
 #                          # every shipped scenarios/*.scenario.json through
 #                          # metaclass_scenario, the E15 crash/overload gates,
@@ -146,10 +148,13 @@ chaos_stage() {
   ctest --preset sanitize -R 'Backoff|Chaos|Reconnect|Degradation|PathHealth|FrameDefect'
   echo "==> [default] configure"
   cmake --preset default
-  echo "==> [default] build bench_e20_chaos"
-  cmake --build --preset default -j "$jobs" --target bench_e20_chaos
+  echo "==> [default] build bench_e20_chaos + bench_e14_fault_recovery"
+  cmake --build --preset default -j "$jobs" --target bench_e20_chaos \
+    --target bench_e14_fault_recovery
   echo "==> [chaos] E20 soak: SLO gates + same-seed determinism (quick mode)"
   E20_QUICK=1 ./build/bench/bench_e20_chaos
+  echo "==> [chaos] E14 fault recovery: failover + degradation-ladder gates"
+  ./build/bench/bench_e14_fault_recovery
 }
 
 scenario_stage() {
