@@ -90,11 +90,4 @@ void InterestFanout::due_targets_into(ParticipantId entity, sim::Time now,
     }
 }
 
-std::vector<net::NodeId> InterestFanout::due_targets(ParticipantId entity,
-                                                     sim::Time now) {
-    std::vector<net::NodeId> out;
-    due_targets_into(entity, now, out);
-    return out;
-}
-
 }  // namespace mvc::cloud

@@ -43,8 +43,6 @@ public:
     /// viewer (except the entity itself) is always due — the E4 baseline.
     void due_targets_into(ParticipantId entity, sim::Time now,
                           std::vector<net::NodeId>& out);
-    [[nodiscard]] std::vector<net::NodeId> due_targets(ParticipantId entity,
-                                                       sim::Time now);
 
     [[nodiscard]] std::uint64_t suppressed_by_aoi() const { return suppressed_aoi_; }
     [[nodiscard]] std::uint64_t suppressed_by_rate() const { return suppressed_rate_; }

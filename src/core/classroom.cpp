@@ -189,33 +189,10 @@ ParticipantId MetaverseClassroom::add_physical_student(std::size_t room_index,
     person.seated = std::make_unique<session::SeatedBehaviour>(
         sim_.rng_stream("behaviour/" + std::to_string(id.value())),
         room.server->seats().seat(seat_index).pose);
-    person.station = room.wifi->add_station();
-
     auto* behaviour = person.seated.get();
-    auto* wifi = room.wifi.get();
-    auto* server = room.server.get();
-    const net::StationId station = person.station;
-    person.headset = std::make_unique<sensing::Headset>(
-        sim_, room.config.name + "/" + std::to_string(id.value()), id,
-        room.config.headset, [behaviour, this] { return behaviour->truth(sim_.now()); },
-        [wifi, server, station](sensing::SensorSample&& s) {
-            // Headset -> WiFi -> edge server. ~90 B per tracking sample.
-            net::Packet pkt;
-            pkt.size_bytes = 64 + s.expression.size() * 2;
-            pkt.payload = std::move(s);
-            wifi->send(station, std::move(pkt), [server](net::Packet&& delivered) {
-                server->ingest_sample(delivered.payload.take<sensing::SensorSample>());
-            });
-        });
-
-    // Make the participant visible in the VR classroom too.
-    cloud_->place_entity(id);
-
-    // Room cameras track everyone present.
-    if (room.sensors) room.sensors->track(id);
-
-    physical_.emplace(id, std::move(person));
-    return id;
+    return wire_headset(id, std::move(person),
+                        room.config.name + "/" + std::to_string(id.value()),
+                        [behaviour, this] { return behaviour->truth(sim_.now()); });
 }
 
 ParticipantId MetaverseClassroom::add_instructor(std::size_t room_index) {
@@ -236,16 +213,24 @@ ParticipantId MetaverseClassroom::add_instructor(std::size_t room_index) {
     person.instructor = std::make_unique<session::InstructorBehaviour>(
         sim_.rng_stream("behaviour/instructor/" + std::to_string(id.value())),
         math::Pose{{0.0, 0.0, 0.5}, math::Quat::identity()});
+    auto* behaviour = person.instructor.get();
+    return wire_headset(id, std::move(person), room.config.name + "/instructor",
+                        [behaviour, this] { return behaviour->truth(sim_.now()); });
+}
+
+ParticipantId MetaverseClassroom::wire_headset(ParticipantId id, PhysicalPerson person,
+                                               std::string headset_name,
+                                               sensing::Headset::TruthFn truth) {
+    Room& room = rooms_.at(person.room_index);
     person.station = room.wifi->add_station();
 
-    auto* behaviour = person.instructor.get();
     auto* wifi = room.wifi.get();
     auto* server = room.server.get();
     const net::StationId station = person.station;
     person.headset = std::make_unique<sensing::Headset>(
-        sim_, room.config.name + "/instructor", id, room.config.headset,
-        [behaviour, this] { return behaviour->truth(sim_.now()); },
+        sim_, std::move(headset_name), id, room.config.headset, std::move(truth),
         [wifi, server, station](sensing::SensorSample&& s) {
+            // Headset -> WiFi -> edge server. ~90 B per tracking sample.
             net::Packet pkt;
             pkt.size_bytes = 64 + s.expression.size() * 2;
             pkt.payload = std::move(s);
@@ -254,8 +239,12 @@ ParticipantId MetaverseClassroom::add_instructor(std::size_t room_index) {
             });
         });
 
+    // Make the participant visible in the VR classroom too.
     cloud_->place_entity(id);
+
+    // Room cameras track everyone present.
     if (room.sensors) room.sensors->track(id);
+
     physical_.emplace(id, std::move(person));
     return id;
 }

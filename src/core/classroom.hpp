@@ -210,6 +210,13 @@ private:
         std::unique_ptr<cloud::VrClient> client;
     };
 
+    /// Shared tail of add_physical_student / add_instructor: give `person` a
+    /// WiFi station and a headset that samples `truth` and ships each sample
+    /// over the room's WiFi to its edge server, then place `id` in the VR
+    /// classroom and under the room cameras.
+    ParticipantId wire_headset(ParticipantId id, PhysicalPerson person,
+                               std::string headset_name, sensing::Headset::TruthFn truth);
+
     ClassroomConfig config_;
     sim::Simulator sim_;
     net::WanTopology wan_;

@@ -2,7 +2,6 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "math/pose.hpp"
@@ -157,51 +156,6 @@ double quantile_of(std::span<const double> xs, double q) {
     const std::size_t hi = std::min(lo + 1, xs.size() - 1);
     const double frac = idx - static_cast<double>(lo);
     return data[lo] + (data[hi] - data[lo]) * frac;
-}
-
-// ------------------------------------------------------------------- Histogram
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-    if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must exceed lo");
-    if (bins == 0) throw std::invalid_argument("Histogram: need at least one bin");
-}
-
-void Histogram::add(double x) {
-    std::size_t i = 0;
-    if (x >= hi_) {
-        i = counts_.size() - 1;
-    } else if (x > lo_) {
-        i = static_cast<std::size_t>((x - lo_) / width_);
-        i = std::min(i, counts_.size() - 1);
-    }
-    ++counts_[i];
-    ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
-double Histogram::cdf(double x) const {
-    if (total_ == 0) return 0.0;
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        if (bin_hi(i) <= x) {
-            acc += counts_[i];
-        } else {
-            break;
-        }
-    }
-    return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
-std::string Histogram::to_string() const {
-    std::ostringstream os;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        if (counts_[i] == 0) continue;
-        os << bin_lo(i) << ".." << bin_hi(i) << ": " << counts_[i] << "  ";
-    }
-    return os.str();
 }
 
 // ------------------------------------------------------------------------ Ewma

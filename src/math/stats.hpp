@@ -1,12 +1,10 @@
 #pragma once
 // Small statistics toolkit used by the telemetry layer and every benchmark:
-// streaming summaries, exact percentiles over retained samples, fixed-bin
-// histograms, and exponentially weighted moving averages.
+// streaming summaries, exact percentiles over retained samples, and
+// exponentially weighted moving averages.
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace mvc::math {
@@ -64,31 +62,6 @@ private:
     mutable std::vector<double> sorted_;  // lazily rebuilt cache
     mutable bool sorted_valid_{false};
     void ensure_sorted() const;
-};
-
-/// Fixed-width binning over [lo, hi); out-of-range samples clamp to the
-/// first/last bin so totals are preserved.
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-    [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-    [[nodiscard]] std::uint64_t count_in_bin(std::size_t i) const { return counts_.at(i); }
-    [[nodiscard]] std::uint64_t total() const { return total_; }
-    [[nodiscard]] double bin_lo(std::size_t i) const;
-    [[nodiscard]] double bin_hi(std::size_t i) const;
-    /// Fraction of samples at or below x (empirical CDF at bin granularity).
-    [[nodiscard]] double cdf(double x) const;
-    /// Compact one-line rendering for logs: "lo..hi: n | ...".
-    [[nodiscard]] std::string to_string() const;
-
-private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_{0};
 };
 
 /// Exponentially weighted moving average; alpha in (0,1], larger = snappier.

@@ -38,8 +38,6 @@ VideoSource::VideoSource(sim::Clock& clock, std::string name, VideoProfile profi
     if (!emit_) throw std::invalid_argument("VideoSource: null sink");
 }
 
-double VideoSource::nominal_bytes_per_second() const { return profile_.bitrate_bps / 8.0; }
-
 void VideoSource::start() {
     if (running_) return;
     running_ = true;

@@ -71,8 +71,6 @@ public:
 
     [[nodiscard]] const VideoProfile& profile() const { return profile_; }
     [[nodiscard]] std::uint64_t frames_produced() const { return next_index_; }
-    /// Long-run average bytes per second implied by the profile.
-    [[nodiscard]] double nominal_bytes_per_second() const;
 
 private:
     sim::Clock& sim_;

@@ -65,26 +65,4 @@ LinkAdmission Link::admit(std::size_t wire_bytes) {
     return {LinkAdmission::Status::Accepted, arrival};
 }
 
-bool Link::send(Packet packet, DeliverFn deliver) {
-    const LinkAdmission a = admit(packet.size_bytes + kHeaderBytes);
-    switch (a.status) {
-        case LinkAdmission::Status::Rejected:
-            return false;
-        case LinkAdmission::Status::Lost:
-            return true;
-        case LinkAdmission::Status::Accepted:
-            break;
-    }
-    deliver_at(a.arrival, std::move(packet), std::move(deliver));
-    return true;
-}
-
-void Link::deliver_at(sim::Time arrival, Packet packet, DeliverFn deliver) {
-    sim_.schedule_at(arrival, [this, packet = std::move(packet),
-                               deliver = std::move(deliver)]() mutable {
-        ++delivered_;
-        deliver(std::move(packet));
-    });
-}
-
 }  // namespace mvc::net

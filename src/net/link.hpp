@@ -1,10 +1,11 @@
 #pragma once
 // Unidirectional point-to-point link: serialization at a fixed bandwidth,
 // propagation delay with optional jitter (Gaussian base + Pareto spikes for
-// WAN cross-traffic), Bernoulli loss, and a drop-tail byte queue.
+// WAN cross-traffic), Bernoulli loss, and a drop-tail byte queue. The link
+// is the wire model only: admit() decides each packet's fate and arrival
+// time, and the caller (net::Network) schedules the delivery.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "net/packet.hpp"
@@ -29,9 +30,6 @@ struct LinkParams {
     std::size_t queue_bytes{256 * 1024};
 };
 
-/// Delivery callback; receives the packet and the arrival time.
-using DeliverFn = std::function<void(Packet&&)>;
-
 /// Outcome of admitting one packet onto a link: Rejected (down link or queue
 /// overflow — nothing was sent), Lost (accepted by the queue, dropped in
 /// flight), or Accepted with the computed arrival instant.
@@ -46,22 +44,11 @@ public:
     Link(sim::Clock& clock, std::string name, LinkParams params);
 
     /// Charge the link for one packet of `wire_bytes` and compute its fate
-    /// and arrival time without scheduling anything. This is the primitive
-    /// beneath send(); the sharded engine uses it directly so a cross-shard
-    /// packet's full path (serialization, queueing, jitter, loss) is modeled
-    /// in the sender's shard and only the delivery crosses the boundary.
+    /// and arrival time without scheduling anything. The sharded engine
+    /// relies on this: a cross-shard packet's full path (serialization,
+    /// queueing, jitter, loss) is modeled in the sender's shard and only
+    /// the delivery crosses the boundary.
     [[nodiscard]] LinkAdmission admit(std::size_t wire_bytes);
-
-    /// Enqueue a packet. Returns false when the queue overflowed (packet
-    /// dropped); otherwise the packet will either be delivered via `deliver`
-    /// or silently lost per the loss model.
-    bool send(Packet packet, DeliverFn deliver);
-
-    /// Schedule delivery of an already-admitted packet at `arrival` (the
-    /// instant admit() returned). Second half of send(), split out so the
-    /// network can observe the packet between admission and the move into
-    /// the delivery event (the recording tap hooks exactly that window).
-    void deliver_at(sim::Time arrival, Packet packet, DeliverFn deliver);
 
     [[nodiscard]] const LinkParams& params() const { return params_; }
     void set_params(const LinkParams& p) { params_ = p; }
@@ -73,7 +60,6 @@ public:
     [[nodiscard]] bool is_up() const { return up_; }
     [[nodiscard]] std::uint64_t dropped_down() const { return dropped_down_; }
 
-    [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
     [[nodiscard]] std::uint64_t lost() const { return lost_; }
     [[nodiscard]] std::uint64_t dropped_queue() const { return dropped_queue_; }
     [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -88,7 +74,6 @@ private:
     sim::Rng rng_;
     sim::Time busy_until_{};
     bool up_{true};
-    std::uint64_t delivered_{0};
     std::uint64_t lost_{0};
     std::uint64_t dropped_queue_{0};
     std::uint64_t dropped_down_{0};

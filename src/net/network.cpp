@@ -41,8 +41,6 @@ NodeId Network::add_remote(std::string name, Region region, RemoteEgress egress)
     return id;
 }
 
-bool Network::is_remote(NodeId node) const { return node_at(node).egress != nullptr; }
-
 void Network::inject(Packet&& p) { deliver(std::move(p)); }
 
 NodeContext& Network::context(NodeId node) { return node_at(node).context; }
@@ -134,9 +132,8 @@ bool Network::do_send(NodeId src, NodeId dst, std::size_t size_bytes, FlowRef fl
     metrics_.count(fm.tx_bytes, size_bytes + kHeaderBytes);
 
     // Both the local and the remote-proxy path model the full wire here via
-    // admit(); the RNG draw order (and therefore determinism vs the seed) is
-    // identical to the old Link::send-based path. The tap fires once the
-    // packet is on the wire — Accepted or Lost — never on Rejected.
+    // admit(), so both draw the link's RNG in the same order. The tap fires
+    // once the packet is on the wire — Accepted or Lost — never on Rejected.
     const LinkAdmission a = l->admit(size_bytes + kHeaderBytes);
     if (a.status == LinkAdmission::Status::Rejected) {
         metrics_.count(fm.queue_drop);
@@ -152,8 +149,7 @@ bool Network::do_send(NodeId src, NodeId dst, std::size_t size_bytes, FlowRef fl
         dst_rec.egress(std::move(p), a.arrival);
         return true;
     }
-    l->deliver_at(a.arrival, std::move(p),
-                  [this](Packet&& pkt) { deliver(std::move(pkt)); });
+    sim_.schedule_at(a.arrival, [this, p = std::move(p)]() mutable { deliver(std::move(p)); });
     return true;
 }
 

@@ -45,7 +45,6 @@ public:
     /// which ships it across the shard boundary. See core::ShardedWorld.
     using RemoteEgress = std::function<void(Packet&&, sim::Time deliver_at)>;
     NodeId add_remote(std::string name, Region region, RemoteEgress egress);
-    [[nodiscard]] bool is_remote(NodeId node) const;
 
     /// Deliver a packet that crossed the shard boundary: runs the normal
     /// receive path (rx/latency metrics, destination handler). `p.dst` must

@@ -31,7 +31,7 @@ double WifiChannel::utilization() const {
     return airtime_used_.to_seconds() / total;
 }
 
-bool WifiChannel::send(StationId station, Packet packet, DeliverFn deliver) {
+bool WifiChannel::send(StationId station, Packet packet, PacketHandler deliver) {
     if (station >= stations_.size())
         throw std::out_of_range("WifiChannel::send: unknown station");
     Station& st = stations_[station];

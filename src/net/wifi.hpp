@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "net/link.hpp"
+#include "net/backend.hpp"
 #include "net/packet.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -47,7 +47,7 @@ public:
 
     /// Transmit a packet from `station`. Returns false if the station's queue
     /// overflowed. Delivery callback runs at the access point / receiver.
-    bool send(StationId station, Packet packet, DeliverFn deliver);
+    bool send(StationId station, Packet packet, PacketHandler deliver);
 
     [[nodiscard]] const WifiParams& params() const { return params_; }
     [[nodiscard]] std::uint64_t delivered() const { return delivered_; }

@@ -4,15 +4,6 @@
 
 namespace mvc::recovery {
 
-std::string_view link_state_name(LinkState state) {
-    switch (state) {
-        case LinkState::Connected: return "connected";
-        case LinkState::BackingOff: return "backing_off";
-        case LinkState::Probing: return "probing";
-    }
-    return "unknown";
-}
-
 Reconnector::Reconnector(sim::Clock& clock, ReconnectParams params, std::string name)
     : clock_(clock),
       params_(params),

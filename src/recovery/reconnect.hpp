@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 
 #include "net/backoff.hpp"
 #include "sim/clock.hpp"
@@ -32,8 +31,6 @@ enum class LinkState : std::uint8_t {
     BackingOff,  ///< outage declared; waiting out the current backoff delay
     Probing,     ///< probe in flight; outcome decides the next state
 };
-
-[[nodiscard]] std::string_view link_state_name(LinkState state);
 
 struct ReconnectParams {
     /// Silence past this while Connected declares the peer dead. Zero

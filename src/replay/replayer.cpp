@@ -101,13 +101,6 @@ void Replayer::play_until(sim::Time until, double speed) {
 
 void Replayer::play_all(double speed) { play_until(end(), speed); }
 
-void Replayer::rewind() {
-    cursor_ = trace_.cursor();
-    pending_.reset();
-    remotes_.clear();
-    position_ = sim::Time::zero();
-}
-
 sim::Time Replayer::seek(sim::Time target) {
     ++stats_.seeks;
     if (target >= position_ && trace_.checkpoint_index().empty()) {

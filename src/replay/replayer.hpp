@@ -57,9 +57,6 @@ public:
     /// the next keyframe (same contract as crash recovery).
     sim::Time seek(sim::Time target);
 
-    /// Reset to the start of the trace (fresh replicas, stats kept).
-    void rewind();
-
     [[nodiscard]] sim::Time position() const { return position_; }
     [[nodiscard]] sim::Time end() const { return sim::Time::ns(trace_.last_t_ns()); }
 

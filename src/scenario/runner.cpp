@@ -3,8 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/classroom.hpp"
-
 namespace mvc::scenario {
 
 namespace {
@@ -116,43 +114,6 @@ ScenarioSpec load_spec_file(const std::string& path) {
             why.erase(0, prefix.size());
         throw SpecError(path, why);
     }
-}
-
-common::Json series_to_json(const math::SampleSeries& series) {
-    common::JsonObject obj;
-    obj["n"] = common::Json{static_cast<double>(series.count())};
-    obj["mean"] = common::Json{series.mean()};
-    obj["p50"] = common::Json{series.median()};
-    obj["p95"] = common::Json{series.p95()};
-    obj["p99"] = common::Json{series.p99()};
-    return common::Json{std::move(obj)};
-}
-
-common::Json class_report_to_json(const core::ClassReport& report) {
-    common::JsonObject obj;
-    obj["physical_participants"] =
-        common::Json{static_cast<double>(report.physical_participants)};
-    obj["remote_participants"] =
-        common::Json{static_cast<double>(report.remote_participants)};
-    obj["mr_display_latency_ms"] = series_to_json(report.mr_display_latency_ms);
-    obj["mr_cross_campus_ms"] = series_to_json(report.mr_cross_campus_ms);
-    obj["mr_remote_origin_ms"] = series_to_json(report.mr_remote_origin_ms);
-    obj["vr_display_latency_ms"] = series_to_json(report.vr_display_latency_ms);
-    obj["event_visibility_ms"] = series_to_json(report.event_visibility_ms);
-    obj["clock_sync_error_ms"] = common::Json{report.clock_sync_error_ms};
-    obj["avatar_bytes"] = common::Json{static_cast<double>(report.avatar_bytes)};
-    obj["total_bytes"] = common::Json{static_cast<double>(report.total_bytes)};
-    obj["wifi_utilization_max"] = common::Json{report.wifi_utilization_max};
-    obj["participation_ratio"] = common::Json{report.participation_ratio};
-    obj["seats_exhausted"] = common::Json{static_cast<double>(report.seats_exhausted)};
-    if (report.media_enabled) {
-        common::JsonObject media;
-        media["bytes"] = common::Json{static_cast<double>(report.media_bytes)};
-        media["worst_camera_db"] = common::Json{report.media_worst_camera_db};
-        media["av_skew_p95_ms"] = common::Json{report.media_av_skew_p95_ms};
-        obj["media"] = common::Json{std::move(media)};
-    }
-    return common::Json{std::move(obj)};
 }
 
 }  // namespace mvc::scenario

@@ -18,10 +18,6 @@
 #include "scenario/world.hpp"
 #include "sim/metrics.hpp"
 
-namespace mvc::core {
-struct ClassReport;
-}  // namespace mvc::core
-
 namespace mvc::scenario {
 
 struct SloResult {
@@ -60,10 +56,5 @@ struct ScenarioReport {
 /// Read + parse a `.scenario.json` file. Unreadable files and schema
 /// violations throw SpecError (path context = the file name).
 [[nodiscard]] ScenarioSpec load_spec_file(const std::string& path);
-
-/// Serialize a latency series as {n, mean, p50, p95, p99}.
-[[nodiscard]] common::Json series_to_json(const math::SampleSeries& series);
-/// Classroom-world dashboard export: the full ClassReport as JSON.
-[[nodiscard]] common::Json class_report_to_json(const core::ClassReport& report);
 
 }  // namespace mvc::scenario

@@ -646,10 +646,6 @@ core::ShardedWorld& ScenarioWorld::campus() {
                                  : *campus_state_->world;
 }
 
-core::CampusWorld* ScenarioWorld::pooled_campus() {
-    return campus_state_ ? campus_state_->pooled.get() : nullptr;
-}
-
 std::unique_ptr<ScenarioWorld> build(const ScenarioSpec& spec) {
     return std::make_unique<ScenarioWorld>(spec);
 }

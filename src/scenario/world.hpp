@@ -21,7 +21,6 @@
 #include "scenario/timeline.hpp"
 
 namespace mvc::core {
-class CampusWorld;
 class MetaverseClassroom;
 class ShardedWorld;
 }  // namespace mvc::core
@@ -97,8 +96,6 @@ public:
     /// Relay world's avatar-state mirror; nullptr for other worlds.
     [[nodiscard]] replay::AvatarMirror* mirror();
     [[nodiscard]] core::ShardedWorld& campus();
-    /// Dense pooled campus (campus.pooled.buildings > 0); nullptr otherwise.
-    [[nodiscard]] core::CampusWorld* pooled_campus();
     [[nodiscard]] fault::FaultPlan* plan(std::size_t shard = 0);
 
     [[nodiscard]] std::uint64_t ctrl_sent() const { return ctrl_sent_; }

@@ -30,11 +30,6 @@ void RoomSensorArray::untrack(ParticipantId participant) {
     occluded_.erase(participant);
 }
 
-bool RoomSensorArray::is_occluded(ParticipantId p) const {
-    const auto it = occluded_.find(p);
-    return it != occluded_.end() && it->second;
-}
-
 void RoomSensorArray::start() {
     if (running_) return;
     running_ = true;

@@ -49,7 +49,6 @@ public:
 
     [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
     [[nodiscard]] std::uint64_t occluded_samples() const { return occluded_samples_; }
-    [[nodiscard]] bool is_occluded(ParticipantId p) const;
 
 private:
     sim::Simulator& sim_;

@@ -31,7 +31,7 @@ namespace mvc::sim {
 class EventPool {
 public:
     /// Total block size. Large enough for every capture the model schedules
-    /// today (the biggest is a link-delivery lambda at ~120 bytes); anything
+    /// today (the biggest is a packet-delivery lambda at ~88 bytes); anything
     /// bigger bypasses the pool.
     static constexpr std::size_t kBlockBytes = 192;
 

@@ -5,15 +5,11 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/hash.hpp"
+
 namespace mvc::sim {
 
 namespace {
-constexpr std::uint64_t splitmix64(std::uint64_t z) {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 // 256-layer ziggurat for the standard normal (Marsaglia & Tsang, "The
 // Ziggurat Method for Generating Random Variables", JSS 2000). With
@@ -62,14 +58,9 @@ const Ziggurat& ziggurat() {
 }  // namespace
 
 std::uint64_t derive_seed(std::uint64_t seed, std::string_view label) {
-    // FNV-1a over the label, then splitmix the combination. Stable across
+    // FNV-1a digest of the label, mixed with the seed. Stable across
     // platforms (no std::hash, whose value is unspecified).
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : label) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return splitmix64(seed ^ splitmix64(h));
+    return common::mix64(seed ^ common::Hash64{}.bytes(label.data(), label.size()).digest());
 }
 
 Rng Rng::stream(std::string_view name) const { return Rng{derive_seed(base_seed_, name)}; }

@@ -43,11 +43,6 @@ void CellDeltaAggregator::add_viewer(net::NodeId node, ParticipantId self,
     viewers_.insert(it, std::move(v));
 }
 
-void CellDeltaAggregator::update_viewer(net::NodeId node, const math::Vec3& position) {
-    auto it = find_viewer(node);
-    if (it != viewers_.end() && it->node == node) it->position = position;
-}
-
 void CellDeltaAggregator::set_viewer_qoe(net::NodeId node, const math::Vec3& gaze,
                                          double fovea_cos, std::vector<double> foveal,
                                          std::vector<double> peripheral) {

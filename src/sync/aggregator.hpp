@@ -44,10 +44,9 @@ public:
     CellDeltaAggregator(const CellDeltaAggregator&) = delete;
     CellDeltaAggregator& operator=(const CellDeltaAggregator&) = delete;
 
-    /// Register / re-position / drop a receiving viewer. `self` suppresses
-    /// echoing a viewer's own avatar back to it.
+    /// Register (or re-position) / drop a receiving viewer. `self`
+    /// suppresses echoing a viewer's own avatar back to it.
     void add_viewer(net::NodeId node, ParticipantId self, const math::Vec3& position);
-    void update_viewer(net::NodeId node, const math::Vec3& position);
     void remove_viewer(net::NodeId node);
     [[nodiscard]] std::size_t viewer_count() const { return viewers_.size(); }
 

@@ -168,20 +168,6 @@ void InterestGrid::query_nearest_into(const math::Vec3& center, double radius,
     for (const auto& [d2, id] : nearest_scratch_) out.push_back(id);
 }
 
-std::vector<EntityId> InterestGrid::query_radius(const math::Vec3& center,
-                                                 double radius) const {
-    std::vector<EntityId> out;
-    query_radius_into(center, radius, out);
-    return out;
-}
-
-std::vector<EntityId> InterestGrid::query_nearest(const math::Vec3& center, double radius,
-                                                  std::size_t max_results) const {
-    std::vector<EntityId> out;
-    query_nearest_into(center, radius, max_results, out);
-    return out;
-}
-
 InterestPolicy::InterestPolicy() {
     tiers_ = {
         {5.0, 60.0, avatar::LodLevel::High},

@@ -46,12 +46,6 @@ public:
                             std::size_t max_results,
                             std::vector<EntityId>& out) const;
 
-    [[nodiscard]] std::vector<EntityId> query_radius(const math::Vec3& center,
-                                                     double radius) const;
-    [[nodiscard]] std::vector<EntityId> query_nearest(const math::Vec3& center,
-                                                      double radius,
-                                                      std::size_t max_results) const;
-
     /// Pointer into the dense position array; invalidated by update/remove.
     [[nodiscard]] const math::Vec3* position_of(EntityId entity) const;
 

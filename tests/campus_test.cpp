@@ -130,11 +130,14 @@ TEST(FlatGridTest, IncrementalRebuildMatchesFromScratch) {
         ASSERT_NE(p, nullptr);
         scratch.update(EntityId{i}, *p);
     }
+    std::vector<EntityId> got;
+    std::vector<EntityId> expected;
     for (const math::Vec3 center :
          {math::Vec3{0, 0, 0}, math::Vec3{8, 0, 8}, math::Vec3{42, 0, -38}}) {
         for (const double radius : {3.0, 9.0, 25.0}) {
-            EXPECT_EQ(incremental.query_radius(center, radius),
-                      scratch.query_radius(center, radius));
+            incremental.query_radius_into(center, radius, got);
+            scratch.query_radius_into(center, radius, expected);
+            EXPECT_EQ(got, expected);
         }
     }
 }
@@ -145,12 +148,17 @@ TEST(FlatGridTest, QueryIntoOverloadsMatchAllocatingQueries) {
         grid.update(EntityId{i}, {static_cast<double>(i % 11) * 2.0, 0.0,
                                   static_cast<double>(i % 9) * 2.0});
     }
+    // A reused buffer answers exactly like a freshly allocated one.
     std::vector<EntityId> out;
     for (const double radius : {2.0, 7.0, 50.0}) {
+        std::vector<EntityId> fresh_radius;
+        std::vector<EntityId> fresh_nearest;
         grid.query_radius_into({5, 0, 5}, radius, out);
-        EXPECT_EQ(out, grid.query_radius({5, 0, 5}, radius));
+        grid.query_radius_into({5, 0, 5}, radius, fresh_radius);
+        EXPECT_EQ(out, fresh_radius);
         grid.query_nearest_into({5, 0, 5}, radius, 10, out);
-        EXPECT_EQ(out, grid.query_nearest({5, 0, 5}, radius, 10));
+        grid.query_nearest_into({5, 0, 5}, radius, 10, fresh_nearest);
+        EXPECT_EQ(out, fresh_nearest);
     }
     // The buffer is reused, not grown per call: results are cleared first.
     grid.query_radius_into({1000, 0, 1000}, 1.0, out);

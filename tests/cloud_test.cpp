@@ -69,7 +69,8 @@ TEST(FanoutTest, DisabledSendsToEveryoneExceptSelf) {
     fanout.add_viewer({net::NodeId{1}, ParticipantId{1}, {0, 0, 0}});
     fanout.add_viewer({net::NodeId{2}, ParticipantId{2}, {100, 0, 0}});
     fanout.upsert_entity(ParticipantId{1}, {0, 0, 0});
-    const auto targets = fanout.due_targets(ParticipantId{1}, sim.now());
+    std::vector<net::NodeId> targets;
+    fanout.due_targets_into(ParticipantId{1}, sim.now(), targets);
     ASSERT_EQ(targets.size(), 1u);
     EXPECT_EQ(targets[0], net::NodeId{2});
 }
@@ -80,7 +81,8 @@ TEST(FanoutTest, AoiCullsDistantViewers) {
     fanout.add_viewer({net::NodeId{1}, ParticipantId{1}, {0, 0, 0}});
     fanout.add_viewer({net::NodeId{2}, ParticipantId{2}, {500, 0, 0}});
     fanout.upsert_entity(ParticipantId{3}, {0, 0, 0});
-    const auto targets = fanout.due_targets(ParticipantId{3}, sim.now());
+    std::vector<net::NodeId> targets;
+    fanout.due_targets_into(ParticipantId{3}, sim.now(), targets);
     ASSERT_EQ(targets.size(), 1u);
     EXPECT_EQ(targets[0], net::NodeId{1});
     EXPECT_GT(fanout.suppressed_by_aoi(), 0u);
@@ -92,10 +94,12 @@ TEST(FanoutTest, RateLimitPerTier) {
     fanout.add_viewer({net::NodeId{1}, ParticipantId{1}, {0, 0, 0}});
     fanout.upsert_entity(ParticipantId{2}, {2, 0, 0});  // High tier: 60 Hz
     int sent = 0;
+    std::vector<net::NodeId> targets;
     // Offer updates at 600 Hz for one second: the 60 Hz tier must clamp.
     for (int i = 0; i < 600; ++i) {
         sim.schedule_at(sim::Time::ms(i / 0.6), [&] {
-            sent += static_cast<int>(fanout.due_targets(ParticipantId{2}, sim.now()).size());
+            fanout.due_targets_into(ParticipantId{2}, sim.now(), targets);
+            sent += static_cast<int>(targets.size());
         });
     }
     sim.run_all();
@@ -112,12 +116,13 @@ TEST(FanoutTest, FarTierSlowerThanNearTier) {
     fanout.upsert_entity(ParticipantId{3}, {50, 0, 0});   // far: 5 Hz tier
     int near_sent = 0;
     int far_sent = 0;
+    std::vector<net::NodeId> targets;
     for (int i = 0; i < 1000; ++i) {
         sim.schedule_at(sim::Time::ms(i * 1.0), [&] {
-            near_sent += static_cast<int>(
-                fanout.due_targets(ParticipantId{2}, sim.now()).size());
-            far_sent += static_cast<int>(
-                fanout.due_targets(ParticipantId{3}, sim.now()).size());
+            fanout.due_targets_into(ParticipantId{2}, sim.now(), targets);
+            near_sent += static_cast<int>(targets.size());
+            fanout.due_targets_into(ParticipantId{3}, sim.now(), targets);
+            far_sent += static_cast<int>(targets.size());
         });
     }
     sim.run_all();
@@ -129,7 +134,9 @@ TEST(FanoutTest, RemoveViewerStopsDelivery) {
     InterestFanout fanout{{}, false};
     fanout.add_viewer({net::NodeId{1}, ParticipantId{1}, {0, 0, 0}});
     fanout.remove_viewer(net::NodeId{1});
-    EXPECT_TRUE(fanout.due_targets(ParticipantId{2}, sim.now()).empty());
+    std::vector<net::NodeId> targets;
+    fanout.due_targets_into(ParticipantId{2}, sim.now(), targets);
+    EXPECT_TRUE(targets.empty());
     EXPECT_EQ(fanout.viewer_count(), 0u);
 }
 

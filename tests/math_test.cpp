@@ -289,34 +289,6 @@ TEST(QuantileOfTest, UnsortedInputHandled) {
     EXPECT_DOUBLE_EQ(quantile_of(xs, 1.0), 5.0);
 }
 
-TEST(HistogramTest, BinningAndClamping) {
-    Histogram h{0.0, 10.0, 10};
-    h.add(-5.0);   // clamps to first bin
-    h.add(0.5);
-    h.add(9.99);
-    h.add(25.0);   // clamps to last bin
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.count_in_bin(0), 2u);
-    EXPECT_EQ(h.count_in_bin(9), 2u);
-}
-
-TEST(HistogramTest, CdfMonotone) {
-    Histogram h{0.0, 100.0, 20};
-    for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
-    double prev = 0.0;
-    for (double x = 0.0; x <= 100.0; x += 5.0) {
-        const double c = h.cdf(x);
-        EXPECT_GE(c, prev);
-        prev = c;
-    }
-    EXPECT_DOUBLE_EQ(h.cdf(100.0), 1.0);
-}
-
-TEST(HistogramTest, InvalidConstruction) {
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(EwmaTest, ConvergesToConstant) {
     Ewma e{0.2};
     for (int i = 0; i < 100; ++i) e.add(7.0);

@@ -28,11 +28,10 @@ TEST(LinkTest, DeliversAfterPropagationDelay) {
     LinkParams params;
     params.latency = sim::Time::ms(10);
     Link link{sim, "l", params};
-    sim::Time arrival;
-    link.send(make_packet(100), [&](Packet&&) { arrival = sim.now(); });
-    sim.run_all();
-    EXPECT_EQ(arrival, sim::Time::ms(10));
-    EXPECT_EQ(link.delivered(), 1u);
+    const LinkAdmission a = link.admit(100 + kHeaderBytes);
+    EXPECT_EQ(a.status, LinkAdmission::Status::Accepted);
+    EXPECT_EQ(a.arrival, sim::Time::ms(10));
+    EXPECT_EQ(link.bytes_sent(), 100 + kHeaderBytes);
 }
 
 TEST(LinkTest, SerializationDelayFromBandwidth) {
@@ -41,12 +40,11 @@ TEST(LinkTest, SerializationDelayFromBandwidth) {
     params.latency = sim::Time::zero();
     params.bandwidth_bps = 8e6;  // 1 byte per microsecond
     Link link{sim, "l", params};
-    sim::Time arrival;
     const std::size_t payload = 1000;
-    link.send(make_packet(payload), [&](Packet&&) { arrival = sim.now(); });
-    sim.run_all();
+    const LinkAdmission a = link.admit(payload + kHeaderBytes);
+    ASSERT_EQ(a.status, LinkAdmission::Status::Accepted);
     const double expected_us = static_cast<double>(payload + kHeaderBytes);
-    EXPECT_NEAR(arrival.to_us(), expected_us, 1.0);
+    EXPECT_NEAR(a.arrival.to_us(), expected_us, 1.0);
 }
 
 TEST(LinkTest, BackToBackPacketsQueueBehindEachOther) {
@@ -57,12 +55,10 @@ TEST(LinkTest, BackToBackPacketsQueueBehindEachOther) {
     Link link{sim, "l", params};
     std::vector<double> arrivals;
     for (int i = 0; i < 3; ++i) {
-        link.send(make_packet(1000 - kHeaderBytes), [&](Packet&&) {
-            arrivals.push_back(sim.now().to_us());
-        });
+        const LinkAdmission a = link.admit(1000);
+        ASSERT_EQ(a.status, LinkAdmission::Status::Accepted);
+        arrivals.push_back(a.arrival.to_us());
     }
-    sim.run_all();
-    ASSERT_EQ(arrivals.size(), 3u);
     EXPECT_NEAR(arrivals[0], 1000.0, 1.0);
     EXPECT_NEAR(arrivals[1], 2000.0, 1.0);
     EXPECT_NEAR(arrivals[2], 3000.0, 1.0);
@@ -77,7 +73,8 @@ TEST(LinkTest, QueueOverflowDrops) {
     Link link{sim, "l", params};
     int accepted = 0;
     for (int i = 0; i < 10; ++i) {
-        if (link.send(make_packet(500), [](Packet&&) {})) ++accepted;
+        if (link.admit(500 + kHeaderBytes).status != LinkAdmission::Status::Rejected)
+            ++accepted;
     }
     EXPECT_LT(accepted, 10);
     EXPECT_GT(link.dropped_queue(), 0u);
@@ -91,9 +88,9 @@ TEST(LinkTest, LossRateApproximatesParameter) {
     Link link{sim, "lossy", params};
     int delivered = 0;
     for (int i = 0; i < 5000; ++i) {
-        link.send(make_packet(10), [&](Packet&&) { ++delivered; });
+        if (link.admit(10 + kHeaderBytes).status == LinkAdmission::Status::Accepted)
+            ++delivered;
     }
-    sim.run_all();
     EXPECT_NEAR(delivered / 5000.0, 0.8, 0.03);
     EXPECT_EQ(link.lost() + static_cast<std::uint64_t>(delivered), 5000u);
 }
@@ -105,12 +102,11 @@ TEST(LinkTest, JitterNeverMakesArrivalEarly) {
     params.jitter = sim::Time::ms(5);
     params.spike_probability = 0.05;
     Link link{sim, "jittery", params};
-    std::vector<double> arrivals;
     for (int i = 0; i < 500; ++i) {
-        link.send(make_packet(10), [&](Packet&&) { arrivals.push_back(sim.now().to_ms()); });
+        const LinkAdmission a = link.admit(10 + kHeaderBytes);
+        ASSERT_EQ(a.status, LinkAdmission::Status::Accepted);
+        EXPECT_GE(a.arrival.to_ms(), 20.0 - 1e-9);
     }
-    sim.run_all();
-    for (const double a : arrivals) EXPECT_GE(a, 20.0 - 1e-9);
 }
 
 TEST(LinkTest, InfiniteBandwidthNoSerialization) {
@@ -119,10 +115,9 @@ TEST(LinkTest, InfiniteBandwidthNoSerialization) {
     params.latency = sim::Time::ms(1);
     params.bandwidth_bps = 0.0;
     Link link{sim, "fast", params};
-    sim::Time arrival;
-    link.send(make_packet(1'000'000), [&](Packet&&) { arrival = sim.now(); });
-    sim.run_all();
-    EXPECT_EQ(arrival, sim::Time::ms(1));
+    const LinkAdmission a = link.admit(1'000'000 + kHeaderBytes);
+    ASSERT_EQ(a.status, LinkAdmission::Status::Accepted);
+    EXPECT_EQ(a.arrival, sim::Time::ms(1));
 }
 
 // ---------------------------------------------------------------------- WiFi

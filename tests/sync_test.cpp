@@ -186,10 +186,11 @@ TEST(InterestGridTest, QueryMatchesBruteForce) {
         entities.emplace_back(EntityId{i}, p);
         grid.update(EntityId{i}, p);
     }
+    std::vector<EntityId> got;
     for (int trial = 0; trial < 20; ++trial) {
         const math::Vec3 center{d(gen), 0.0, d(gen)};
         const double radius = 8.0;
-        auto got = grid.query_radius(center, radius);
+        grid.query_radius_into(center, radius, got);
         std::vector<EntityId> expected;
         for (const auto& [id, p] : entities) {
             if ((p - center).norm() <= radius) expected.push_back(id);
@@ -201,11 +202,15 @@ TEST(InterestGridTest, QueryMatchesBruteForce) {
 
 TEST(InterestGridTest, UpdateMovesEntityAcrossCells) {
     InterestGrid grid{2.0};
+    std::vector<EntityId> got;
     grid.update(EntityId{1}, {0, 0, 0});
-    EXPECT_EQ(grid.query_radius({0, 0, 0}, 1.0).size(), 1u);
+    grid.query_radius_into({0, 0, 0}, 1.0, got);
+    EXPECT_EQ(got.size(), 1u);
     grid.update(EntityId{1}, {50, 0, 0});
-    EXPECT_TRUE(grid.query_radius({0, 0, 0}, 1.0).empty());
-    EXPECT_EQ(grid.query_radius({50, 0, 0}, 1.0).size(), 1u);
+    grid.query_radius_into({0, 0, 0}, 1.0, got);
+    EXPECT_TRUE(got.empty());
+    grid.query_radius_into({50, 0, 0}, 1.0, got);
+    EXPECT_EQ(got.size(), 1u);
     EXPECT_EQ(grid.size(), 1u);
 }
 
@@ -214,7 +219,9 @@ TEST(InterestGridTest, RemoveErases) {
     grid.update(EntityId{1}, {1, 0, 1});
     grid.remove(EntityId{1});
     EXPECT_EQ(grid.size(), 0u);
-    EXPECT_TRUE(grid.query_radius({1, 0, 1}, 5.0).empty());
+    std::vector<EntityId> got;
+    grid.query_radius_into({1, 0, 1}, 5.0, got);
+    EXPECT_TRUE(got.empty());
     grid.remove(EntityId{1});  // idempotent
 }
 
@@ -223,7 +230,8 @@ TEST(InterestGridTest, QueryNearestOrdersByDistance) {
     grid.update(EntityId{1}, {10, 0, 0});
     grid.update(EntityId{2}, {1, 0, 0});
     grid.update(EntityId{3}, {5, 0, 0});
-    const auto nearest = grid.query_nearest({0, 0, 0}, 20.0, 2);
+    std::vector<EntityId> nearest;
+    grid.query_nearest_into({0, 0, 0}, 20.0, 2, nearest);
     ASSERT_EQ(nearest.size(), 2u);
     EXPECT_EQ(nearest[0], EntityId{2});
     EXPECT_EQ(nearest[1], EntityId{3});
@@ -275,9 +283,10 @@ TEST(InterestGridTest, MixedSignRoomQueriesStayExact) {
         entities.emplace_back(EntityId{i}, p);
         grid.update(EntityId{i}, p);
     }
+    std::vector<EntityId> got;
     for (int trial = 0; trial < 10; ++trial) {
         const math::Vec3 center{d(gen), d(gen), d(gen)};
-        auto got = grid.query_radius(center, 6.0);
+        grid.query_radius_into(center, 6.0, got);
         std::vector<EntityId> expected;
         for (const auto& [id, p] : entities) {
             if ((p - center).norm() <= 6.0) expected.push_back(id);

@@ -38,8 +38,13 @@
 #   tools/ci.sh --campus   # campus/pool/aggregator and cloud/relay egress
 #                          # unit tests (campus_test, cloud_test) under
 #                          # ASan+UBSan, then the E22 campus sweep in quick
-#                          # mode (events/sec + bytes/avatar SLO gates,
-#                          # thread-count determinism, BENCH_e22.json)
+#                          # mode (gates: merged metrics identical across
+#                          # thread counts, no lookahead violations,
+#                          # aggregated egress bytes below the per-update
+#                          # fan-out baseline; writes BENCH_e22.json)
+#   tools/ci.sh --unreached # list library functions no shipped binary
+#                          # keeps (report only, always exits 0; see
+#                          # unreached_stage)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -58,6 +63,7 @@ run_chaos=0
 run_scenario=0
 run_campus=0
 run_qoe=0
+run_unreached=0
 case "${1:-}" in
   "") ;;
   --tier1) run_sanitize=0; run_tsan=0 ;;
@@ -70,7 +76,8 @@ case "${1:-}" in
   --scenario) run_tier1=0; run_sanitize=0; run_tsan=0; run_scenario=1 ;;
   --campus) run_tier1=0; run_sanitize=0; run_tsan=0; run_campus=1 ;;
   --qoe) run_tier1=0; run_sanitize=0; run_tsan=0; run_qoe=1 ;;
-  *) echo "usage: tools/ci.sh [--tier1|--sanitize|--tsan|--perf|--replay|--realnet|--chaos|--scenario|--campus|--qoe]" >&2; exit 2 ;;
+  --unreached) run_tier1=0; run_sanitize=0; run_tsan=0; run_unreached=1 ;;
+  *) echo "usage: tools/ci.sh [--tier1|--sanitize|--tsan|--perf|--replay|--realnet|--chaos|--scenario|--campus|--qoe|--unreached]" >&2; exit 2 ;;
 esac
 
 stage() { # stage <preset>
@@ -225,6 +232,55 @@ campus_stage() {
   E22_QUICK=1 ./build/bench/bench_e22_campus
 }
 
+# Dead-code scan: build every shipped executable (tools, benches, examples)
+# and perfbench at -O0 with one section per function, link with
+# --gc-sections, and print the mvc:: functions that the module libraries
+# define but no linked binary keeps. Functions inlined into every caller have
+# no out-of-line copy to find, and virtual functions stay alive through their
+# vtables, so the list is neither complete nor proof: check each name with
+# grep across src/ tools/ bench/ perfbench/ examples/ before deleting it, and
+# re-run the scan after each deletion. Report only; exits 0.
+unreached_stage() {
+  local dir=build-unreached
+  local cfg=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0
+             "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections"
+             -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+  local targets=() bins=()
+  for f in tools/metaclass_*.cpp bench/bench_*.cpp examples/*.cpp; do
+    local name
+    name=$(basename "$f" .cpp)
+    targets+=(--target "$name")
+    case "$f" in
+      bench/*) bins+=("$dir/bench/$name") ;;
+      *) bins+=("$dir/$(dirname "$f")/$name") ;;
+    esac
+  done
+  echo "==> [unreached] build ${#bins[@]} shipped executables (-O0, --gc-sections)"
+  cmake -S . -B "$dir" "${cfg[@]}"
+  cmake --build "$dir" -j "$jobs" "${targets[@]}"
+  echo "==> [unreached] build perfbench"
+  cmake -S perfbench -B "$dir/perfbench" "${cfg[@]}"
+  cmake --build "$dir/perfbench" -j "$jobs" --target perfbench
+  bins+=("$dir/perfbench/perfbench")
+
+  # Mangled names of mvc:: functions (members, free functions, templates and
+  # the lambdas inside them) with a global or weak text definition.
+  mvc_functions() {
+    nm --defined-only "$@" 2>/dev/null |
+      awk '$2 == "T" || $2 == "W" { print $3 }' |
+      grep -E '^_ZZ?NK?3mvc' | sort -u || true
+  }
+  local defined kept unreached
+  defined=$(mvc_functions "$dir"/src/*/libmvc_*.a)
+  kept=$(mvc_functions "${bins[@]}")
+  unreached=$(comm -23 <(printf '%s\n' "$defined") <(printf '%s\n' "$kept") |
+              c++filt | sort -u)
+  echo "==> [unreached] $(printf '%s' "$unreached" | grep -c . || true) mvc:: functions" \
+       "no shipped binary keeps (check each with grep before deleting):"
+  [ -n "$unreached" ] && printf '%s\n' "$unreached"
+  return 0
+}
+
 [ "$run_tier1" -eq 1 ] && stage default
 [ "$run_sanitize" -eq 1 ] && stage sanitize
 [ "$run_tsan" -eq 1 ] && stage tsan
@@ -235,5 +291,6 @@ campus_stage() {
 [ "$run_scenario" -eq 1 ] && scenario_stage
 [ "$run_campus" -eq 1 ] && campus_stage
 [ "$run_qoe" -eq 1 ] && qoe_stage
+[ "$run_unreached" -eq 1 ] && unreached_stage
 
 echo "==> ci.sh: all requested stages passed"
