@@ -2,12 +2,12 @@
 // by worker threads under a conservative lookahead, with relay/origin
 // fan-out coalesced into per-destination wire batches.
 //
-// Topology: the Hong Kong origin cloud is shard 0; six regional relays
-// (Seoul, Tokyo, Boston, London, Sydney, Singapore) are shards 1..6, each
-// serving its local crowd of lightweight VR clients. Relay<->origin traffic
-// crosses shard boundaries through proxy nodes; the epoch length is the
-// minimum origin<->relay WAN latency, so cross-shard messages always land in
-// a later epoch and no rollback is ever needed.
+// Topology (core::RegionalDeployment): the Hong Kong origin cloud is shard
+// 0; six regional relays (Seoul, Tokyo, Boston, London, Sydney, Singapore)
+// are shards 1..6, each serving its local crowd of lightweight VR clients.
+// Relay<->origin traffic crosses shard boundaries through proxy nodes; the
+// epoch length is the minimum origin<->relay WAN latency, so cross-shard
+// messages always land in a later epoch and no rollback is ever needed.
 //
 // Claims measured:
 //  - determinism: for a fixed seed, the merged metrics JSON is byte-
@@ -20,24 +20,20 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/harness.hpp"
-#include "cloud/relay.hpp"
-#include "cloud/vr_client.hpp"
-#include "core/sharded_world.hpp"
-#include "net/network.hpp"
+#include "core/regional_deployment.hpp"
 
 using namespace mvc;
 
 namespace {
 
-constexpr net::Region kRegions[] = {net::Region::Seoul,  net::Region::Tokyo,
-                                    net::Region::Boston, net::Region::London,
-                                    net::Region::Sydney, net::Region::Singapore};
+const std::vector<net::Region> kRegions = {net::Region::Seoul,  net::Region::Tokyo,
+                                           net::Region::Boston, net::Region::London,
+                                           net::Region::Sydney, net::Region::Singapore};
 constexpr std::uint64_t kSeed = 23;
 
 struct RunResult {
@@ -51,64 +47,9 @@ struct RunResult {
 
 RunResult run(std::size_t clients, std::size_t threads, double sim_seconds,
               sim::Time batch_interval) {
-    const std::size_t shard_count = 1 + std::size(kRegions);
-    core::ShardedWorld world{shard_count, kSeed};
-    net::WanTopology wan;
-
-    // Shard 0: the origin cloud.
-    cloud::CloudServerConfig cc;
-    cc.room = ClassroomId{1};
-    cc.batch_interval = batch_interval;
-    const core::GlobalNode cloud_node = world.add_node(0, "cloud", net::Region::HongKong);
-    cloud::CloudServer origin{world.network(0), cloud_node.node, cc};
-
-    // Shards 1..6: one relay per region, linked to the origin across the
-    // shard boundary (this pins the lookahead to the fastest WAN path).
-    std::vector<std::unique_ptr<cloud::RelayServer>> relays;
-    std::vector<core::GlobalNode> relay_nodes;
-    for (std::size_t r = 0; r < std::size(kRegions); ++r) {
-        const std::size_t shard = r + 1;
-        cloud::RelayConfig rc;
-        rc.name = "relay-" + std::string{net::region_name(kRegions[r])};
-        rc.batch_interval = batch_interval;
-        const core::GlobalNode node = world.add_node(shard, rc.name, kRegions[r]);
-        auto relay = std::make_unique<cloud::RelayServer>(world.network(shard),
-                                                          node.node, std::move(rc));
-        world.connect_cross_wan(node, cloud_node, wan);
-        relay->set_origin(world.proxy_in(shard, cloud_node));
-        origin.add_relay(world.proxy_in(0, node));
-        relays.push_back(std::move(relay));
-        relay_nodes.push_back(node);
-    }
-
-    // Clients: lightweight VR attendees spread round-robin over the regions,
-    // each seated in the shared virtual room and visible to every relay's
-    // interest filter.
-    cloud::VrLayout layout;
-    std::vector<std::unique_ptr<cloud::VrClient>> pool;
-    pool.reserve(clients);
-    for (std::size_t i = 0; i < clients; ++i) {
-        const std::size_t r = i % std::size(kRegions);
-        const std::size_t shard = r + 1;
-        net::Network& net = world.network(shard);
-        const ParticipantId who{static_cast<std::uint32_t>(i + 1)};
-        const net::NodeId node = net.add_node("c" + std::to_string(i), kRegions[r]);
-        net.connect_wan(node, relay_nodes[r].node, wan);
-
-        cloud::VrClientConfig vc;
-        vc.name = "c" + std::to_string(i);
-        vc.room = ClassroomId{1};
-        vc.lightweight = true;
-        vc.latency_metric = "e2e_ms";
-        auto client = std::make_unique<cloud::VrClient>(net, node, who, vc);
-
-        const math::Pose seat = layout.seat_pose(i);
-        for (auto& relay : relays) relay->upsert_entity(who, seat.position);
-        origin.place_entity(who);
-        relays[r]->attach_client(node, who, seat.position);
-        client->join(relay_nodes[r].node, seat);
-        pool.push_back(std::move(client));
-    }
+    core::RegionalDeployment deployment{
+        {.regions = kRegions, .clients = clients, .batch_interval = batch_interval, .seed = kSeed}};
+    core::ShardedWorld& world = deployment.world();
 
     const auto wall_start = std::chrono::steady_clock::now();
     const std::size_t events =

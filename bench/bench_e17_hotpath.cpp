@@ -14,9 +14,9 @@
 //    cancel, run_due), which must both make exactly zero allocations;
 //  - section C: the full Channel -> Network -> Link -> deliver packet path,
 //    allocations per send in steady state;
-//  - section D: an E16-style sharded sweep (origin + 6 regional relays +
-//    VR clients) timed end to end, so the sweep wall time is tracked in the
-//    same artifact;
+//  - section D: E16's sharded sweep (core::RegionalDeployment: origin + 6
+//    regional relays + VR clients) timed end to end, so the sweep wall time
+//    is tracked in the same artifact;
 //  - section E: flat interest-grid queries through the _into overloads on a
 //    committed grid — the E22 per-tick census path — which must stay inside
 //    the same steady-state allocation budget;
@@ -42,7 +42,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <new>
 #include <queue>
 #include <string>
@@ -51,11 +50,9 @@
 #include <vector>
 
 #include "bench/harness.hpp"
-#include "cloud/relay.hpp"
-#include "cloud/vr_client.hpp"
 #include "core/campus.hpp"
 #include "core/classroom.hpp"
-#include "core/sharded_world.hpp"
+#include "core/regional_deployment.hpp"
 #include "net/channel.hpp"
 #include "net/network.hpp"
 #include "sim/metrics.hpp"
@@ -315,9 +312,9 @@ ChurnResult run_timer_churn(std::size_t chains, std::uint64_t warmup_events,
 }
 
 // ------------------------------------------------------------- section D
-constexpr net::Region kRegions[] = {net::Region::Seoul,  net::Region::Tokyo,
-                                    net::Region::Boston, net::Region::London,
-                                    net::Region::Sydney, net::Region::Singapore};
+const std::vector<net::Region> kRegions = {net::Region::Seoul,  net::Region::Tokyo,
+                                           net::Region::Boston, net::Region::London,
+                                           net::Region::Sydney, net::Region::Singapore};
 
 struct SweepResult {
     std::size_t events{0};
@@ -325,66 +322,19 @@ struct SweepResult {
     double allocs_per_event{0.0};
 };
 
-/// E16's topology at one size: origin cloud shard + one relay shard per
-/// region, lightweight VR clients spread round-robin. Measures the whole
-/// run_until (model + engine), not a synthetic loop.
+/// E16's core::RegionalDeployment at one size: origin cloud shard + one
+/// relay shard per region, lightweight VR clients spread round-robin.
+/// Measures the whole run_until (model + engine), not a synthetic loop.
 SweepResult run_sharded_sweep(std::size_t clients, double sim_seconds) {
-    const std::size_t shard_count = 1 + std::size(kRegions);
-    core::ShardedWorld world{shard_count, kSeed};
-    net::WanTopology wan;
-
-    cloud::CloudServerConfig cc;
-    cc.room = ClassroomId{1};
-    cc.batch_interval = sim::Time::ms(20);
-    const core::GlobalNode cloud_node = world.add_node(0, "cloud", net::Region::HongKong);
-    cloud::CloudServer origin{world.network(0), cloud_node.node, cc};
-
-    std::vector<std::unique_ptr<cloud::RelayServer>> relays;
-    std::vector<core::GlobalNode> relay_nodes;
-    for (std::size_t r = 0; r < std::size(kRegions); ++r) {
-        const std::size_t shard = r + 1;
-        cloud::RelayConfig rc;
-        rc.name = "relay-" + std::string{net::region_name(kRegions[r])};
-        rc.batch_interval = sim::Time::ms(20);
-        const core::GlobalNode node = world.add_node(shard, rc.name, kRegions[r]);
-        auto relay = std::make_unique<cloud::RelayServer>(world.network(shard),
-                                                          node.node, std::move(rc));
-        world.connect_cross_wan(node, cloud_node, wan);
-        relay->set_origin(world.proxy_in(shard, cloud_node));
-        origin.add_relay(world.proxy_in(0, node));
-        relays.push_back(std::move(relay));
-        relay_nodes.push_back(node);
-    }
-
-    cloud::VrLayout layout;
-    std::vector<std::unique_ptr<cloud::VrClient>> pool;
-    pool.reserve(clients);
-    for (std::size_t i = 0; i < clients; ++i) {
-        const std::size_t r = i % std::size(kRegions);
-        const std::size_t shard = r + 1;
-        net::Network& net = world.network(shard);
-        const ParticipantId who{static_cast<std::uint32_t>(i + 1)};
-        const net::NodeId node = net.add_node("c" + std::to_string(i), kRegions[r]);
-        net.connect_wan(node, relay_nodes[r].node, wan);
-
-        cloud::VrClientConfig vc;
-        vc.name = "c" + std::to_string(i);
-        vc.room = ClassroomId{1};
-        vc.lightweight = true;
-        vc.latency_metric = "e2e_ms";
-        auto client = std::make_unique<cloud::VrClient>(net, node, who, vc);
-
-        const math::Pose seat = layout.seat_pose(i);
-        for (auto& relay : relays) relay->upsert_entity(who, seat.position);
-        origin.place_entity(who);
-        relays[r]->attach_client(node, who, seat.position);
-        client->join(relay_nodes[r].node, seat);
-        pool.push_back(std::move(client));
-    }
+    core::RegionalDeployment deployment{{.regions = kRegions,
+                                         .clients = clients,
+                                         .batch_interval = sim::Time::ms(20),
+                                         .seed = kSeed}};
 
     const std::uint64_t before_allocs = allocations();
     const auto start = std::chrono::steady_clock::now();
-    const std::size_t events = world.run_until(sim::Time::seconds(sim_seconds), 1);
+    const std::size_t events =
+        deployment.world().run_until(sim::Time::seconds(sim_seconds), 1);
     const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
 
     SweepResult out;

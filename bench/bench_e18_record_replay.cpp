@@ -17,7 +17,8 @@
 //    realtime (must beat 1x) and reconstruction counts;
 //  - section D: checkpoint-indexed seek latency as a function of the
 //    recovery checkpoint interval (denser keyframes -> shorter fast-forward);
-//  - section E: the sharded multi-region world recorded at 1/2/4 worker
+//  - section E: the sharded multi-region world (E16's
+//    core::RegionalDeployment, 3 regions) recorded at 1/2/4 worker
 //    threads — the state-hash streams (and, as measured fact, the trace
 //    bytes) must be identical for every thread count.
 //
@@ -28,17 +29,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
-#include "cloud/relay.hpp"
-#include "cloud/vr_client.hpp"
 #include "core/classroom.hpp"
-#include "core/sharded_world.hpp"
+#include "core/regional_deployment.hpp"
 #include "net/channel.hpp"
 #include "replay/divergence.hpp"
 #include "replay/recorder.hpp"
@@ -160,62 +158,15 @@ LectureRun run_lecture(double sim_seconds, bool record, double checkpoint_s) {
 }
 
 // --------------------------------------------------------------- E: sharded
-constexpr net::Region kShardRegions[] = {net::Region::Seoul, net::Region::Tokyo,
-                                         net::Region::London};
-
-/// E16-style origin + 3 regional relays + lightweight VR clients, recorded
-/// through the ShardSet epoch observer. Returns the trace bytes.
+/// E16's core::RegionalDeployment over 3 regions, recorded through the
+/// ShardSet epoch observer. Returns the trace bytes.
 std::vector<std::uint8_t> run_sharded(std::size_t clients, std::size_t threads,
                                       double sim_seconds) {
-    const std::size_t shard_count = 1 + std::size(kShardRegions);
-    core::ShardedWorld world{shard_count, kSeed};
-    net::WanTopology wan;
-
-    cloud::CloudServerConfig cc;
-    cc.room = ClassroomId{1};
-    const core::GlobalNode cloud_node = world.add_node(0, "cloud", net::Region::HongKong);
-    cloud::CloudServer origin{world.network(0), cloud_node.node, cc};
-
-    std::vector<std::unique_ptr<cloud::RelayServer>> relays;
-    std::vector<core::GlobalNode> relay_nodes;
-    for (std::size_t r = 0; r < std::size(kShardRegions); ++r) {
-        const std::size_t shard = r + 1;
-        cloud::RelayConfig rc;
-        rc.name = "relay-" + std::string{net::region_name(kShardRegions[r])};
-        const core::GlobalNode node = world.add_node(shard, rc.name, kShardRegions[r]);
-        auto relay = std::make_unique<cloud::RelayServer>(world.network(shard),
-                                                          node.node, std::move(rc));
-        world.connect_cross_wan(node, cloud_node, wan);
-        relay->set_origin(world.proxy_in(shard, cloud_node));
-        origin.add_relay(world.proxy_in(0, node));
-        relays.push_back(std::move(relay));
-        relay_nodes.push_back(node);
-    }
-
-    cloud::VrLayout layout;
-    std::vector<std::unique_ptr<cloud::VrClient>> pool;
-    pool.reserve(clients);
-    for (std::size_t i = 0; i < clients; ++i) {
-        const std::size_t r = i % std::size(kShardRegions);
-        const std::size_t shard = r + 1;
-        net::Network& net = world.network(shard);
-        const ParticipantId who{static_cast<std::uint32_t>(i + 1)};
-        const net::NodeId node = net.add_node("c" + std::to_string(i), kShardRegions[r]);
-        net.connect_wan(node, relay_nodes[r].node, wan);
-
-        cloud::VrClientConfig vc;
-        vc.name = "c" + std::to_string(i);
-        vc.room = ClassroomId{1};
-        vc.lightweight = true;
-        auto client = std::make_unique<cloud::VrClient>(net, node, who, vc);
-
-        const math::Pose seat = layout.seat_pose(i);
-        for (auto& relay : relays) relay->upsert_entity(who, seat.position);
-        origin.place_entity(who);
-        relays[r]->attach_client(node, who, seat.position);
-        client->join(relay_nodes[r].node, seat);
-        pool.push_back(std::move(client));
-    }
+    core::RegionalDeployment deployment{
+        {.regions = {net::Region::Seoul, net::Region::Tokyo, net::Region::London},
+         .clients = clients,
+         .seed = kSeed}};
+    core::ShardedWorld& world = deployment.world();
 
     replay::MemorySink sink;
     replay::Recorder rec{sink, kSeed, "bench-e18 sharded", 0, replay::RecorderOptions{}};

@@ -47,8 +47,7 @@ Result run(std::size_t clients, bool mesh_mode, double seconds) {
     cloud::CloudServer origin{net, cloud_node, cc};
     std::unique_ptr<cloud::RegionalMesh> mesh;
     if (mesh_mode) {
-        mesh = std::make_unique<cloud::RegionalMesh>(net, wan, origin,
-                                                     net::Region::HongKong);
+        mesh = std::make_unique<cloud::RegionalMesh>(net, wan, origin);
     }
 
     std::vector<std::unique_ptr<cloud::VrClient>> pool;

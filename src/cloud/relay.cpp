@@ -83,14 +83,20 @@ void RelayServer::ingest(sync::AvatarWire&& wire, bool from_origin) {
     });
 }
 
-RegionalMesh::RegionalMesh(net::Network& net, const net::WanTopology& wan,
-                           CloudServer& origin, net::Region origin_region,
+RegionalMesh::RegionalMesh(CloudServer& origin, PlaceRelayFn place,
                            RelayConfig relay_template)
-    : net_(net),
-      wan_(wan),
-      origin_(origin),
-      origin_region_(origin_region),
-      relay_template_(std::move(relay_template)) {}
+    : origin_(origin), place_(std::move(place)), relay_template_(std::move(relay_template)) {}
+
+RegionalMesh::RegionalMesh(net::Network& net, const net::WanTopology& wan,
+                           CloudServer& origin, RelayConfig relay_template)
+    : RegionalMesh(
+          origin,
+          [&net, &wan, &origin](const std::string& name, net::Region region) {
+              const net::NodeId node = net.add_node(name, region);
+              net.connect_wan(node, origin.node(), wan);
+              return RelayPlacement{net, node, origin.node(), node};
+          },
+          std::move(relay_template)) {}
 
 bool RegionalMesh::has_relay(net::Region region) const { return relays_.contains(region); }
 
@@ -100,11 +106,10 @@ RelayServer& RegionalMesh::relay_for(net::Region region) {
 
     RelayConfig cfg = relay_template_;
     cfg.name = "relay-" + std::string{net::region_name(region)};
-    const net::NodeId node = net_.add_node(cfg.name, region);
-    auto relay = std::make_unique<RelayServer>(net_, node, std::move(cfg));
-    relay->set_origin(origin_.node());
-    net_.connect_wan(node, origin_.node(), wan_);
-    origin_.add_relay(node);
+    const RelayPlacement at = place_(cfg.name, region);
+    auto relay = std::make_unique<RelayServer>(at.net, at.node, std::move(cfg));
+    relay->set_origin(at.origin);
+    origin_.add_relay(at.at_origin);
 
     // Entities admitted before this relay existed must be visible to its
     // interest checks too.

@@ -6,6 +6,7 @@
 // the origin, which distributes to the other relays. RegionalMesh is the
 // control plane that places relays, wires the topology, and admits clients.
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -88,12 +89,29 @@ private:
     void ingest(sync::AvatarWire&& wire, bool from_origin);
 };
 
+/// Where a relay was placed: its network and node, the origin as the relay
+/// addresses it, and the relay as the origin addresses it (the same ids on
+/// one network; proxy ids when the relay sits in another shard).
+struct RelayPlacement {
+    net::Backend& net;
+    net::NodeId node, origin, at_origin;
+};
+
+/// The mesh's one seam: create a relay's node (named `name`, in `region`)
+/// and link it to the origin, on a single Network or in a sharded world.
+using PlaceRelayFn =
+    std::function<RelayPlacement(const std::string& name, net::Region region)>;
+
 /// Control plane for the regional deployment: one relay per region with
 /// clients, all feeding a single origin CloudServer.
 class RegionalMesh {
 public:
+    /// Relays placed by `place` (core::RegionalDeployment places each in
+    /// its region's shard).
+    RegionalMesh(CloudServer& origin, PlaceRelayFn place, RelayConfig relay_template = {});
+    /// Relays on the origin's own network, WAN-linked to it.
     RegionalMesh(net::Network& net, const net::WanTopology& wan, CloudServer& origin,
-                 net::Region origin_region, RelayConfig relay_template = {});
+                 RelayConfig relay_template = {});
 
     /// Relay serving `region`, created and wired on first use.
     RelayServer& relay_for(net::Region region);
@@ -110,10 +128,8 @@ public:
     [[nodiscard]] std::uint64_t total_relay_egress() const;
 
 private:
-    net::Network& net_;
-    const net::WanTopology& wan_;
     CloudServer& origin_;
-    net::Region origin_region_;
+    PlaceRelayFn place_;
     RelayConfig relay_template_;
     VrLayout layout_;
     std::size_t next_seat_{0};

@@ -151,8 +151,7 @@ void MetaverseClassroom::build_cloud() {
         net_.connect_wan(room.edge_node, cloud_node_, wan_);
     }
     if (config_.regional_mesh) {
-        mesh_ = std::make_unique<cloud::RegionalMesh>(net_, wan_, *cloud_,
-                                                      config_.cloud_region);
+        mesh_ = std::make_unique<cloud::RegionalMesh>(net_, wan_, *cloud_);
     }
 }
 

@@ -751,6 +751,13 @@ void validate_spec(const ScenarioSpec& spec) {
             } else if (spec.campus.regions.empty()) {
                 throw SpecError("campus.regions", "needs at least one region");
             }
+            // One relay shard per region: a repeat would be a second shard
+            // with the same relay name, unreachable as relay/<region>.
+            for (auto it = spec.campus.regions.begin(); it != spec.campus.regions.end(); ++it) {
+                if (std::find(spec.campus.regions.begin(), it, *it) != it)
+                    throw SpecError("campus.regions", "region '" +
+                                    std::string{net::region_name(*it)} + "' listed twice");
+            }
             break;
     }
 

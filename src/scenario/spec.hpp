@@ -193,8 +193,9 @@ struct PooledCampusSpec {
     sim::Time aggregate_interval{sim::Time::ms(50)};
 };
 
-/// E16-shaped sharded deployment: the origin cloud is shard 0, one relay
-/// shard per region, lightweight VR clients spread round-robin.
+/// E16's sharded deployment (core::RegionalDeployment): the origin cloud is
+/// shard 0, one relay shard per region, lightweight VR clients spread
+/// round-robin. Regions may not repeat.
 struct CampusSpec {
     std::vector<net::Region> regions;
     std::size_t clients_per_region{8};

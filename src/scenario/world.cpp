@@ -4,13 +4,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cloud/cloud_server.hpp"
 #include "cloud/relay.hpp"
 #include "cloud/vr_client.hpp"
 #include "cloud/vr_layout.hpp"
 #include "core/campus.hpp"
 #include "core/classroom.hpp"
-#include "core/sharded_world.hpp"
+#include "core/regional_deployment.hpp"
 #include "core/wire_codecs.hpp"
 #include "net/chaos.hpp"
 #include "net/network.hpp"
@@ -74,17 +73,15 @@ struct ScenarioWorld::RelayState {
 };
 
 struct ScenarioWorld::CampusState {
-    std::unique_ptr<core::ShardedWorld> world;
-    /// Dense pooled campus (spec.campus.pooled.buildings > 0); `world` is
+    /// Origin + one relay shard per region (spec.campus.regions).
+    std::unique_ptr<core::RegionalDeployment> regional;
+    /// Dense pooled campus (spec.campus.pooled.buildings > 0); `regional` is
     /// then null and the sharded engine lives inside the CampusWorld.
     std::unique_ptr<core::CampusWorld> pooled;
-    net::WanTopology wan;
-    core::GlobalNode cloud_node;
-    std::unique_ptr<cloud::CloudServer> origin;
-    std::vector<std::unique_ptr<cloud::RelayServer>> relays;
-    std::vector<core::GlobalNode> relay_nodes;
-    std::vector<std::unique_ptr<cloud::VrClient>> clients;
-    std::vector<std::size_t> client_shards;
+
+    [[nodiscard]] core::ShardedWorld& world() const {
+        return pooled ? pooled->sharded() : regional->world();
+    }
 };
 
 // -------------------------------------------------------------- building
@@ -318,57 +315,13 @@ void ScenarioWorld::build_campus() {
         return;
     }
 
-    const std::size_t shard_count = 1 + c.regions.size();
-    st.world = std::make_unique<core::ShardedWorld>(shard_count, spec_.seed);
-
-    cloud::CloudServerConfig cc;
-    cc.room = ClassroomId{1};
-    cc.batch_interval = c.batch_interval;
-    st.cloud_node = st.world->add_node(0, "cloud", net::Region::HongKong);
-    st.origin = std::make_unique<cloud::CloudServer>(st.world->network(0),
-                                                     st.cloud_node.node, cc);
-
-    for (std::size_t r = 0; r < c.regions.size(); ++r) {
-        const std::size_t shard = r + 1;
-        cloud::RelayConfig rc;
-        rc.name = "relay-" + std::string{net::region_name(c.regions[r])};
-        rc.batch_interval = c.batch_interval;
-        const core::GlobalNode node = st.world->add_node(shard, rc.name, c.regions[r]);
-        auto relay = std::make_unique<cloud::RelayServer>(st.world->network(shard),
-                                                          node.node, std::move(rc));
-        st.world->connect_cross_wan(node, st.cloud_node, st.wan);
-        relay->set_origin(st.world->proxy_in(shard, st.cloud_node));
-        st.origin->add_relay(st.world->proxy_in(0, node));
-        st.relays.push_back(std::move(relay));
-        st.relay_nodes.push_back(node);
-    }
-
-    cloud::VrLayout layout;
-    const std::size_t total = c.clients_per_region * c.regions.size();
-    for (std::size_t i = 0; i < total; ++i) {
-        const std::size_t r = i % c.regions.size();
-        const std::size_t shard = r + 1;
-        net::Network& net = st.world->network(shard);
-        const ParticipantId who{static_cast<std::uint32_t>(i + 1)};
-        const net::NodeId node = net.add_node("c" + std::to_string(i), c.regions[r]);
-        net.connect_wan(node, st.relay_nodes[r].node, st.wan);
-
-        cloud::VrClientConfig vc;
-        vc.name = "c" + std::to_string(i);
-        vc.room = ClassroomId{1};
-        vc.lightweight = c.lightweight;
-        vc.latency_metric = "e2e_ms";
-        auto client = std::make_unique<cloud::VrClient>(net, node, who, vc);
-
-        const math::Pose seat = layout.seat_pose(i);
-        for (auto& relay : st.relays) relay->upsert_entity(who, seat.position);
-        st.origin->place_entity(who);
-        st.relays[r]->attach_client(node, who, seat.position);
-        client->join(st.relay_nodes[r].node, seat);
-        clients_.push_back(client.get());
-        st.clients.push_back(std::move(client));
-        st.client_shards.push_back(shard);
-    }
+    st.regional = std::make_unique<core::RegionalDeployment>(
+        core::RegionalDeploymentConfig{.regions = c.regions,
+                                       .clients = c.clients_per_region * c.regions.size(),
+                                       .batch_interval = c.batch_interval,
+                                       .lightweight = c.lightweight,
+                                       .seed = spec_.seed});
+    for (const auto& client : st.regional->clients()) clients_.push_back(client.get());
 }
 
 // --------------------------------------------------- timeline and hashes
@@ -391,46 +344,34 @@ std::vector<ResolvedNode> ScenarioWorld::resolve(const std::string& ref) const {
         }
         return fail();
     }
+    if (campus_state_ && campus_state_->pooled) return fail();  // no symbolic nodes
+    const core::RegionalDeployment* regional =
+        campus_state_ ? campus_state_->regional.get() : nullptr;
+    if (head == "client") {
+        // Relay-world clients all live in shard 0; campus client i in its region's.
+        const auto at = [&](std::size_t i) -> ResolvedNode {
+            return {regional ? regional->client_shard(i) : 0, clients_[i]->node()};
+        };
+        if (tail == "*") {
+            std::vector<ResolvedNode> all;
+            for (std::size_t i = 0; i < clients_.size(); ++i) all.push_back(at(i));
+            return all;
+        }
+        const auto idx = ref_index(tail);
+        if (!idx || *idx >= clients_.size()) return fail();
+        return {at(*idx)};
+    }
     if (relay_state_) {
         const RelayState& st = *relay_state_;
         if (ref == "relay") return {{0, st.relay_node}};
         if (ref == "ctrl/a" && st.ctrl_a != net::kInvalidNode) return {{0, st.ctrl_a}};
         if (ref == "ctrl/b" && st.ctrl_b != net::kInvalidNode) return {{0, st.ctrl_b}};
-        if (head == "client") {
-            if (tail == "*") {
-                std::vector<ResolvedNode> all;
-                for (const auto& c : st.clients) all.push_back({0, c->node()});
-                return all;
-            }
-            const auto idx = ref_index(tail);
-            if (!idx || *idx >= st.clients.size()) return fail();
-            return {{0, st.clients[*idx]->node()}};
+    } else if (regional != nullptr) {
+        if (ref == "cloud") return {{0, regional->origin_node().node}};
+        for (std::size_t r = 0; r < spec_.campus.regions.size(); ++r) {
+            if (head == "relay" && net::region_name(spec_.campus.regions[r]) == tail)
+                return {{r + 1, regional->relay_nodes()[r].node}};
         }
-        return fail();
-    }
-    if (campus_state_) {
-        const CampusState& st = *campus_state_;
-        if (st.pooled) return fail();  // pooled campus has no symbolic nodes
-        if (ref == "cloud") return {{0, st.cloud_node.node}};
-        if (head == "relay") {
-            for (std::size_t r = 0; r < spec_.campus.regions.size(); ++r) {
-                if (net::region_name(spec_.campus.regions[r]) == tail)
-                    return {{r + 1, st.relay_nodes[r].node}};
-            }
-            return fail();
-        }
-        if (head == "client") {
-            if (tail == "*") {
-                std::vector<ResolvedNode> all;
-                for (std::size_t i = 0; i < st.clients.size(); ++i)
-                    all.push_back({st.client_shards[i], st.clients[i]->node()});
-                return all;
-            }
-            const auto idx = ref_index(tail);
-            if (!idx || *idx >= st.clients.size()) return fail();
-            return {{st.client_shards[*idx], st.clients[*idx]->node()}};
-        }
-        return fail();
     }
     return fail();
 }
@@ -442,13 +383,13 @@ fault::FaultPlan* ScenarioWorld::plan(std::size_t shard) {
 void ScenarioWorld::arm_timeline() {
     if (spec_.timeline.empty()) return;
     const std::size_t shard_count =
-        campus_state_ ? campus_state_->world->shard_count() : 1;
+        campus_state_ ? campus_state_->world().shard_count() : 1;
     plans_.resize(shard_count);
     auto plan_for = [this](std::size_t shard) -> fault::FaultPlan& {
         if (!plans_[shard]) {
             net::Network& net =
                 campus_state_
-                    ? campus_state_->world->network(shard)
+                    ? campus_state_->world().network(shard)
                     : (classroom_state_ ? classroom_state_->classroom->network()
                                         : *relay_state_->inner);
             plans_[shard] = std::make_unique<fault::FaultPlan>(net);
@@ -489,8 +430,8 @@ void ScenarioWorld::schedule_hashes() {
                 hashes_.push_back(st.pooled->origin_digest());
             });
         } else {
-            st.world->simulator(0).schedule_every(spec_.hash_interval, [this, &st] {
-                hashes_.push_back(st.origin->state_digest());
+            st.world().simulator(0).schedule_every(spec_.hash_interval, [this, &st] {
+                hashes_.push_back(st.regional->origin().state_digest());
             });
         }
     }
@@ -502,9 +443,7 @@ void ScenarioWorld::enable_recording(replay::Recorder& rec) {
     if (classroom_state_) {
         classroom_state_->classroom->enable_recording(rec, spec_.hash_interval);
     } else if (campus_state_) {
-        (campus_state_->pooled ? campus_state_->pooled->sharded()
-                               : *campus_state_->world)
-            .enable_recording(rec);
+        campus_state_->world().enable_recording(rec);
     } else {
         throw std::logic_error("scenario: recording is classroom/campus only");
     }
@@ -524,11 +463,7 @@ void ScenarioWorld::run(std::size_t threads) {
             relay_state_->real->run_for(spec_.duration);
         }
     } else if (campus_state_) {
-        if (campus_state_->pooled) {
-            campus_state_->pooled->run_until(spec_.duration, threads);
-        } else {
-            campus_state_->world->run_until(spec_.duration, threads);
-        }
+        campus_state_->world().run_until(spec_.duration, threads);
     }
 }
 
@@ -591,7 +526,7 @@ sim::MetricsRecorder ScenarioWorld::collect_metrics() const {
         }
     } else if (campus_state_) {
         out.merge(campus_state_->pooled ? campus_state_->pooled->merged_metrics()
-                                        : campus_state_->world->merged_metrics());
+                                        : campus_state_->world().merged_metrics());
     }
     out.count("scenario.hash_epochs", hashes_.size());
     return out;
@@ -606,15 +541,13 @@ sim::Simulator& ScenarioWorld::simulator() {
             throw std::logic_error("scenario: real_udp runs on a wall clock");
         return *relay_state_->sim;
     }
-    return campus_state_->pooled ? campus_state_->pooled->simulator(0)
-                                 : campus_state_->world->simulator(0);
+    return campus_state_->world().simulator(0);
 }
 
 net::Backend& ScenarioWorld::backend() {
     if (classroom_state_) return classroom_state_->classroom->network();
     if (relay_state_) return *relay_state_->backend;
-    return campus_state_->pooled ? campus_state_->pooled->network(0)
-                                 : campus_state_->world->network(0);
+    return campus_state_->world().network(0);
 }
 
 core::MetaverseClassroom& ScenarioWorld::classroom() {
@@ -642,8 +575,7 @@ replay::AvatarMirror* ScenarioWorld::mirror() {
 
 core::ShardedWorld& ScenarioWorld::campus() {
     if (!campus_state_) throw std::logic_error("scenario: not a campus world");
-    return campus_state_->pooled ? campus_state_->pooled->sharded()
-                                 : *campus_state_->world;
+    return campus_state_->world();
 }
 
 std::unique_ptr<ScenarioWorld> build(const ScenarioSpec& spec) {

@@ -246,7 +246,7 @@ TEST_F(CloudFixture, PlaceEntityIsStable) {
 // ------------------------------------------------------------- RegionalMesh
 
 struct MeshFixture : CloudFixture {
-    RegionalMesh mesh{net, wan, cloud, net::Region::HongKong};
+    RegionalMesh mesh{net, wan, cloud};
 
     std::unique_ptr<VrClient> make_mesh_client(std::uint32_t id, net::Region region) {
         const net::NodeId node = net.add_node("mc-" + std::to_string(id), region);
@@ -357,7 +357,7 @@ EgressRun run_egress(EgressMode mode) {
     }
     const net::NodeId cloud_node = net.add_node("cloud", net::Region::HongKong);
     CloudServer cloud{net, cloud_node, cc};
-    RegionalMesh mesh{net, wan, cloud, net::Region::HongKong, rc};
+    RegionalMesh mesh{net, wan, cloud, rc};
 
     const net::NodeId peer = net.add_node("peer", net::Region::HongKong);
     net.connect_wan(peer, cloud_node, wan);

@@ -8,16 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "cloud/relay.hpp"
-#include "cloud/vr_client.hpp"
 #include "core/classroom.hpp"
-#include "core/sharded_world.hpp"
+#include "core/regional_deployment.hpp"
 #include "replay/divergence.hpp"
 #include "replay/recorder.hpp"
 #include "replay/replayer.hpp"
@@ -463,56 +460,12 @@ TEST(RecordReplayE2ETest, SeekConvergesToStraightPlayState) {
 
 // ------------------------------------------------------ sharded e2e
 
-/// Slim version of the E18 sharded scenario: cloud origin on shard 0, one
-/// relay per region shard, a few lightweight VR clients.
+/// Slim version of the E18 sharded scenario: a two-region
+/// core::RegionalDeployment with six lightweight VR clients.
 std::vector<std::uint8_t> record_sharded(std::size_t threads, double sim_seconds) {
-    constexpr net::Region kRegions[] = {net::Region::Seoul, net::Region::London};
-    core::ShardedWorld world{1 + std::size(kRegions), kSeed};
-    net::WanTopology wan;
-
-    cloud::CloudServerConfig cc;
-    cc.room = ClassroomId{1};
-    const core::GlobalNode cloud_node = world.add_node(0, "cloud", net::Region::HongKong);
-    cloud::CloudServer origin{world.network(0), cloud_node.node, cc};
-
-    std::vector<std::unique_ptr<cloud::RelayServer>> relays;
-    std::vector<core::GlobalNode> relay_nodes;
-    for (std::size_t r = 0; r < std::size(kRegions); ++r) {
-        const std::size_t shard = r + 1;
-        cloud::RelayConfig rc;
-        rc.name = "relay-" + std::string{net::region_name(kRegions[r])};
-        const core::GlobalNode node = world.add_node(shard, rc.name, kRegions[r]);
-        auto relay = std::make_unique<cloud::RelayServer>(world.network(shard),
-                                                          node.node, std::move(rc));
-        world.connect_cross_wan(node, cloud_node, wan);
-        relay->set_origin(world.proxy_in(shard, cloud_node));
-        origin.add_relay(world.proxy_in(0, node));
-        relays.push_back(std::move(relay));
-        relay_nodes.push_back(node);
-    }
-
-    cloud::VrLayout layout;
-    std::vector<std::unique_ptr<cloud::VrClient>> pool;
-    for (std::size_t i = 0; i < 6; ++i) {
-        const std::size_t r = i % std::size(kRegions);
-        const std::size_t shard = r + 1;
-        net::Network& net = world.network(shard);
-        const ParticipantId who{static_cast<std::uint32_t>(i + 1)};
-        const net::NodeId node = net.add_node("c" + std::to_string(i), kRegions[r]);
-        net.connect_wan(node, relay_nodes[r].node, wan);
-
-        cloud::VrClientConfig vc;
-        vc.name = "c" + std::to_string(i);
-        vc.room = ClassroomId{1};
-        vc.lightweight = true;
-        auto client = std::make_unique<cloud::VrClient>(net, node, who, vc);
-        const math::Pose seat = layout.seat_pose(i);
-        for (auto& relay : relays) relay->upsert_entity(who, seat.position);
-        origin.place_entity(who);
-        relays[r]->attach_client(node, who, seat.position);
-        client->join(relay_nodes[r].node, seat);
-        pool.push_back(std::move(client));
-    }
+    core::RegionalDeployment deployment{
+        {.regions = {net::Region::Seoul, net::Region::London}, .clients = 6, .seed = kSeed}};
+    core::ShardedWorld& world = deployment.world();
 
     MemorySink sink;
     Recorder rec{sink, kSeed, "replay-test sharded", 0, RecorderOptions{}};

@@ -489,6 +489,8 @@ TEST(SpecErrorTest, BadCorpusMessagesPinned) {
     const std::vector<std::pair<std::string, std::string>> pinned = {
         {"admission_band_inverted.json",
          "scenario: classroom.admission.shed_exit_depth: must be below shed_enter_depth (hysteresis gap)"},
+        {"campus_duplicate_region.json",
+         "scenario: campus.regions: region 'Seoul' listed twice"},
         {"chaos_window_on_classroom.json",
          "scenario: timeline[0]: chaos needs world=relay, backend=chaos"},
         {"degradation_band_inverted.json",

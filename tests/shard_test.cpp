@@ -1,13 +1,16 @@
 // Tests for the sharded parallel engine: ShardSet epoch protocol (ordering,
 // lookahead enforcement, thread-count independence) and the ShardedWorld
-// fabric (proxy wiring, cross-shard delivery, deterministic merged metrics).
+// fabric (proxy wiring, cross-shard delivery, deterministic merged metrics)
+// and the RegionalDeployment built on it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/regional_deployment.hpp"
 #include "core/sharded_world.hpp"
 #include "net/channel.hpp"
 #include "net/transport.hpp"
@@ -184,6 +187,28 @@ TEST(ShardedWorldTest, MergedMetricsByteIdenticalAcrossThreadCounts) {
     EXPECT_NE(serial.find("shard.cross_messages"), std::string::npos);
     EXPECT_EQ(run(2), serial);
     EXPECT_EQ(run(3), serial);
+}
+
+TEST(ShardedWorldTest, RegionalDeploymentWiresClientsToTheirRegion) {
+    const std::vector<net::Region> regions = {net::Region::Seoul, net::Region::Tokyo,
+                                              net::Region::London};
+    core::RegionalDeployment d{{.regions = regions, .clients = 12, .seed = 5}};
+    const net::WanTopology wan;
+    Time fastest = Time::seconds(1.0);  // the epoch: fastest origin<->region path
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+        EXPECT_EQ(d.relay_nodes().at(r).shard, r + 1);
+        EXPECT_EQ(d.relay(r).client_count(), 4u);
+        fastest = std::min(fastest, wan.path_params(net::Region::HongKong, regions[r]).latency);
+    }
+    EXPECT_EQ(d.world().lookahead(), fastest);
+
+    d.world().run_until(Time::seconds(1.0));
+    // Each client hears its peers: same-region ones through its relay, the
+    // rest through the origin from the other regions' shards.
+    for (const auto& client : d.clients()) EXPECT_GT(client->updates_received(), 0u);
+    EXPECT_GT(d.origin().messages_in(), 0u);
+    EXPECT_GT(d.origin().messages_out(), 0u);
+    EXPECT_EQ(d.world().lookahead_violations(), 0u);
 }
 
 }  // namespace
