@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "net/wifi.hpp"
 #include "sync/clock.hpp"
 #include "sync/jitter.hpp"
@@ -98,8 +98,7 @@ WifiRow wifi_case(std::size_t stations, double seconds = 20.0) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e10"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e10"};
     session.set_seed(47);
 
     std::printf("\n(a) clock sync error (CWB<->GZ, 4 ms path, skewed clocks):\n");

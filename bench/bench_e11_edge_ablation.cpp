@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <map>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "cloud/cloud_server.hpp"
 #include "edge/edge_server.hpp"
 #include "net/network.hpp"
@@ -112,8 +112,7 @@ math::SampleSeries run(bool hairpin, net::Region cloud_region, double seconds) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e11"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e11"};
     session.set_seed(59);
 
     const math::SampleSeries direct = run(false, net::Region::HongKong, 30.0);

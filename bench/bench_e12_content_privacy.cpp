@@ -11,7 +11,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "session/session.hpp"
 #include "sim/rng.hpp"
 
@@ -41,8 +41,7 @@ ContentItem random_item(sim::Rng& rng, ParticipantId creator, bool risky_populat
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e12"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e12"};
     session.set_seed(61);
 
     sim::Rng rng{61};

@@ -13,7 +13,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "net/transport.hpp"
 #include "sync/replication.hpp"
 #include "net/network.hpp"
@@ -116,8 +116,7 @@ Row run(bool buffered, double jitter_ms, double seconds = 60.0) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e13"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e13"};
     session.set_seed(67);
 
     std::printf("\n50 ms path, 30 Hz gated avatar stream, 90 Hz display:\n");

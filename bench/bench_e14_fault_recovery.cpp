@@ -24,7 +24,7 @@
 #include <cstdio>
 #include <string>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "core/classroom.hpp"
 #include "scenario/runner.hpp"
 
@@ -51,8 +51,7 @@ struct Probe {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e14"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e14"};
 
     const scenario::ScenarioSpec spec = scenario::load_spec_file(
         std::string{METACLASS_SCENARIO_DIR} + "/fault_recovery.scenario.json");

@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "core/classroom.hpp"
 #include "fault/fault_plan.hpp"
 #include "sync/wire.hpp"
@@ -264,8 +264,7 @@ OverloadResult run_overload_case() {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e15"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e15"};
     session.set_seed(21);
 
     std::printf("\n--- part A: GZ edge crash at %.0fs, restart at %.0fs (seed 21) ---\n",

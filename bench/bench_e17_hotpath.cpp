@@ -49,7 +49,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "core/campus.hpp"
 #include "core/classroom.hpp"
 #include "core/regional_deployment.hpp"
@@ -451,8 +451,7 @@ ClassroomResult run_classroom(bool quick) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e17"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e17"};
     session.set_seed(kSeed);
 
     const bool quick = std::getenv("E17_QUICK") != nullptr;

@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "core/classroom.hpp"
 #include "core/regional_deployment.hpp"
 #include "net/channel.hpp"
@@ -181,8 +181,7 @@ std::vector<std::uint8_t> run_sharded(std::size_t clients, std::size_t threads,
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e18"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e18"};
     session.set_seed(kSeed);
 
     const bool quick = std::getenv("E18_QUICK") != nullptr;

@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "cloud/relay.hpp"
 #include "cloud/vr_client.hpp"
 #include "cloud/vr_layout.hpp"
@@ -102,8 +102,7 @@ SweepPoint sweep_size(std::size_t payload_bytes, std::size_t total) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e19"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e19"};
     session.set_seed(kSeed);
     core::register_wire_codecs();
 
@@ -153,7 +152,6 @@ int main() {
         vc.room = ClassroomId{1};
         auto client = std::make_unique<cloud::VrClient>(net, node, who, vc);
         const math::Pose seat = layout.seat_pose(i);
-        relay.upsert_entity(who, seat.position);
         relay.attach_client(node, who, seat.position);
         client->join(relay_node, seat);
         clients.push_back(std::move(client));

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "core/classroom.hpp"
 #include "render/split.hpp"
 
@@ -71,8 +71,7 @@ void run_case(bench::Session& session, const char* label, std::size_t students_p
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e1"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e1"};
     session.set_seed(11);
     run_case(session, "small class", 6, 30.0);
     run_case(session, "full classroom", 14, 30.0);

@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "cloud/relay.hpp"
 #include "cloud/vr_client.hpp"
 #include "net/chaos.hpp"
@@ -135,8 +135,7 @@ SoakResult run_soak(const scenario::ScenarioSpec& spec) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e20"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e20"};
 
     scenario::ScenarioSpec spec = scenario::load_spec_file(
         std::string{METACLASS_SCENARIO_DIR} + "/chaos_soak.scenario.json");

@@ -7,7 +7,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "media/video.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
@@ -74,8 +74,7 @@ AvatarRow measure_avatar(const char* label, double tick_hz, double error_thresho
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e2"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e2"};
     session.set_seed(13);
 
     std::printf("\nPer-participant avatar stream (lively seated participant, 60 s):\n");

@@ -15,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "cloud/relay.hpp"
 #include "cloud/vr_client.hpp"
 #include "net/network.hpp"
@@ -91,8 +91,7 @@ Result run(std::size_t clients, bool mesh_mode, double seconds) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e3"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e3"};
     session.set_seed(17);
 
     std::printf("\n%8s %-10s %8s %8s %8s %8s | %12s %10s %12s\n", "clients", "mode",

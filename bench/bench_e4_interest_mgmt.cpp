@@ -12,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "cloud/cloud_server.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -88,8 +88,7 @@ Result run(std::size_t clients, bool interest_enabled, double seconds) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e4"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e4"};
     session.set_seed(23);
 
     std::printf("\n%8s %-10s %12s %16s %14s %12s %12s\n", "clients", "mode",

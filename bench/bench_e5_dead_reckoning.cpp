@@ -11,7 +11,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "net/packet.hpp"
 #include "sync/replication.hpp"
 #include "sim/simulator.hpp"
@@ -93,8 +93,7 @@ Row run(double threshold, double tick_hz, double seconds = 120.0) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e5"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e5"};
     session.set_seed(29);
 
     std::printf("\n%10s %8s %12s %12s %14s %14s\n", "threshold", "tick Hz", "kbit/s",

@@ -10,15 +10,14 @@
 
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "render/split.hpp"
 
 using namespace mvc;
 using namespace mvc::render;
 
 int main() {
-    bench::Harness harness{"e6"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e6"};
 
     const DeviceProfile devices[] = {phone_webgl_profile(), standalone_hmd_profile(),
                                      pc_vr_profile()};

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "media/video.hpp"
 #include "net/fec.hpp"
 #include "net/network.hpp"
@@ -132,8 +132,7 @@ Row run(Transport transport, double loss, double one_way_ms, double deadline_ms,
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e7"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e7"};
     session.set_seed(37);
 
     const double one_way_ms = 105.0;  // HK -> Boston

@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "comfort/cybersickness.hpp"
 
 using namespace mvc;
@@ -75,8 +75,7 @@ double run_class(const UserProfile& user, double nav_speed, double latency_ms, d
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e8"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e8"};
 
     std::printf("\n(a) profile x navigation speed (45-min class, 20 ms latency, 72 fps, "
                 "100deg FOV):\n");

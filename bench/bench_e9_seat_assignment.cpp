@@ -11,7 +11,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 #include "edge/retarget.hpp"
 #include "edge/seats.hpp"
 #include "sim/rng.hpp"
@@ -34,8 +34,7 @@ std::vector<SeatRequest> random_cohort(std::size_t n, sim::Rng& rng) {
 }  // namespace
 
 int main() {
-    bench::Harness harness{"e9"};
-    bench::Session& session = harness.session();
+    bench::Session session{"e9"};
     session.set_seed(43);
 
     sim::Rng rng{43};

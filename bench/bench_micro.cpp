@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness.hpp"
+#include "bench/bench_util.hpp"
 
 #include "avatar/codec.hpp"
 #include "edge/seats.hpp"
@@ -234,8 +234,7 @@ private:
 int main(int argc, char** argv) {
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    mvc::bench::Harness harness{"micro"};
-    mvc::bench::Session& session = harness.session();
+    mvc::bench::Session session{"micro"};
     RecordingReporter reporter{session.metrics()};
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();

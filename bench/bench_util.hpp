@@ -3,7 +3,9 @@
 // latency-series row formatting, and the Session wrapper that collects every
 // reported figure into a MetricsRecorder and exports it as BENCH_<exp>.json
 // on exit — so each bench emits both the human table EXPERIMENTS.md records
-// and a machine-readable artifact with identical numbers.
+// and a machine-readable artifact with identical numbers. A Session is named
+// by its id in tools/experiment_registry.hpp, the table behind
+// `metaclass_scenario experiments`, which supplies its title and claim.
 
 #include <cstdio>
 #include <optional>
@@ -14,6 +16,7 @@
 
 #include "math/stats.hpp"
 #include "sim/metrics.hpp"
+#include "tools/experiment_registry.hpp"
 
 // Build provenance stamped into every BENCH_<exp>.json. The CMake bench
 // target defines METACLASS_BUILD_FLAGS from the compiler id + build type +
@@ -37,20 +40,6 @@ inline void latency_row(const char* label, const math::SampleSeries& s) {
                 label, s.count(), s.mean(), s.median(), s.p95(), s.p99());
 }
 
-inline std::string fmt_bytes(double bytes) {
-    char buf[64];
-    if (bytes >= 1e9) {
-        std::snprintf(buf, sizeof buf, "%.2f GB", bytes / 1e9);
-    } else if (bytes >= 1e6) {
-        std::snprintf(buf, sizeof buf, "%.2f MB", bytes / 1e6);
-    } else if (bytes >= 1e3) {
-        std::snprintf(buf, sizeof buf, "%.2f kB", bytes / 1e3);
-    } else {
-        std::snprintf(buf, sizeof buf, "%.0f B", bytes);
-    }
-    return buf;
-}
-
 inline std::string fmt_rate(double bits_per_second) {
     char buf[64];
     if (bits_per_second >= 1e6) {
@@ -63,16 +52,24 @@ inline std::string fmt_rate(double bits_per_second) {
     return buf;
 }
 
-/// One experiment run. Prints the banner on construction, accumulates every
-/// reported figure in a MetricsRecorder, and writes BENCH_<id>.json (in the
-/// working directory) when destroyed or on an explicit write(). The JSON is
-/// MetricsRecorder::to_json() plus an "experiment" field, so two runs that
-/// record identical metrics serialize to identical bytes.
+/// One experiment run. Prints the registry entry's banner on construction,
+/// accumulates every reported figure in a MetricsRecorder, and writes
+/// BENCH_<id>.json (in the working directory) when destroyed or on an
+/// explicit write(). The JSON is MetricsRecorder::to_json() plus an
+/// "experiment" field, so two runs that record identical metrics serialize
+/// to identical bytes.
 class Session {
 public:
-    Session(std::string id, const char* title, const char* claim) : id_(std::move(id)) {
-        header(title, claim);
-        metrics_.count("experiment." + id_);  // never write an empty artifact
+    /// An id the registry does not know throws, so a bench can never ship
+    /// under an undocumented name.
+    explicit Session(std::string_view id) : id_(id) {
+        for (const tools::Experiment& e : tools::kExperiments) {
+            if (id_ != e.id) continue;
+            header(e.title, e.claim);
+            metrics_.count("experiment." + id_);  // never write an empty artifact
+            return;
+        }
+        throw std::invalid_argument("bench::Session: unknown experiment id: " + id_);
     }
 
     Session(const Session&) = delete;

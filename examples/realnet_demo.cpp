@@ -102,8 +102,6 @@ int main(int argc, char** argv) {
 
     if (is_edge) {
         cloud::RelayServer relay{net, relay_node, cloud::RelayConfig{}};
-        relay.upsert_entity(instructor_id, instructor_seat.position);
-        relay.upsert_entity(student_id, student_seat.position);
         relay.attach_client(instructor_node, instructor_id, instructor_seat.position);
         relay.attach_client(student_node, student_id, student_seat.position);
 

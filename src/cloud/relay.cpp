@@ -127,8 +127,9 @@ math::Pose RegionalMesh::attach_client(net::NodeId client, ParticipantId who,
     const std::size_t seat_index = next_seat_++;
     seat_assignments_[who] = seat_index;
     const math::Pose seat = layout_.seat_pose(seat_index);
-    relay.attach_client(client, who, seat.position);
-    for (auto& [r, rs] : relays_) rs->upsert_entity(who, seat.position);
+    relay.attach_client(client, who, seat.position);  // upserts into this relay
+    for (auto& [r, rs] : relays_)
+        if (rs.get() != &relay) rs->upsert_entity(who, seat.position);
     return seat;
 }
 

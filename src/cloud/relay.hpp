@@ -45,6 +45,7 @@ public:
     /// that register their own flows on this node.
     [[nodiscard]] net::PacketDemux& demux() { return demux_; }
 
+    /// Serve `client` as viewer `who`; also upserts the entity's position.
     void attach_client(net::NodeId client, ParticipantId who, const math::Vec3& position);
     void detach_client(net::NodeId client);
     [[nodiscard]] std::size_t client_count() const { return clients_.size(); }

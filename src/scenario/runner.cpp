@@ -1,5 +1,6 @@
 #include "scenario/runner.hpp"
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 
@@ -52,10 +53,14 @@ std::vector<SloResult> evaluate_slos(const sim::MetricsRecorder& metrics,
 }
 
 ScenarioReport run_world(ScenarioWorld& world, std::size_t threads) {
-    world.run(threads);
+    const auto start = std::chrono::steady_clock::now();
+    const std::size_t events = world.run(threads);
+    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
     world.stop();
 
     ScenarioReport report;
+    report.events = events;
+    report.wall_seconds = wall.count();
     report.name = world.spec().name;
     report.stamp = spec_stamp(world.spec());
     const sim::MetricsRecorder metrics = world.collect_metrics();
@@ -94,20 +99,25 @@ common::Json report_to_json(const ScenarioReport& report) {
         else
             row["value"] = common::Json{};  // null: metric missing
         row["passed"] = common::Json{r.passed};
-        slos.push_back(common::Json{std::move(row)});
+        slos.emplace_back(std::move(row));
     }
     doc["slos"] = common::Json{std::move(slos)};
     doc["metrics"] = report.metrics;
     return common::Json{std::move(doc)};
 }
 
-ScenarioSpec load_spec_file(const std::string& path) {
+std::string read_spec_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw SpecError(path, "cannot open spec file");
     std::ostringstream buffer;
     buffer << in.rdbuf();
+    return buffer.str();
+}
+
+ScenarioSpec load_spec_file(const std::string& path) {
+    const std::string text = read_spec_file(path);
     try {
-        return scenario_from_text(buffer.str());
+        return scenario_from_text(text);
     } catch (const SpecError& e) {
         std::string why = e.what();
         if (constexpr std::string_view prefix = "scenario: "; why.starts_with(prefix))

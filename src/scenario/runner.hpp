@@ -1,7 +1,7 @@
 #pragma once
 // ScenarioRunner: drive a built ScenarioWorld for its declared duration,
 // snapshot metrics, evaluate the spec's declarative SLO gates, and package
-// everything as a ScenarioReport the benches/CLI export as BENCH_<name>.json.
+// everything as a ScenarioReport the CLI prints or exports as JSON.
 //
 // SLO metric names resolve against the collected MetricsRecorder: an exact
 // counter name ("chaos.dropped", "shard.lookahead_violations"), or
@@ -33,6 +33,10 @@ struct ScenarioReport {
     std::vector<std::uint64_t> hashes;
     std::vector<SloResult> slos;
     bool passed{true};  ///< every SLO held
+    // Host cost of ScenarioWorld::run, the only part timed. Not in
+    // report_to_json: wall time differs from run to run.
+    std::size_t events{0};
+    double wall_seconds{0.0};
 };
 
 /// Look one SLO metric up in a recorder (counter name or "<series>.<stat>").
@@ -52,6 +56,9 @@ struct ScenarioReport {
                                           std::size_t threads = 1);
 
 [[nodiscard]] common::Json report_to_json(const ScenarioReport& report);
+
+/// The text of a spec file. An unreadable file throws SpecError.
+[[nodiscard]] std::string read_spec_file(const std::string& path);
 
 /// Read + parse a `.scenario.json` file. Unreadable files and schema
 /// violations throw SpecError (path context = the file name).

@@ -264,7 +264,6 @@ void ScenarioWorld::build_relay() {
             cloud::VrClient* raw = client.get();
             const math::Pose seat = layout.seat_pose(index);
             auto join = [&st, raw, who, node, seat, video_class] {
-                st.relay->upsert_entity(who, seat.position);
                 st.relay->attach_client(node, who, seat.position);
                 if (st.qoe) st.qoe->add_client(node, video_class);
                 raw->join(st.relay_node, seat);
@@ -449,22 +448,24 @@ void ScenarioWorld::enable_recording(replay::Recorder& rec) {
     }
 }
 
-void ScenarioWorld::run(std::size_t threads) {
+std::size_t ScenarioWorld::run(std::size_t threads) {
     if (classroom_state_) {
+        core::MetaverseClassroom& room = *classroom_state_->classroom;
         if (!classroom_state_->started) {
-            classroom_state_->classroom->start();
+            room.start();
             classroom_state_->started = true;
         }
-        classroom_state_->classroom->run_for(spec_.duration);
-    } else if (relay_state_) {
-        if (relay_state_->sim) {
-            relay_state_->sim->run_until(relay_state_->sim->now() + spec_.duration);
-        } else {
-            relay_state_->real->run_for(spec_.duration);
-        }
-    } else if (campus_state_) {
-        campus_state_->world().run_until(spec_.duration, threads);
+        const std::size_t before = room.simulator().executed_events();
+        room.run_for(spec_.duration);
+        return room.simulator().executed_events() - before;
     }
+    if (relay_state_) {
+        if (relay_state_->sim)
+            return relay_state_->sim->run_until(relay_state_->sim->now() + spec_.duration);
+        relay_state_->real->run_for(spec_.duration);
+        return 0;
+    }
+    return campus_state_->world().run_until(spec_.duration, threads);
 }
 
 void ScenarioWorld::stop() {
@@ -567,15 +568,6 @@ cloud::VrClient& ScenarioWorld::client(std::size_t i) {
 
 net::ChaosBackend* ScenarioWorld::chaos() {
     return relay_state_ ? relay_state_->chaos.get() : nullptr;
-}
-
-replay::AvatarMirror* ScenarioWorld::mirror() {
-    return relay_state_ ? relay_state_->mirror.get() : nullptr;
-}
-
-core::ShardedWorld& ScenarioWorld::campus() {
-    if (!campus_state_) throw std::logic_error("scenario: not a campus world");
-    return campus_state_->world();
 }
 
 std::unique_ptr<ScenarioWorld> build(const ScenarioSpec& spec) {

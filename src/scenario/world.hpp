@@ -9,8 +9,8 @@
 // duration and stop() tears the session down.
 //
 // The world exposes its underlying objects (classroom(), relay(),
-// client(i), chaos(), campus()) so benches can keep their domain-specific
-// probes while all topology/fault construction lives in the spec.
+// client(i), chaos()) so benches can keep their domain-specific probes
+// while all topology/fault construction lives in the spec.
 
 #include <cstdint>
 #include <memory>
@@ -22,21 +22,16 @@
 
 namespace mvc::core {
 class MetaverseClassroom;
-class ShardedWorld;
 }  // namespace mvc::core
 namespace mvc::cloud {
 class RelayServer;
 class VrClient;
-class CloudServer;
 }  // namespace mvc::cloud
 namespace mvc::net {
-class Network;
 class ChaosBackend;
-class RealUdpBackend;
 class Backend;
 }  // namespace mvc::net
 namespace mvc::replay {
-class AvatarMirror;
 class Recorder;
 }  // namespace mvc::replay
 namespace mvc::sim {
@@ -60,9 +55,11 @@ public:
     /// network egress + per-epoch state hashes). Call before run().
     void enable_recording(replay::Recorder& rec);
 
-    /// Drive the world for the spec's full duration. `threads` applies to
-    /// the campus world only (the single-simulator worlds ignore it).
-    void run(std::size_t threads = 1);
+    /// Drive the world for the spec's full duration and return the number
+    /// of events executed (0 on the wall-clock real_udp backend). `threads`
+    /// applies to the campus world only (the single-simulator worlds ignore
+    /// it).
+    std::size_t run(std::size_t threads = 1);
     /// Tear the session down (clients leave, classroom stops). Called by
     /// the destructor when not called explicitly.
     void stop();
@@ -93,9 +90,6 @@ public:
     [[nodiscard]] cloud::VrClient& client(std::size_t i);
     /// Chaos interposer; nullptr unless backend == chaos.
     [[nodiscard]] net::ChaosBackend* chaos();
-    /// Relay world's avatar-state mirror; nullptr for other worlds.
-    [[nodiscard]] replay::AvatarMirror* mirror();
-    [[nodiscard]] core::ShardedWorld& campus();
     [[nodiscard]] fault::FaultPlan* plan(std::size_t shard = 0);
 
     [[nodiscard]] std::uint64_t ctrl_sent() const { return ctrl_sent_; }

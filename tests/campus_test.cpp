@@ -560,21 +560,29 @@ TEST(CampusWorldTest, AggregatedEgressIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(CampusWorldTest, AggregationShipsFewerBytesThanFanout) {
-    CampusConfig aggregated = small_campus();
-    CampusConfig fanout = small_campus();
-    fanout.aggregate = false;
+    // The small campus, and E22's quick size (2 x 10 x 50 avatars).
+    CampusConfig e22_quick;
+    e22_quick.buildings = 2;
+    e22_quick.classrooms_per_building = 10;
+    e22_quick.avatars_per_classroom = 50;
+    for (const CampusConfig& aggregated : {small_campus(), e22_quick}) {
+        SCOPED_TRACE(aggregated.buildings * aggregated.classrooms_per_building *
+                     aggregated.avatars_per_classroom);
+        CampusConfig fanout = aggregated;
+        fanout.aggregate = false;
 
-    CampusWorld agg_world{aggregated};
-    agg_world.run_until(sim::Time::seconds(0.5));
-    CampusWorld fan_world{fanout};
-    fan_world.run_until(sim::Time::seconds(0.5));
+        CampusWorld agg_world{aggregated};
+        agg_world.run_until(sim::Time::seconds(0.5));
+        CampusWorld fan_world{fanout};
+        fan_world.run_until(sim::Time::seconds(0.5));
 
-    EXPECT_GT(fan_world.egress_bytes(), 0u);
-    EXPECT_GT(agg_world.egress_bytes(), 0u);
-    EXPECT_LT(agg_world.egress_bytes(), fan_world.egress_bytes());
-    // Both modes deliver the same avatars to the same viewers.
-    EXPECT_GT(agg_world.viewer_updates(), 0u);
-    EXPECT_GT(fan_world.viewer_updates(), 0u);
+        EXPECT_GT(fan_world.egress_bytes(), 0u);
+        EXPECT_GT(agg_world.egress_bytes(), 0u);
+        EXPECT_LT(agg_world.egress_bytes(), fan_world.egress_bytes());
+        // Both modes deliver the same avatars to the same viewers.
+        EXPECT_GT(agg_world.viewer_updates(), 0u);
+        EXPECT_GT(fan_world.viewer_updates(), 0u);
+    }
 }
 
 // Pins the campus egress counters for both egress modes. The constants were

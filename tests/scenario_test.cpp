@@ -9,12 +9,14 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "scenario/fuzz.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "scenario/sweep.hpp"
 #include "scenario/world.hpp"
 
 namespace mvc::scenario {
@@ -411,6 +413,66 @@ TEST(SloTest, CounterSeriesAndMissingMetrics) {
     EXPECT_FALSE(results[1].passed);
     EXPECT_FALSE(results[2].passed);
     EXPECT_FALSE(results[2].value.has_value());
+}
+
+// ------------------------------------------------------------------- sweep
+
+/// The error a sweep of kSmallClassroom with one `--vary` flag throws.
+std::string sweep_error(const std::string& flag) {
+    try {
+        (void)run_sweep(kSmallClassroom, {parse_vary(flag)}, {1});
+    } catch (const SpecError& e) {
+        return e.what();
+    }
+    return "accepted";
+}
+
+TEST(SweepTest, BadOverrideFailsWithTheReadersFieldPath) {
+    EXPECT_EQ(sweep_error("classroom.bogus=3"), "scenario: classroom.bogus: unknown key");
+    EXPECT_EQ(sweep_error("nowhere.deep=1"), "scenario: nowhere: unknown key");
+    EXPECT_EQ(sweep_error("duration_s=soon"), "scenario: duration_s: must be a number (seconds)");
+    EXPECT_EQ(sweep_error("classroom.remote=3"), "scenario: classroom.remote: must be an array");
+    EXPECT_EQ(sweep_error("seed.x=1"), "scenario: seed: not an object; cannot set 'seed.x'");
+}
+
+TEST(SweepTest, VaryValuesAndThreadListsAreChecked) {
+    const VaryAxis axis = parse_vary(R"(name=12,true,e16-batching,"7")");
+    EXPECT_EQ(axis.path, "name");
+    EXPECT_EQ(axis.values, (std::vector<common::Json>{12, true, "e16-batching", "7"}));
+    for (const char* bad : {"no-equals", "=1", "x=", "x=1,,2"})
+        EXPECT_THROW((void)parse_vary(bad), std::invalid_argument) << bad;
+    // An empty or zero thread list is a usage error.
+    EXPECT_EQ(parse_threads("1,2,4,2"), (std::vector<std::size_t>{1, 2, 4, 2}));
+    for (const char* bad : {"", "0", "1,0", "1,,2", "2,", "x", "-1"})
+        EXPECT_THROW((void)parse_threads(bad), std::invalid_argument) << "'" << bad << "'";
+    EXPECT_THROW((void)run_sweep(kSmallClassroom, {}, {}), std::invalid_argument);
+}
+
+TEST(SweepTest, OverridesChangeTheStampInProductOrder) {
+    const Sweep sweep = run_sweep(
+        kSmallClassroom, {parse_vary("seed=5,6"), parse_vary("duration_s=0.2,0.3")}, {1});
+    ASSERT_EQ(sweep.points.size(), 4u);
+    EXPECT_EQ(sweep.seed, 5u);
+    const char* stamps[] = {"seed=5 dur_s=0.2", "seed=5 dur_s=0.3", "seed=6 dur_s=0.2",
+                            "seed=6 dur_s=0.3"};
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(sweep.points[i].runs.front().stamp,
+                  std::string{"scenario:small v1 world=classroom backend=sim "} + stamps[i]);
+    // The small spec's hash-epoch SLO needs 1 s of run, so the verdict fails.
+    EXPECT_FALSE(sweep.passed());
+}
+
+TEST(SweepTest, CampusEventIdenticalAcrossThreadsAndInvocations) {
+    const std::string text = slurp(scenario_dir() + "/campus_event.scenario.json");
+    const Sweep a = run_sweep(text, {}, {1, 2});
+    ASSERT_EQ(a.points.size(), 1u);
+    EXPECT_TRUE(a.points[0].identical);
+    EXPECT_TRUE(a.passed());
+    common::Json ja = sweep_to_json(a, "build");
+    common::Json jb = sweep_to_json(run_sweep(text, {}, {1, 2}), "build");
+    EXPECT_EQ(ja.as_object().erase("timing"), 1u);
+    jb.as_object().erase("timing");
+    EXPECT_EQ(ja.dump(2), jb.dump(2));
 }
 
 // -------------------------------------------------------------------- fuzz

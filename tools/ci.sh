@@ -26,22 +26,23 @@
 #                          # and the E14 fault-recovery gates (a loss burst
 #                          # degrades the ladder, which then fully recovers)
 #   tools/ci.sh --scenario # scenario-engine unit tests under ASan+UBSan,
-#                          # every shipped scenarios/*.scenario.json through
-#                          # metaclass_scenario, the E15 crash/overload gates,
-#                          # the E21 gate in quick mode,
-#                          # a 60 s spec-mutation fuzz smoke, and the
+#                          # `metaclass_scenario sweep <spec> --threads 1,2`
+#                          # for every shipped scenarios/*.scenario.json (SLO
+#                          # gates, same-seed rerun identity, campus thread
+#                          # identity: E21's gates), the E15 crash/overload
+#                          # gates, a 60 s spec-mutation fuzz smoke, and the
 #                          # recorded-corpus fuzz-trace sweep (ASan+UBSan)
-#   tools/ci.sh --qoe      # qoe unit tests under ASan+UBSan, the shipped
-#                          # congested-lecture scenario SLO gates, then the
-#                          # E23 priority-trade + clean-control + determinism
-#                          # gate in quick mode
+#   tools/ci.sh --qoe      # qoe unit tests under ASan+UBSan, then E23's
+#                          # sweeps cut to 12 s: the congested lecture (SLOs
+#                          # + identity over a rerun and 2/4/8 threads) and
+#                          # the clean-link control's SLOs
 #   tools/ci.sh --campus   # campus/pool/aggregator and cloud/relay egress
-#                          # unit tests (campus_test, cloud_test) under
-#                          # ASan+UBSan, then the E22 campus sweep in quick
-#                          # mode (gates: merged metrics identical across
-#                          # thread counts, no lookahead violations,
-#                          # aggregated egress bytes below the per-update
-#                          # fan-out baseline; writes BENCH_e22.json)
+#                          # unit tests (campus_test, cloud_test; the former
+#                          # holds E22's aggregated-below-fan-out gate) under
+#                          # ASan+UBSan, then the quick E22 sweep and its
+#                          # aggregation ablation and the quick E16 sweep
+#                          # (gates: identity across thread counts, no
+#                          # lookahead violations)
 #   tools/ci.sh --unreached # list library functions no shipped binary
 #                          # keeps (report only, always exits 0; see
 #                          # unreached_stage)
@@ -79,6 +80,16 @@ case "${1:-}" in
   --unreached) run_tier1=0; run_sanitize=0; run_tsan=0; run_unreached=1 ;;
   *) echo "usage: tools/ci.sh [--tier1|--sanitize|--tsan|--perf|--replay|--realnet|--chaos|--scenario|--campus|--qoe|--unreached]" >&2; exit 2 ;;
 esac
+
+# A sweep writes BENCH_<name>.json into its working directory, so the
+# stages below run theirs in a scratch directory. Its exit code is its
+# SLO and identity verdict.
+sweep_dir=$(mktemp -d -t ci_sweep_XXXXXX)
+trap 'rm -rf "$sweep_dir"' EXIT
+sweep() { # sweep <build-dir> <spec file name> [args...]
+  local root=$PWD
+  (cd "$sweep_dir" && "$root/$1/tools/metaclass_scenario" sweep "$root/scenarios/$2" "${@:3}")
+}
 
 stage() { # stage <preset>
   echo "==> [$1] configure"
@@ -174,9 +185,9 @@ scenario_stage() {
   # gtest_discover_tests registers individual case names, so ctest -R on the
   # binary name would select nothing (and exit 0); run the binary directly.
   ./build-sanitize/tests/scenario_test
-  echo "==> [scenario] every shipped spec end-to-end (ASan+UBSan)"
+  echo "==> [scenario] every shipped spec swept at 1 and 2 threads (ASan+UBSan)"
   for spec in scenarios/*.scenario.json; do
-    ./build-sanitize/tools/metaclass_scenario run "$spec"
+    sweep build-sanitize "$(basename "$spec")" --threads 1,2
   done
   echo "==> [scenario] E15 crash-recovery + overload gates (ASan+UBSan)"
   ./build-sanitize/bench/bench_e15_crash_recovery
@@ -190,12 +201,6 @@ scenario_stage() {
   for f in tests/corpus/valid/* tests/corpus/bad/*; do
     ./build-sanitize/tools/metaclass_scenario fuzz-trace --iters 50 "$f"
   done
-  echo "==> [default] configure"
-  cmake --preset default
-  echo "==> [default] build bench_e21_scenario"
-  cmake --build --preset default -j "$jobs" --target bench_e21_scenario
-  echo "==> [scenario] E21 gate: SLOs + determinism + thread sweep (quick mode)"
-  E21_QUICK=1 ./build/bench/bench_e21_scenario
 }
 
 qoe_stage() {
@@ -207,13 +212,12 @@ qoe_stage() {
   ./build-sanitize/tests/qoe_test
   echo "==> [default] configure"
   cmake --preset default
-  echo "==> [default] build bench_e23_qoe + metaclass_scenario"
-  cmake --build --preset default -j "$jobs" --target bench_e23_qoe \
-    --target metaclass_scenario
-  echo "==> [qoe] congested-lecture scenario SLO gates"
-  ./build/tools/metaclass_scenario run scenarios/congested_lecture.scenario.json
-  echo "==> [qoe] E23 gate: priority trade + clean control + determinism (quick mode)"
-  E23_QUICK=1 ./build/bench/bench_e23_qoe
+  echo "==> [default] build metaclass_scenario"
+  cmake --build --preset default -j "$jobs" --target metaclass_scenario
+  echo "==> [qoe] E23: congested lecture, 12 s, SLOs + identity over a rerun and threads"
+  sweep build congested_lecture.scenario.json --vary duration_s=12 --threads 1,1,2,4,8
+  echo "==> [qoe] E23: clean-link control, 12 s, top tier and no switches"
+  sweep build clean_lecture.scenario.json --vary duration_s=12
 }
 
 campus_stage() {
@@ -226,10 +230,18 @@ campus_stage() {
   ./build-sanitize/tests/cloud_test
   echo "==> [default] configure"
   cmake --preset default
-  echo "==> [default] build bench_e22_campus"
-  cmake --build --preset default -j "$jobs" --target bench_e22_campus
-  echo "==> [campus] E22 sweep: thread determinism + bytes/avatar gate (quick mode)"
-  E22_QUICK=1 ./build/bench/bench_e22_campus
+  echo "==> [default] build metaclass_scenario"
+  cmake --build --preset default -j "$jobs" --target metaclass_scenario
+  local e22_quick=(--vary campus.pooled.buildings=2 --vary campus.pooled.classrooms_per_building=10
+                   --vary campus.pooled.avatars_per_classroom=50 --vary duration_s=0.5)
+  echo "==> [campus] E22 quick sweep: identity across threads, no lookahead violations"
+  sweep build e22.scenario.json "${e22_quick[@]}" --threads 1,2
+  echo "==> [campus] E22 quick aggregation ablation (aggregated vs fan-out bytes)"
+  sweep build e22.scenario.json "${e22_quick[@]}" --vary name=e22-aggregation \
+    --vary campus.pooled.aggregate=true,false
+  echo "==> [campus] E16 quick sweep: identity across threads, no lookahead violations"
+  sweep build e16.scenario.json --vary campus.clients_per_region=6 --vary duration_s=1 \
+    --threads 1,2
 }
 
 # Dead-code scan: build every shipped executable (tools, benches, examples)
