@@ -103,7 +103,6 @@ int main() {
 
     std::printf("\n(a) clock sync error (CWB<->GZ, 4 ms path, skewed clocks):\n");
     std::printf("%14s %10s %16s\n", "path jitter", "window", "mean error");
-    double calm_err = 0.0;
     double stormy_err = 0.0;
     for (const double jitter : {0.0, 2.0, 8.0}) {
         for (const std::size_t window : {1u, 8u, 32u}) {
@@ -113,7 +112,9 @@ int main() {
                            err);
             std::printf("%11.1f ms %10zu %13.3f ms\n", jitter, window, err);
             if (jitter == 8.0 && window == 1) stormy_err = err;
-            if (jitter == 8.0 && window == 32) calm_err = err;
+            if (jitter == 8.0 && window == 32)
+                session.record("jitter 8 / window32_minus_window1_error_ms",
+                               err - stormy_err);
         }
     }
 
@@ -121,8 +122,6 @@ int main() {
     std::printf("%10s %12s %12s %12s %14s\n", "stations", "p50 ms", "p99 ms",
                 "airtime", "playout ms");
     double p99_small = 0.0;
-    double p99_class = 0.0;
-    double p99_saturated = 0.0;
     for (const std::size_t n : {5u, 30u, 60u, 120u, 200u}) {
         const WifiRow row = wifi_case(n);
         session.record("wifi / " + std::to_string(n) + " stations / ingest_p99_ms",
@@ -130,19 +129,15 @@ int main() {
         std::printf("%10zu %12.2f %12.2f %11.1f%% %14.1f\n", row.stations, row.ingest_p50,
                     row.ingest_p99, row.utilization * 100.0, row.playout_ms);
         if (n == 5) p99_small = row.ingest_p99;
-        if (n == 60) p99_class = row.ingest_p99;
-        if (n == 200) p99_saturated = row.ingest_p99;
+        if (n == 200)
+            session.record("wifi / saturated_over_small_p99", row.ingest_p99 / p99_small);
     }
 
-    std::printf("\nexpected shape: min-RTT window beats single probe under jitter -> %s "
-                "(%.3f vs %.3f ms)\n",
-                calm_err < stormy_err ? "PASS" : "FAIL", calm_err, stormy_err);
-    std::printf("expected shape: saturating the BSS inflates ingest p99 -> %s "
-                "(%.2f -> %.2f ms)\n",
-                p99_saturated > 2.0 * p99_small ? "PASS" : "FAIL", p99_small,
-                p99_saturated);
-    std::printf("expected shape: 60-headset classroom still ingests under 100 ms p99 -> "
-                "%s (%.2f ms)\n",
-                p99_class < 100.0 ? "PASS" : "FAIL", p99_class);
-    return 0;
+    // Under 8 ms jitter a 32-probe min-RTT window beats a single probe.
+    session.gate({"jitter 8 / window32_minus_window1_error_ms.max", {}, 0.0});
+    // Saturating the BSS (200 stations vs 5) inflates ingest p99 over 2x.
+    session.gate({"wifi / saturated_over_small_p99.min", 2.0, {}});
+    // A 60-headset classroom still ingests under 100 ms p99.
+    session.gate({"wifi / 60 stations / ingest_p99_ms.max", {}, 100.0});
+    return session.finish();
 }

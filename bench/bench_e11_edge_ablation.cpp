@@ -124,14 +124,14 @@ int main() {
     session.latency_row("hairpin via HK cloud", hairpin_hk);
     session.latency_row("hairpin via Frankfurt cloud", hairpin_fra);
 
-    std::printf("\nexpected shape: direct <= HK hairpin < Frankfurt hairpin -> %s\n",
-                direct.median() <= hairpin_hk.median() &&
-                        hairpin_hk.median() < hairpin_fra.median()
-                    ? "PASS"
-                    : "FAIL");
-    std::printf("expected shape: distant-cloud hairpin busts the 100 ms budget while "
-                "direct peering holds it -> %s (%.1f vs %.1f ms p95)\n",
-                hairpin_fra.p95() > 100.0 && direct.p95() < 100.0 ? "PASS" : "FAIL",
-                hairpin_fra.p95(), direct.p95());
-    return 0;
+    session.record("hk_minus_direct_p50_ms", hairpin_hk.median() - direct.median());
+    session.record("fra_minus_hk_p50_ms", hairpin_fra.median() - hairpin_hk.median());
+
+    // Direct peering <= HK hairpin < Frankfurt hairpin (p50).
+    session.gate({"hk_minus_direct_p50_ms.min", 0.0, {}});
+    session.gate({"fra_minus_hk_p50_ms.min", 0.0, {}});
+    // A distant-cloud hairpin busts the 100 ms budget; direct peering holds it.
+    session.gate({"hairpin via Frankfurt cloud.p95", 100.0, {}});
+    session.gate({"edge-peered (Figure 3).p95", {}, 100.0});
+    return session.finish();
 }

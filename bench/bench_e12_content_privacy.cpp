@@ -82,7 +82,12 @@ int main() {
         std::chrono::duration<double, std::micro>(t3 - t2).count() / kContributions;
 
     session.record("screened / admitted_pct", 100.0 * admitted / kContributions);
+    session.record("screened / blocked_ratio",
+                   1.0 - static_cast<double>(admitted) / kContributions);
     session.record("permissive / admitted_pct", 100.0 * admitted_open / kContributions);
+    session.count("permissive / blocked",
+                  static_cast<std::uint64_t>(kContributions - admitted_open));
+    session.timing("screened / us_per_item", screened_us_per_item);
 
     std::printf("\n%d contributions from %zu students:\n", kContributions, kStudents);
     std::printf("%-24s %10s %10s %14s\n", "policy", "admitted", "blocked", "us/item");
@@ -102,14 +107,11 @@ int main() {
                     board[i].second);
     }
 
-    const double blocked_ratio = 1.0 - static_cast<double>(admitted) / kContributions;
-    std::printf("\nexpected shape: screening blocks the unconsented/unapproved share "
-                "(5-30%%) -> %s (%.1f%%)\n",
-                blocked_ratio > 0.05 && blocked_ratio < 0.30 ? "PASS" : "FAIL",
-                blocked_ratio * 100.0);
-    std::printf("expected shape: permissive admits everything -> %s\n",
-                admitted_open == kContributions ? "PASS" : "FAIL");
-    std::printf("expected shape: screening costs < 2 us per item -> %s (%.3f us)\n",
-                screened_us_per_item < 2.0 ? "PASS" : "FAIL", screened_us_per_item);
-    return 0;
+    // Screening blocks the unconsented/unapproved share (5-30%).
+    session.gate({"screened / blocked_ratio.mean", 0.05, 0.30});
+    // The permissive policy admits everything.
+    session.gate({"permissive / blocked", {}, 0.0});
+    // Screening costs under 2 us per item.
+    session.gate({"screened / us_per_item.max", {}, 2.0});
+    return session.finish();
 }

@@ -329,52 +329,48 @@ int main() {
     session.count("overload_admitted_updates", ov.admitted_updates);
     session.record("overload_admitted_staleness_p95_ms", ov.admitted_staleness_p95_ms);
 
-    const bool restore_ok = ckpt.restores == 1 && ckpt.cold_starts == 0 &&
-                            cold.restores == 0 && cold.cold_starts == 1;
-    const bool faster_ok = ckpt.time_to_restore_ms >= 0.0 &&
-                           cold.time_to_restore_ms >= 0.0 &&
-                           ckpt.time_to_restore_ms < cold.time_to_restore_ms;
-    const double max_gap_ms =
-        (kCrashEndS - kCrashStartS) * 1e3 + 2000.0 + 1.0;  // downtime + interval
-    const bool gap_ok = ckpt.recovery_gap_ms >= (kCrashEndS - kCrashStartS) * 1e3 &&
-                        ckpt.recovery_gap_ms <= max_gap_ms;
-    const bool state_ok = ckpt.restored_members == ckpt.live_roster &&
-                          ckpt.restored_content == ckpt.live_content &&
-                          ckpt.restored_replicas == 2 && ckpt.seat_kept;
-    const bool converge_ok =
-        ckpt.post_staleness_p95_ms <=
-        std::max(ckpt.baseline_staleness_p95_ms, 1.0) * 2.0 + 5.0;
-    const bool shed_ok = ov.shed > 0 && ov.admitted_updates > 0 &&
-                         ov.final_depth <= ov.capacity &&
-                         ov.admitted_staleness_p95_ms <= 250.0;
-    const bool no_flap_ok = ov.transitions <= 2;
+    session.count("ckpt_restores", ckpt.restores);
+    session.count("ckpt_cold_starts", ckpt.cold_starts);
+    session.count("cold_restores", cold.restores);
+    session.count("cold_cold_starts", cold.cold_starts);
+    session.record("restore_speedup_ms", cold.time_to_restore_ms - ckpt.time_to_restore_ms);
+    session.record("ckpt_members_unrestored",
+                   static_cast<double>(ckpt.live_roster) - ckpt.restored_members);
+    session.record("ckpt_content_unrestored",
+                   static_cast<double>(ckpt.live_content) - ckpt.restored_content);
+    session.count("ckpt_seat_kept", ckpt.seat_kept ? 1 : 0);
+    session.record("ckpt_post_staleness_excess_ms",
+                   ckpt.post_staleness_p95_ms -
+                       std::max(ckpt.baseline_staleness_p95_ms, 1.0) * 2.0);
+    session.record("overload_queue_headroom",
+                   static_cast<double>(ov.capacity) - ov.final_depth);
 
-    std::printf("\nexpected shape: checkpointed restart restores, baseline is cold -> %s\n",
-                restore_ok ? "PASS" : "FAIL");
-    std::printf("expected shape: checkpointed restore strictly faster -> %s "
-                "(%.1f ms vs %.1f ms)\n",
-                faster_ok ? "PASS" : "FAIL", ckpt.time_to_restore_ms,
-                cold.time_to_restore_ms);
-    std::printf("expected shape: recovery gap = downtime + checkpoint age -> %s "
-                "(%.1f ms, budget %.0f ms)\n",
-                gap_ok ? "PASS" : "FAIL", ckpt.recovery_gap_ms, max_gap_ms);
-    std::printf("expected shape: membership/content/replicas/seat restored -> %s "
-                "(%zu members, %zu items, %zu replicas)\n",
-                state_ok ? "PASS" : "FAIL", ckpt.restored_members,
-                ckpt.restored_content, ckpt.restored_replicas);
-    std::printf("expected shape: post-restart staleness converges -> %s "
-                "(p95 %.1f ms vs baseline %.1f ms)\n",
-                converge_ok ? "PASS" : "FAIL", ckpt.post_staleness_p95_ms,
-                ckpt.baseline_staleness_p95_ms);
-    std::printf("expected shape: overload sheds late joiners, admitted bounded -> %s\n",
-                shed_ok ? "PASS" : "FAIL");
-    std::printf("expected shape: admission gate holds without flapping -> %s "
-                "(%llu transitions)\n",
-                no_flap_ok ? "PASS" : "FAIL",
-                static_cast<unsigned long long>(ov.transitions));
-
-    return restore_ok && faster_ok && gap_ok && state_ok && converge_ok && shed_ok &&
-                   no_flap_ok
-               ? 0
-               : 1;
+    // The checkpointed restart restores; the baseline starts cold.
+    session.gate({"ckpt_restores", 1.0, 1.0});
+    session.gate({"ckpt_cold_starts", {}, 0.0});
+    session.gate({"cold_restores", {}, 0.0});
+    session.gate({"cold_cold_starts", 1.0, 1.0});
+    // Both restore (a never-restored run reads -1 ms), the checkpointed one
+    // faster.
+    session.gate({"ckpt_time_to_restore_ms.min", 0.0, {}});
+    session.gate({"cold_time_to_restore_ms.min", 0.0, {}});
+    session.gate({"restore_speedup_ms.min", 0.0, {}});
+    // Recovery gap = downtime + checkpoint age (at most one 2 s interval).
+    const double downtime_ms = (kCrashEndS - kCrashStartS) * 1e3;
+    session.gate({"ckpt_recovery_gap_ms.mean", downtime_ms, downtime_ms + 2000.0 + 1.0});
+    // Membership, content, both replicas and the seat are restored.
+    session.gate({"ckpt_members_unrestored.mean", 0.0, 0.0});
+    session.gate({"ckpt_content_unrestored.mean", 0.0, 0.0});
+    session.gate({"ckpt_restored_replicas.mean", 2.0, 2.0});
+    session.gate({"ckpt_seat_kept", 1.0, {}});
+    // Post-restart staleness converges: p95 within 2x baseline + 5 ms.
+    session.gate({"ckpt_post_staleness_excess_ms.max", {}, 5.0});
+    // Overload sheds late joiners while admitted streams stay bounded.
+    session.gate({"overload_shed", 1.0, {}});
+    session.gate({"overload_admitted_updates", 1.0, {}});
+    session.gate({"overload_queue_headroom.min", 0.0, {}});
+    session.gate({"overload_admitted_staleness_p95_ms.max", {}, 250.0});
+    // The admission gate holds without flapping.
+    session.gate({"overload_gate_transitions", {}, 2.0});
+    return session.finish();
 }

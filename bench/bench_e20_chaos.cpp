@@ -199,53 +199,36 @@ int main() {
     session.count("resyncs_applied", a.resyncs);
     session.count("hash_epochs", a.hashes.size());
 
+    session.count("outages", a.outages);
+    session.count("relay_resyncs_served", a.relay_served);
+    session.record("heal_staleness_excess_ms", heal_p95 - std::max(clean_p95, 1.0) * 3.0);
+    // What the same-seed rerun changed: hash stream, control deliveries, drops.
+    session.count("rerun_mismatches", (a.hashes != b.hashes ? 1 : 0) +
+                                          (a.ctrl_delivered != b.ctrl_delivered ? 1 : 0) +
+                                          (a.chaos_dropped != b.chaos_dropped ? 1 : 0));
+
     // ------------------------------------------------------------------ gates
-    const bool chaos_ok = a.chaos_dropped > 0 && a.chaos_duplicated > 0 &&
-                          a.chaos_corrupted > 0 && a.chaos_blackholed > 0;
-    const bool delivery_ok = delivery >= 0.99;
-    const bool outage_ok = a.detect_s > 0.0 && a.outages >= 1;
-    const bool recovery_ok = a.recovered_s > 0.0 &&
-                             a.recovered_s - kHealS <= kRecoveryBudgetS &&
-                             a.resyncs >= 1 && a.relay_served >= 1;
-    const bool staleness_ok =
-        heal_p95 <= std::max(clean_p95, 1.0) * 3.0 + 50.0;
-    const bool degrade_ok = a.max_degradation >= 1 && a.final_degradation == 0;
-    const bool deterministic =
-        !a.hashes.empty() && a.hashes == b.hashes &&
-        a.ctrl_delivered == b.ctrl_delivered && a.chaos_dropped == b.chaos_dropped;
-
-    session.count("gate / chaos_injected", chaos_ok ? 1 : 0);
-    session.count("gate / ctrl_delivery_ok", delivery_ok ? 1 : 0);
-    session.count("gate / outage_detected", outage_ok ? 1 : 0);
-    session.count("gate / recovery_ok", recovery_ok ? 1 : 0);
-    session.count("gate / staleness_converged", staleness_ok ? 1 : 0);
-    session.count("gate / degradation_recovered", degrade_ok ? 1 : 0);
-    session.count("gate / deterministic", deterministic ? 1 : 0);
-
-    std::printf("\nexpected shape: every chaos mode actually fired -> %s\n",
-                chaos_ok ? "PASS" : "FAIL");
-    std::printf("expected shape: control ARQ delivery >= 0.99 through the lossy "
-                "window -> %s (%.4f)\n",
-                delivery_ok ? "PASS" : "FAIL", delivery);
-    std::printf("expected shape: partition detected as an outage -> %s "
-                "(%+.0f ms)\n",
-                outage_ok ? "PASS" : "FAIL", detect_ms);
-    std::printf("expected shape: resync-led recovery within %.1f s of heal -> %s "
-                "(%+.0f ms)\n",
-                kRecoveryBudgetS, recovery_ok ? "PASS" : "FAIL", recovery_ms);
-    std::printf("expected shape: post-heal staleness back near baseline -> %s "
-                "(p95 %.1f ms vs clean %.1f ms)\n",
-                staleness_ok ? "PASS" : "FAIL", heal_p95, clean_p95);
-    std::printf("expected shape: ladder sheds under loss and fully recovers -> "
-                "%s (max %d, final %d)\n",
-                degrade_ok ? "PASS" : "FAIL", a.max_degradation,
-                a.final_degradation);
-    std::printf("expected shape: same seed -> byte-identical hash stream -> %s "
-                "(%zu epochs)\n",
-                deterministic ? "PASS" : "FAIL", a.hashes.size());
-
-    return chaos_ok && delivery_ok && outage_ok && recovery_ok &&
-                   staleness_ok && degrade_ok && deterministic
-               ? 0
-               : 1;
+    // Every chaos mode actually fired.
+    for (const char* metric :
+         {"chaos_dropped", "chaos_duplicated", "chaos_corrupted", "chaos_blackholed"})
+        session.gate({metric, 1.0, {}});
+    // The control ARQ stream delivers >= 99% through the lossy window.
+    session.gate({"ctrl_delivery_ratio.min", 0.99, {}});
+    // The partition is declared an outage. A transition the probe never saw
+    // reads about -1e4 ms, below every min of 0 here.
+    session.gate({"detect_ms.min", 0.0, {}});
+    session.gate({"outages", 1.0, {}});
+    // A resync-led recovery lands within the budget after the heal.
+    session.gate({"recovery_ms.mean", 0.0, kRecoveryBudgetS * 1e3});
+    session.gate({"resyncs_applied", 1.0, {}});
+    session.gate({"relay_resyncs_served", 1.0, {}});
+    // Post-heal staleness is back near baseline: p95 within 3x clean + 50 ms.
+    session.gate({"heal_staleness_excess_ms.max", {}, 50.0});
+    // The ladder sheds under loss and fully recovers.
+    session.gate({"degradation_max_level.min", 1.0, {}});
+    session.gate({"degradation_final_level.max", {}, 0.0});
+    // The same seed gives a byte-identical, non-empty hash stream.
+    session.gate({"hash_epochs", 1.0, {}});
+    session.gate({"rerun_mismatches", {}, 0.0});
+    return session.finish();
 }

@@ -108,7 +108,6 @@ int main() {
     session.record("video_over_avatar_ratio", video_least / avatar_best);
     std::printf("\nratio: cheapest video / production avatar stream = %.0fx\n",
                 video_least / avatar_best);
-    std::printf("expected shape: avatar stream at least 10x cheaper -> %s\n",
-                video_least / avatar_best >= 10.0 ? "PASS" : "FAIL");
-    return 0;
+    session.gate({"video_over_avatar_ratio.min", 10.0, {}});
+    return session.finish();
 }

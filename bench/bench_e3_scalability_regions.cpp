@@ -11,6 +11,7 @@
 // cuts p50 sharply (same-region pairs stop crossing oceans) and keeps the
 // origin's queue bounded as attendance grows.
 
+#include <array>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -97,8 +98,9 @@ int main() {
     std::printf("\n%8s %-10s %8s %8s %8s %8s | %12s %10s %12s\n", "clients", "mode",
                 "mean", "p50", "p95", "p99", "origin Mb/s", "queue ms", "relay Mb/s");
     for (const std::size_t n : {36u, 72u, 144u, 288u}) {
+        std::array<Result, 2> by_mode;  // single origin, regional mesh
         for (const bool mesh : {false, true}) {
-            const Result r = run(n, mesh, 8.0);
+            const Result& r = by_mode[mesh ? 1 : 0] = run(n, mesh, 8.0);
             const std::string key = std::to_string(n) + (mesh ? "/regional" : "/single");
             session.record(key + " / e2e_ms", r.e2e_ms);
             session.record(key + " / origin_egress_mbps", r.origin_egress_mbps);
@@ -109,14 +111,16 @@ int main() {
                         r.e2e_ms.p95(), r.e2e_ms.p99(), r.origin_egress_mbps,
                         r.origin_queue_ms, r.relay_egress_mbps);
         }
+        if (n != 144) continue;
+        const auto& [single, regional] = by_mode;
+        session.record("144 / regional_over_single_p50",
+                       regional.e2e_ms.median() / single.e2e_ms.median());
+        session.record("144 / regional_over_single_origin_egress",
+                       regional.origin_egress_mbps / single.origin_egress_mbps);
     }
 
-    const Result single = run(144, false, 8.0);
-    const Result mesh = run(144, true, 8.0);
-    std::printf("\nexpected shape: regional p50 < single p50 (same-region pairs go "
-                "local) -> %s\n",
-                mesh.e2e_ms.median() < single.e2e_ms.median() ? "PASS" : "FAIL");
-    std::printf("expected shape: regional offloads origin egress -> %s\n",
-                mesh.origin_egress_mbps < single.origin_egress_mbps ? "PASS" : "FAIL");
-    return 0;
+    // Same-region pairs go local, and the relays offload the origin.
+    session.gate({"144 / regional_over_single_p50.max", {}, 1.0});
+    session.gate({"144 / regional_over_single_origin_egress.max", {}, 1.0});
+    return session.finish();
 }

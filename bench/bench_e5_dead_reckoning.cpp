@@ -99,9 +99,7 @@ int main() {
     std::printf("\n%10s %8s %12s %12s %14s %14s\n", "threshold", "tick Hz", "kbit/s",
                 "updates/s", "mean err (cm)", "p95 err (cm)");
     double prev_kbps = -1.0;
-    bool monotone_bw = true;
     double err_tight = 0.0;
-    double err_loose = 0.0;
     for (const double threshold : {0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2}) {
         const Row r = run(threshold, 30.0);
         const std::string key = "threshold " + std::to_string(threshold);
@@ -109,10 +107,11 @@ int main() {
         session.record(key + " / mean_err_cm", r.mean_err_cm);
         std::printf("%10.3f %8.0f %12.2f %12.1f %14.2f %14.2f\n", r.threshold, r.tick_hz,
                     r.kbps, r.updates_per_s, r.mean_err_cm, r.p95_err_cm);
-        if (prev_kbps >= 0.0 && r.kbps > prev_kbps + 0.5) monotone_bw = false;
+        if (prev_kbps >= 0.0) session.record("kbps_rise_per_step", r.kbps - prev_kbps);
         prev_kbps = r.kbps;
         if (threshold == 0.0) err_tight = r.mean_err_cm;
-        if (threshold == 0.2) err_loose = r.mean_err_cm;
+        if (threshold == 0.2)
+            session.record("loose_over_tight_err", r.mean_err_cm / err_tight);
     }
 
     std::printf("\ntick-rate sweep at threshold 0.02:\n");
@@ -122,12 +121,11 @@ int main() {
                     r.kbps, r.updates_per_s, r.mean_err_cm, r.p95_err_cm);
     }
 
-    std::printf("\nexpected shape: bandwidth falls monotonically with threshold -> %s\n",
-                monotone_bw ? "PASS" : "FAIL");
+    // Bandwidth falls monotonically with the threshold (0.5 kbit/s slack).
+    session.gate({"kbps_rise_per_step.max", {}, 0.5});
     // Near zero the error sits on the quantization/interpolation floor, so
-    // compare the extremes rather than demanding strict monotonicity.
-    std::printf("expected shape: loosest threshold errs >2x the tightest -> %s "
-                "(%.2f vs %.2f cm)\n",
-                err_loose > 2.0 * err_tight ? "PASS" : "FAIL", err_loose, err_tight);
-    return 0;
+    // compare the extremes rather than demanding strict monotonicity: the
+    // loosest threshold errs more than 2x the tightest.
+    session.gate({"loose_over_tight_err.min", 2.0, {}});
+    return session.finish();
 }

@@ -9,6 +9,7 @@
 // degrading gracefully (artifacts) as RTT and head motion grow.
 
 #include <cstdio>
+#include <map>
 
 #include "bench/bench_util.hpp"
 #include "render/split.hpp"
@@ -21,6 +22,9 @@ int main() {
 
     const DeviceProfile devices[] = {phone_webgl_profile(), standalone_hmd_profile(),
                                      pc_vr_profile()};
+    // The shape checks read the standalone HMD's rows at 60 ms RTT.
+    const DeviceProfile& hmd = devices[1];
+    std::map<RenderMode, SplitOutcome> hmd60;
 
     std::printf("\n30-avatar classroom, moderate head motion (0.8 rad/s):\n");
     std::printf("%-16s %-12s %8s %10s %12s %10s %10s\n", "device", "mode", "rtt ms",
@@ -34,6 +38,7 @@ int main() {
                 cond.cloud_rtt_ms = rtt;
                 cond.head_angular_speed = 0.8;
                 const SplitOutcome out = evaluate(mode, dev, cond);
+                if (&dev == &hmd && rtt == 60.0) hmd60[mode] = out;
                 const std::string key = std::string{dev.name} + "/" +
                                         std::string{render_mode_name(mode)} + "@" +
                                         std::to_string(static_cast<int>(rtt));
@@ -49,35 +54,25 @@ int main() {
         }
     }
 
-    // Checks of the expected shape on the standalone HMD at 60 ms RTT.
-    SplitConditions cond;
-    cond.avatar_count = 30;
-    cond.cloud_rtt_ms = 60.0;
-    cond.head_angular_speed = 0.8;
-    const DeviceProfile hmd = standalone_hmd_profile();
-    const SplitOutcome local = evaluate(RenderMode::LocalOnly, hmd, cond);
-    const SplitOutcome cloud = evaluate(RenderMode::CloudOnly, hmd, cond);
-    const SplitOutcome split = evaluate(RenderMode::Split, hmd, cond);
+    const SplitOutcome& local = hmd60[RenderMode::LocalOnly];
+    const SplitOutcome& cloud = hmd60[RenderMode::CloudOnly];
+    const SplitOutcome& split = hmd60[RenderMode::Split];
+    session.record("hmd@60 / cloud_minus_split_quality",
+                   cloud.visual_quality - split.visual_quality);
+    session.record("hmd@60 / split_minus_local_quality",
+                   split.visual_quality - local.visual_quality);
+    session.record("hmd@60 / split_minus_local_mtp_ms",
+                   split.motion_to_photon_ms - local.motion_to_photon_ms);
+    session.record("hmd@60 / cloud_over_split_mtp",
+                   cloud.motion_to_photon_ms / split.motion_to_photon_ms);
 
-    std::printf("\nstandalone HMD @ 60 ms RTT:\n");
-    std::printf("expected shape: cloud quality > split quality > local quality -> %s\n",
-                cloud.visual_quality > split.visual_quality &&
-                        split.visual_quality > local.visual_quality
-                    ? "PASS"
-                    : "FAIL");
-    std::printf("expected shape: split mtp ~= local mtp << cloud mtp -> %s\n",
-                split.motion_to_photon_ms <= local.motion_to_photon_ms + 1.0 &&
-                        cloud.motion_to_photon_ms > 2.0 * split.motion_to_photon_ms
-                    ? "PASS"
-                    : "FAIL");
-    std::printf("expected shape: cloud-only busts 100 ms budget at 150 ms RTT -> %s\n",
-                [&] {
-                    SplitConditions far = cond;
-                    far.cloud_rtt_ms = 150.0;
-                    return evaluate(RenderMode::CloudOnly, hmd, far).motion_to_photon_ms >
-                           100.0;
-                }()
-                    ? "PASS"
-                    : "FAIL");
-    return 0;
+    // Cloud quality > split quality > local quality.
+    session.gate({"hmd@60 / cloud_minus_split_quality.min", 0.0, {}});
+    session.gate({"hmd@60 / split_minus_local_quality.min", 0.0, {}});
+    // Split motion-to-photon ~= local (within 1 ms) << cloud (over 2x).
+    session.gate({"hmd@60 / split_minus_local_mtp_ms.max", {}, 1.0});
+    session.gate({"hmd@60 / cloud_over_split_mtp.min", 2.0, {}});
+    // Cloud-only busts the 100 ms budget at 150 ms RTT.
+    session.gate({"standalone-hmd/cloud-only@150 / mtp_ms.min", 100.0, {}});
+    return session.finish();
 }

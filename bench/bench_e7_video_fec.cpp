@@ -184,15 +184,18 @@ int main() {
         if (t == Transport::Arq) tight_arq = r;
     }
 
-    std::printf("\nexpected shape @ 3%% loss, 210 ms RTT:\n");
-    std::printf("  relaxed: fec p99 delay < arq p99 delay -> %s (%.0f vs %.0f ms)\n",
-                fec_at_3.p99_delay_ms < arq_at_3.p99_delay_ms ? "PASS" : "FAIL",
-                fec_at_3.p99_delay_ms, arq_at_3.p99_delay_ms);
-    std::printf("  relaxed: fec quality > udp quality -> %s (%.1f vs %.1f dB)\n",
-                fec_at_3.quality_db > udp_at_3.quality_db ? "PASS" : "FAIL",
-                fec_at_3.quality_db, udp_at_3.quality_db);
-    std::printf("  interactive: fec quality > arq quality -> %s (%.1f vs %.1f dB)\n",
-                tight_fec.quality_db > tight_arq.quality_db ? "PASS" : "FAIL",
-                tight_fec.quality_db, tight_arq.quality_db);
-    return 0;
+    session.record("relaxed@3% / arq_minus_fec_p99_delay_ms",
+                   arq_at_3.p99_delay_ms - fec_at_3.p99_delay_ms);
+    session.record("relaxed@3% / fec_minus_udp_quality_db",
+                   fec_at_3.quality_db - udp_at_3.quality_db);
+    session.record("interactive@3% / fec_minus_arq_quality_db",
+                   tight_fec.quality_db - tight_arq.quality_db);
+
+    // At 3% loss over a 210 ms RTT: with a relaxed deadline FEC's p99 delay
+    // beats ARQ's and its quality beats plain UDP's; with an interactive
+    // deadline FEC's quality beats ARQ's.
+    session.gate({"relaxed@3% / arq_minus_fec_p99_delay_ms.min", 0.0, {}});
+    session.gate({"relaxed@3% / fec_minus_udp_quality_db.min", 0.0, {}});
+    session.gate({"interactive@3% / fec_minus_arq_quality_db.min", 0.0, {}});
+    return session.finish();
 }

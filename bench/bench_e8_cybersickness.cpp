@@ -81,16 +81,17 @@ int main() {
                 "100deg FOV):\n");
     std::printf("%-36s %10s %10s %10s\n", "profile", "2 m/s", "3.5 m/s", "5 m/s");
     double prev_profile_score = -1.0;
-    bool profiles_ordered = true;
+    std::uint64_t inversions = 0;
     for (const auto& p : profiles) {
         const double s2 = run_class(p.user, 2.0, 20.0, 72.0, 100.0, false);
         const double s35 = run_class(p.user, 3.5, 20.0, 72.0, 100.0, false);
         const double s5 = run_class(p.user, 5.0, 20.0, 72.0, 100.0, false);
         session.record(std::string{p.label} + " / score@3.5mps", s35);
         std::printf("%-36s %10.1f %10.1f %10.1f\n", p.label, s2, s35, s5);
-        if (prev_profile_score >= 0.0 && s35 < prev_profile_score) profiles_ordered = false;
+        if (prev_profile_score >= 0.0 && s35 < prev_profile_score) ++inversions;
         prev_profile_score = s35;
     }
+    session.count("susceptibility_inversions", inversions);
 
     std::printf("\n(b) system conditions (mid-career novice, 3.5 m/s):\n");
     struct Cond {
@@ -106,35 +107,31 @@ int main() {
     };
     const UserProfile novice = profiles[2].user;
     double ideal_score = 0.0;
-    double worst_score = 0.0;
     for (const auto& c : conds) {
         const double s = run_class(novice, 3.5, c.latency, c.fps, c.fov, false);
         session.record(std::string{"condition / "} + c.label, s);
         std::printf("  %-42s %8.1f\n", c.label, s);
         if (c.latency == 20.0 && c.fps == 90.0 && c.fov == 100.0) ideal_score = s;
-        if (c.latency == 120.0 && c.fps == 30.0) worst_score = s;
+        if (c.latency == 120.0 && c.fps == 30.0)
+            session.record("worst_over_ideal_condition", s / ideal_score);
     }
 
     std::printf("\n(c) speed protector (budget 15, everyone requests 5 m/s):\n");
     std::printf("%-36s %12s %12s %14s\n", "profile", "unprotected", "protected",
                 "mean speed");
-    bool protector_works = true;
     for (const auto& p : profiles) {
         double allowed = 0.0;
         const double raw = run_class(p.user, 5.0, 20.0, 72.0, 100.0, false);
         const double prot = run_class(p.user, 5.0, 20.0, 72.0, 100.0, true, &allowed);
         std::printf("%-36s %12.1f %12.1f %11.2f m/s\n", p.label, raw, prot, allowed);
-        if (prot > 15.6) protector_works = false;
+        session.record("protected_score", prot);
     }
 
-    std::printf("\nexpected shape: susceptibility ordered young-expert < ... < "
-                "senior-novice -> %s\n",
-                profiles_ordered ? "PASS" : "FAIL");
-    std::printf("expected shape: degraded system conditions inflate symptoms -> %s "
-                "(%.1f vs %.1f)\n",
-                worst_score > ideal_score * 1.5 ? "PASS" : "FAIL", worst_score,
-                ideal_score);
-    std::printf("expected shape: protector keeps every profile within budget -> %s\n",
-                protector_works ? "PASS" : "FAIL");
-    return 0;
+    // Susceptibility is ordered young expert < ... < senior novice.
+    session.gate({"susceptibility_inversions", {}, 0.0});
+    // Degraded system conditions inflate symptoms by over 1.5x.
+    session.gate({"worst_over_ideal_condition.min", 1.5, {}});
+    // The protector keeps every profile within its budget of 15 (+0.6 slack).
+    session.gate({"protected_score.max", {}, 15.6});
+    return session.finish();
 }

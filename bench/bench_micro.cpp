@@ -238,5 +238,5 @@ int main(int argc, char** argv) {
     RecordingReporter reporter{session.metrics()};
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
-    return 0;
+    return session.finish();
 }

@@ -1,6 +1,7 @@
 #include "scenario/runner.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -52,6 +53,32 @@ std::vector<SloResult> evaluate_slos(const sim::MetricsRecorder& metrics,
     return out;
 }
 
+void print_slos(const std::vector<SloResult>& slos) {
+    for (const SloResult& r : slos) {
+        std::printf("  [%s] %-36s", r.passed ? "ok" : "FAIL", r.gate.metric.c_str());
+        if (r.value)
+            std::printf(" value=%.6g", *r.value);
+        else
+            std::printf(" value=<missing>");
+        if (r.gate.min) std::printf(" min=%.6g", *r.gate.min);
+        if (r.gate.max) std::printf(" max=%.6g", *r.gate.max);
+        std::printf("\n");
+    }
+}
+
+common::Json slos_to_json(const std::vector<SloResult>& slos) {
+    common::JsonArray rows;
+    for (const SloResult& r : slos) {
+        common::JsonObject row{{"metric", common::Json{r.gate.metric}},
+                               {"value", r.value ? common::Json{*r.value} : common::Json{}},
+                               {"passed", common::Json{r.passed}}};
+        if (r.gate.min) row["min"] = common::Json{*r.gate.min};
+        if (r.gate.max) row["max"] = common::Json{*r.gate.max};
+        rows.emplace_back(std::move(row));
+    }
+    return common::Json{std::move(rows)};
+}
+
 ScenarioReport run_world(ScenarioWorld& world, std::size_t threads) {
     const auto start = std::chrono::steady_clock::now();
     const std::size_t events = world.run(threads);
@@ -88,20 +115,7 @@ common::Json report_to_json(const ScenarioReport& report) {
         hex << std::hex << report.hashes.back();
         doc["final_hash"] = common::Json{hex.str()};
     }
-    common::JsonArray slos;
-    for (const SloResult& r : report.slos) {
-        common::JsonObject row;
-        row["metric"] = common::Json{r.gate.metric};
-        if (r.gate.min) row["min"] = common::Json{*r.gate.min};
-        if (r.gate.max) row["max"] = common::Json{*r.gate.max};
-        if (r.value)
-            row["value"] = common::Json{*r.value};
-        else
-            row["value"] = common::Json{};  // null: metric missing
-        row["passed"] = common::Json{r.passed};
-        slos.emplace_back(std::move(row));
-    }
-    doc["slos"] = common::Json{std::move(slos)};
+    doc["slos"] = slos_to_json(report.slos);
     doc["metrics"] = report.metrics;
     return common::Json{std::move(doc)};
 }

@@ -2,6 +2,8 @@
 // ScenarioRunner: drive a built ScenarioWorld for its declared duration,
 // snapshot metrics, evaluate the spec's declarative SLO gates, and package
 // everything as a ScenarioReport the CLI prints or exports as JSON.
+// The same evaluator, printer and JSON rows judge every bench binary's gates
+// (bench::Session).
 //
 // SLO metric names resolve against the collected MetricsRecorder: an exact
 // counter name ("chaos.dropped", "shard.lookahead_violations"), or
@@ -46,6 +48,13 @@ struct ScenarioReport {
 /// Evaluate the spec's gates against collected metrics.
 [[nodiscard]] std::vector<SloResult> evaluate_slos(const sim::MetricsRecorder& metrics,
                                                    const std::vector<SloGate>& gates);
+
+/// One "[ok]"/"[FAIL]" line per result: metric, value (or <missing>), bounds.
+void print_slos(const std::vector<SloResult>& slos);
+
+/// The `slos` array of an artifact: one {metric, min?, max?, value, passed}
+/// row per result; a missing metric's value is null.
+[[nodiscard]] common::Json slos_to_json(const std::vector<SloResult>& slos);
 
 /// Drive an already-built world for the spec's duration and report. The
 /// world must not have been run yet.

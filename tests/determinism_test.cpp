@@ -1,7 +1,8 @@
 // End-to-end determinism: the bench binaries must write byte-identical
 // BENCH_<id>.json artifacts on every same-seed run — including E16's sweep,
 // whose quick form runs 1 and 2 worker threads, so this also pins "same
-// bytes for 1 vs N threads" at the whole-experiment level.
+// bytes for 1 vs N threads" at the whole-experiment level. Every model bench
+// (E1-E13) must also pass its own gates: its exit code is their verdict.
 //
 // The binaries live under build/bench and build/tools (METACLASS_BENCH_DIR
 // and METACLASS_SCENARIO_BIN, injected by the tests CMakeLists); each run
@@ -81,5 +82,34 @@ TEST(DeterminismTest, E16ArtifactByteIdenticalAcrossRunsAndThreadCounts) {
     EXPECT_EQ(counters.as_object().at("shard.lookahead_violations"), common::Json{0})
         << "e16 reported lookahead violations";
 }
+
+/// The model benches other than E4 (which the byte-identity test above
+/// already runs): each exits 0 at its committed seed and sizes, and its
+/// artifact records the verdict.
+class ModelBenchTest : public ::testing::TestWithParam<const char*> {};
+
+/// "bench_e10_clock_jitter" -> "e10".
+std::string bench_id(const std::string& binary) {
+    return binary.substr(6, binary.find('_', 6) - 6);
+}
+
+TEST_P(ModelBenchTest, EveryGateHolds) {
+    const std::string binary = GetParam();
+    const std::string id = bench_id(binary);
+    const std::string bytes =
+        run_bench(fs::path{METACLASS_BENCH_DIR} / binary, id, "", "verdict");
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_EQ(common::Json::parse(bytes).as_object().at("passed"), common::Json{true});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Benches, ModelBenchTest,
+    ::testing::Values("bench_e1_latency_breakdown", "bench_e2_avatar_vs_video",
+                      "bench_e3_scalability_regions", "bench_e5_dead_reckoning",
+                      "bench_e6_split_rendering", "bench_e7_video_fec",
+                      "bench_e8_cybersickness", "bench_e9_seat_assignment",
+                      "bench_e10_clock_jitter", "bench_e11_edge_ablation",
+                      "bench_e12_content_privacy", "bench_e13_jitter_ablation"),
+    [](const ::testing::TestParamInfo<const char*>& info) { return bench_id(info.param); });
 
 }  // namespace

@@ -120,19 +120,6 @@ void print_experiments() {
                 "BENCH_<name>.json\n");
 }
 
-void print_slos(const std::vector<mvc::scenario::SloResult>& slos) {
-    for (const mvc::scenario::SloResult& r : slos) {
-        std::printf("  [%s] %-36s", r.passed ? "ok" : "FAIL", r.gate.metric.c_str());
-        if (r.value)
-            std::printf(" value=%.3f", *r.value);
-        else
-            std::printf(" value=<missing>");
-        if (r.gate.min) std::printf(" min=%.3f", *r.gate.min);
-        if (r.gate.max) std::printf(" max=%.3f", *r.gate.max);
-        std::printf("\n");
-    }
-}
-
 int cmd_run(int argc, char** argv) {
     bool as_json = false;
     std::size_t threads = 1;
@@ -155,7 +142,7 @@ int cmd_run(int argc, char** argv) {
     } else {
         std::printf("%s\n", report.stamp.c_str());
         std::printf("hash epochs: %zu\n", report.hashes.size());
-        print_slos(report.slos);
+        mvc::scenario::print_slos(report.slos);
         if (spec.world == mvc::scenario::WorldKind::Classroom) {
             std::printf("course: %s\n", spec.classroom.course.c_str());
             std::printf("simulated: %.0f s\n", spec.duration.to_seconds());
@@ -197,7 +184,7 @@ int cmd_sweep(int argc, char** argv) {
             std::printf("  %8zu %12zu %10.3f %14.0f %7.2fx\n", sweep.threads[i], r.events,
                         r.wall_seconds, rate, first_rate > 0.0 ? rate / first_rate : 0.0);
         }
-        print_slos(first.slos);
+        mvc::scenario::print_slos(first.slos);
         if (point.runs.size() > 1)
             std::printf("  identity over %zu runs: %s\n", point.runs.size(),
                         point.identical ? "byte-identical" : "DIVERGED");
