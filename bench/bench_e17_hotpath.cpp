@@ -481,9 +481,9 @@ int main() {
     });
     print_row("string API (key built per call)", via_strings);
     print_row("interned MetricId handles", via_handles);
-    session.record("A string_api / ops_per_sec", via_strings.ops_per_sec);
+    session.timing("A string_api / ops_per_sec", via_strings.ops_per_sec);
     session.record("A string_api / allocs_per_op", via_strings.allocs_per_op);
-    session.record("A handles / ops_per_sec", via_handles.ops_per_sec);
+    session.timing("A handles / ops_per_sec", via_handles.ops_per_sec);
     session.record("A handles / allocs_per_op", via_handles.allocs_per_op);
 
     // ------------------------------------------------------- B: event loop
@@ -502,13 +502,13 @@ int main() {
     print_row("reference loop, 80 B captures", legacy_large);
     print_row("pooled loop, 8 B captures", pooled_small);
     print_row("pooled loop, 80 B captures", pooled_large);
-    session.record("B legacy_small / events_per_sec", legacy_small.ops_per_sec);
+    session.timing("B legacy_small / events_per_sec", legacy_small.ops_per_sec);
     session.record("B legacy_small / allocs_per_event", legacy_small.allocs_per_op);
-    session.record("B legacy_large / events_per_sec", legacy_large.ops_per_sec);
+    session.timing("B legacy_large / events_per_sec", legacy_large.ops_per_sec);
     session.record("B legacy_large / allocs_per_event", legacy_large.allocs_per_op);
-    session.record("B pooled_small / events_per_sec", pooled_small.ops_per_sec);
+    session.timing("B pooled_small / events_per_sec", pooled_small.ops_per_sec);
     session.record("B pooled_small / allocs_per_event", pooled_small.allocs_per_op);
-    session.record("B pooled_large / events_per_sec", pooled_large.ops_per_sec);
+    session.timing("B pooled_large / events_per_sec", pooled_large.ops_per_sec);
     session.record("B pooled_large / allocs_per_event", pooled_large.allocs_per_op);
 
     const ChurnResult churn = run_timer_churn(64, warmup_events, events);
@@ -518,7 +518,7 @@ int main() {
                 static_cast<unsigned long long>(churn.events));
     session.count("B timer_churn / events", churn.events);
     session.count("B timer_churn / allocations", churn.allocations);
-    session.record("B timer_churn / events_per_sec", churn.events_per_sec);
+    session.timing("B timer_churn / events_per_sec", churn.events_per_sec);
 
     // Two timers armed already due per op: one cancelled, one fired by run_due.
     sim::WallClock wall{kSeed};
@@ -532,7 +532,7 @@ int main() {
     const double wall_allocs_per_timer = wall_ops.allocs_per_op / 2.0;
     std::printf("%-34s %14.0f ops/s %12.3f allocs/timer\n", "WallClock arm+cancel+run_due",
                 wall_ops.ops_per_sec, wall_allocs_per_timer);
-    session.record("B wall_clock / ops_per_sec", wall_ops.ops_per_sec);
+    session.timing("B wall_clock / ops_per_sec", wall_ops.ops_per_sec);
     session.record("B wall_clock / allocs_per_timer", wall_allocs_per_timer);
     session.count("B wall_clock / fired", wall_fired);
 
@@ -557,7 +557,7 @@ int main() {
     csim.run_until(csim.now() + sim::Time::seconds(1));
     print_row("send+deliver (steady state)", send_path);
     std::printf("%-34s %14zu delivered\n", "", received);
-    session.record("C send_path / sends_per_sec", send_path.ops_per_sec);
+    session.timing("C send_path / sends_per_sec", send_path.ops_per_sec);
     session.record("C send_path / allocs_per_send", send_path.allocs_per_op);
 
     // --------------------------------------------------- D: sharded sweep
@@ -574,7 +574,7 @@ int main() {
                 sweep.allocs_per_event);
     session.count("D sweep / clients", sweep_clients);
     session.count("D sweep / events", sweep.events);
-    session.record("D sweep / wall_seconds", sweep.wall_seconds);
+    session.timing("D sweep / wall_seconds", sweep.wall_seconds);
     session.record("D sweep / allocs_per_event", sweep.allocs_per_event);
 
     // ------------------------------------------- E: interest-grid queries
@@ -612,9 +612,9 @@ int main() {
     print_row("query_nearest_into (25 m, cap 16)", nearest_query);
     std::printf("%-34s %14llu hits\n", "",
                 static_cast<unsigned long long>(query_hits));
-    session.record("E radius_into / queries_per_sec", radius_query.ops_per_sec);
+    session.timing("E radius_into / queries_per_sec", radius_query.ops_per_sec);
     session.record("E radius_into / allocs_per_query", radius_query.allocs_per_op);
-    session.record("E nearest_into / queries_per_sec", nearest_query.ops_per_sec);
+    session.timing("E nearest_into / queries_per_sec", nearest_query.ops_per_sec);
     session.record("E nearest_into / allocs_per_query", nearest_query.allocs_per_op);
 
     // ------------------------------------------- F: campus egress path
@@ -628,7 +628,7 @@ int main() {
     session.count("F campus / avatars", campus.avatars);
     session.count("F campus / updates", campus.updates);
     session.count("F campus / batches", campus.batches);
-    session.record("F campus / wall_seconds", campus.wall_seconds);
+    session.timing("F campus / wall_seconds", campus.wall_seconds);
     session.record("F campus / allocs_per_update", campus.allocs_per_update);
     session.record("F campus / allocs_per_batch", campus.allocs_per_batch);
 
@@ -641,7 +641,7 @@ int main() {
                 room.wall_seconds, room.allocs_per_update);
     session.count("G classroom / participants", room.participants);
     session.count("G classroom / updates", room.updates);
-    session.record("G classroom / wall_seconds", room.wall_seconds);
+    session.timing("G classroom / wall_seconds", room.wall_seconds);
     session.record("G classroom / allocs_per_update", room.allocs_per_update);
 
     // --------------------------------------------------------------- gates

@@ -236,12 +236,12 @@ int main() {
                 "%.1f MB/s staged)\n",
                 "tap on (recording)", tapped.ops_per_sec, tapped.allocs_per_op,
                 send_overhead_pct, tap_mb_per_s);
-    session.record("A untapped / sends_per_sec", untapped.ops_per_sec);
+    session.timing("A untapped / sends_per_sec", untapped.ops_per_sec);
     session.record("A untapped / allocs_per_send", untapped.allocs_per_op);
-    session.record("A tapped / sends_per_sec", tapped.ops_per_sec);
+    session.timing("A tapped / sends_per_sec", tapped.ops_per_sec);
     session.record("A tapped / allocs_per_send", tapped.allocs_per_op);
-    session.record("A tapped / overhead_pct", send_overhead_pct);
-    session.record("A tapped / staged_mb_per_sec", tap_mb_per_s);
+    session.timing("A tapped / overhead_pct", send_overhead_pct);
+    session.timing("A tapped / staged_mb_per_sec", tap_mb_per_s);
 
     // ------------------------------------------- B: end-to-end lecture + gate
     std::printf("\nB. blended lecture (%.0f sim s), recording off vs on\n", lecture_s);
@@ -268,9 +268,9 @@ int main() {
                 static_cast<unsigned long long>(rerun_div.compared),
                 rerun_div.diverged ? "YES" : "no", rerun_bytes_equal ? "yes" : "NO");
     if (rerun_div.diverged) std::printf("  %s\n", rerun_div.detail.c_str());
-    session.record("B recording_off / wall_seconds", plain.wall_seconds);
-    session.record("B recording_on / wall_seconds", rec1.wall_seconds);
-    session.record("B recording_on / overhead_pct", lecture_overhead_pct);
+    session.timing("B recording_off / wall_seconds", plain.wall_seconds);
+    session.timing("B recording_on / wall_seconds", rec1.wall_seconds);
+    session.timing("B recording_on / overhead_pct", lecture_overhead_pct);
     session.record("B trace / bytes", static_cast<double>(rec1.trace.size()));
     session.record("B trace / bytes_per_sim_sec",
                    static_cast<double>(rec1.trace.size()) / lecture_s);
@@ -294,8 +294,8 @@ int main() {
                 static_cast<unsigned long long>(player.stats().wire_packets),
                 static_cast<unsigned long long>(player.stats().avatar_updates),
                 player.participants().size());
-    session.record("C replay / wall_seconds", replay_wall.count());
-    session.record("C replay / speedup_vs_realtime", replay_speedup);
+    session.timing("C replay / wall_seconds", replay_wall.count());
+    session.timing("C replay / speedup_vs_realtime", replay_speedup);
     session.count("C replay / participants", player.participants().size());
 
     // ------------------------------------- D: seek latency vs keyframe cadence
@@ -320,7 +320,7 @@ int main() {
                     interval, t.checkpoint_index().size(), mean_ms);
         char label[64];
         std::snprintf(label, sizeof label, "D seek / interval_%.0fs_ms", interval);
-        session.record(label, mean_ms);
+        session.timing(label, mean_ms);
     }
 
     // ---------------------------------------- E: sharded any-thread-count gate

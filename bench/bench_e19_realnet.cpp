@@ -181,10 +181,15 @@ int main() {
                 static_cast<unsigned long long>(client_rx),
                 static_cast<unsigned long long>(relay.messages_in()),
                 static_cast<unsigned long long>(relay.messages_out()));
+    const double bytes_per_datagram =
+        net.datagrams_sent() > 0 ? static_cast<double>(net.bytes_sent()) /
+                                       static_cast<double>(net.datagrams_sent())
+                                 : 0.0;
     std::printf("  datagrams sent %llu received %llu, decode errors %llu\n",
                 static_cast<unsigned long long>(net.datagrams_sent()),
                 static_cast<unsigned long long>(net.datagrams_received()),
                 static_cast<unsigned long long>(net.decode_errors()));
+    std::printf("  %.1f frame bytes per datagram sent\n", bytes_per_datagram);
     session.record("B clients / updates_sent",
                    static_cast<double>(client_tx));
     session.record("B clients / updates_received",
@@ -194,6 +199,7 @@ int main() {
     session.record("B wire / datagrams_sent",
                    static_cast<double>(net.datagrams_sent()));
     session.record("B wire / decode_errors", static_cast<double>(net.decode_errors()));
+    session.record("B wire / bytes_per_datagram", bytes_per_datagram);
 
     std::printf("\nC. record on the real wire -> replay in the simulator\n");
     replay::RerunResult rerun;

@@ -3,17 +3,20 @@
 // snapshots and deltas, campus pool records, datagram frames and their
 // payload codecs, recovery checkpoints, and session traces.
 //
-//  - put / put_varint / put_raw / put_bytes / put_varint_bytes append
-//    little-endian fixed-width values, unsigned LEB128 varints and raw or
-//    length-prefixed byte runs to a caller-owned buffer: a std::vector or a
-//    common::InlineBytes. They allocate only when the buffer outgrows its
+//  - put / put_varint / put_svarint / put_raw / put_bytes / put_varint_bytes
+//    append little-endian fixed-width values, unsigned LEB128 varints,
+//    zigzag varints of signed values and raw or length-prefixed byte runs
+//    to a caller-owned buffer: a std::vector or a common::InlineBytes. They allocate only when the buffer outgrows its
 //    capacity, so a reserved vector or a short inline record stays
 //    allocation-free (the recorder tap and the campus pool rely on this).
 //  - Reader decodes the same primitives from a span. Every read is bounds
 //    checked without `pos + n` arithmetic that could wrap; the first
 //    overrun or malformed value latches ok() false, after which every read
 //    returns zero/empty. Decoders read straight through and check ok() once,
-//    so outside input can never make them throw.
+//    so outside input can never make them throw. A varint is accepted only
+//    in its minimal form and only when it fits the field it is read into,
+//    so every accepted value has exactly one encoding and a decoded record
+//    re-encodes to the bytes it came from.
 //  - crc32 is the table-driven IEEE 802.3 CRC-32 (reflected 0xEDB88320),
 //    streaming: crc32(b, crc32(a)) == crc32(a || b).
 //
@@ -26,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <ranges>
 #include <span>
 #include <string>
@@ -107,6 +111,23 @@ inline void put_varint(Buf& out, std::uint64_t v) {
     out.push_back(static_cast<B>(static_cast<std::uint8_t>(v)));
 }
 
+/// Zigzag map of a signed value onto an unsigned one (0, -1, 1, -2 -> 0, 1,
+/// 2, 3), so small magnitudes of either sign stay short as varints.
+[[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t v) {
+    return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+}
+
+/// Inverse of zigzag.
+[[nodiscard]] constexpr std::int64_t unzigzag(std::uint64_t u) {
+    return static_cast<std::int64_t>((u >> 1) ^ (0 - (u & 1)));
+}
+
+/// Append `v` as the varint of its zigzag map (1-10 bytes).
+template <ByteBuffer Buf>
+inline void put_svarint(Buf& out, std::int64_t v) {
+    put_varint(out, zigzag(v));
+}
+
 /// Append the bytes of `b` with no length prefix.
 template <ByteBuffer Buf, ByteRange R>
 inline void put_raw(Buf& out, const R& b) {
@@ -165,20 +186,31 @@ public:
         return std::bit_cast<T>(u);
     }
 
-    /// Unsigned LEB128; fails on truncation or on more than 64 bits.
-    [[nodiscard]] std::uint64_t varint() {
+    /// Unsigned LEB128 read into a T. Fails on truncation, on a value wider
+    /// than T (more than 64 bits included), and on a non-minimal encoding: a
+    /// final byte of zero after the first byte would add nothing.
+    template <std::unsigned_integral T = std::uint64_t>
+    [[nodiscard]] T varint() {
         std::uint64_t v = 0;
         for (int shift = 0;; shift += 7) {
             const auto b = get<std::uint8_t>();
             if (!ok_) return 0;
-            if (shift == 63 && b > 1) {
+            if ((shift == 63 && b > 1) || (shift > 0 && b == 0)) {
                 fail();
                 return 0;
             }
             v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-            if ((b & 0x80) == 0) return v;
+            if ((b & 0x80) != 0) continue;
+            if (v > std::numeric_limits<T>::max()) {
+                fail();
+                return 0;
+            }
+            return static_cast<T>(v);
         }
     }
+
+    /// A zigzag varint (inverse of put_svarint).
+    [[nodiscard]] std::int64_t svarint() { return unzigzag(varint()); }
 
     /// The next `n` bytes, or an empty span (and failure) if fewer remain.
     [[nodiscard]] std::span<const std::uint8_t> take(std::uint64_t n) {

@@ -195,6 +195,7 @@ bool RealUdpBackend::do_send(NodeId src, NodeId dst, std::size_t size_bytes,
         return false;
     }
     ++datagrams_sent_;
+    bytes_sent_ += frame->size();
     return true;
 }
 

@@ -116,6 +116,8 @@ public:
     void set_ingress_drop(IngressDrop fn) { ingress_drop_ = std::move(fn); }
 
     [[nodiscard]] std::uint64_t datagrams_sent() const { return datagrams_sent_; }
+    /// Frame bytes of those datagrams: what the wire actually carried.
+    [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
     [[nodiscard]] std::uint64_t datagrams_received() const {
         return datagrams_received_;
     }
@@ -151,6 +153,7 @@ private:
     IngressDrop ingress_drop_;
     std::uint64_t next_packet_id_{1};
     std::uint64_t datagrams_sent_{0};
+    std::uint64_t bytes_sent_{0};
     std::uint64_t datagrams_received_{0};
     std::uint64_t decode_errors_{0};
     // Fixed counters off the per-flow path, resolved at construction.

@@ -51,23 +51,26 @@ void ReliableChannel::register_wire_codecs(WireCodecs& codecs, std::uint16_t dat
         data_tag,
         [](const Payload& p, std::vector<std::byte>& out) {
             const auto& w = p.get<Wire>();
-            common::put<std::uint64_t>(out, w.seq);
-            common::put<std::int64_t>(out, w.first_sent.nanos());
-            common::put<std::int32_t>(out, w.transmission);
+            common::put_varint(out, w.seq);
+            common::put_svarint(out, w.first_sent.nanos());
+            common::put_varint(out, static_cast<std::uint32_t>(w.transmission));
             if (!encode_nested_payload(w.app_payload, out)) {
                 // No codec for the application payload: ship the wrapper with
                 // an empty nested payload rather than failing the whole
                 // segment (the ACK machinery still needs the seq through).
-                common::put<std::uint16_t>(out, kTagEmpty);
-                common::put<std::uint32_t>(out, 0);
+                common::put_varint(out, kTagEmpty);
             }
         },
-        [](std::span<const std::byte> body) -> std::optional<Payload> {
+        [data_tag](std::span<const std::byte> body) -> std::optional<Payload> {
             common::Reader r{body};
             Wire w;
-            w.seq = r.get<std::uint64_t>();
-            w.first_sent = sim::Time::ns(r.get<std::int64_t>());
-            w.transmission = r.get<std::int32_t>();
+            w.seq = r.varint();
+            w.first_sent = sim::Time::ns(r.svarint());
+            w.transmission = static_cast<std::int32_t>(r.varint<std::uint32_t>());
+            // A segment never carries a segment. Refusing one before decoding
+            // it keeps a datagram from nesting segments thousands deep, each
+            // a level of recursion.
+            if (common::Reader{r}.varint<std::uint16_t>() == data_tag) return std::nullopt;
             std::optional<Payload> nested = decode_nested_payload(r);
             if (!nested || !r.ok() || !r.done()) return std::nullopt;
             w.app_payload = std::move(*nested);

@@ -1,12 +1,40 @@
 #include "net/wire_format.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace mvc::net {
 
 using common::crc32;
 using common::put;
+using common::put_svarint;
+using common::put_varint;
 using common::Reader;
+
+namespace {
+
+constexpr std::size_t kCrcBytes = 4;
+/// magic, version and priority, then the widest tag, src, dst, packet id,
+/// size, sent_at and flow-length varints.
+constexpr std::size_t kMaxHeaderBytes = 4 + 1 + 1 + 3 + 5 + 5 + 10 + 10 + 10 + 10;
+/// The smallest frame: every varint one byte, empty flow and body.
+constexpr std::size_t kMinFrameBytes = 4 + 1 + 1 + 6 + 1 + kCrcBytes;
+/// Largest body a UDP datagram can carry, capping the encoder's reservation.
+constexpr std::size_t kMaxBodyHint = 65507;
+
+/// Whether the CRC of some shorter prefix sits right after it: the frame was
+/// intact and bytes were appended, not corrupted. Runs only on frames that
+/// failed the CRC at their end.
+bool crc_ends_early(std::span<const std::byte> frame) {
+    std::uint32_t crc = crc32(frame.first(kMinFrameBytes - kCrcBytes));
+    for (std::size_t end = kMinFrameBytes - kCrcBytes; end + kCrcBytes < frame.size(); ++end) {
+        if (Reader{frame.subspan(end, kCrcBytes)}.get<std::uint32_t>() == crc) return true;
+        crc = crc32(frame.subspan(end, 1), crc);
+    }
+    return false;
+}
+
+}  // namespace
 
 WireCodecs& WireCodecs::instance() {
     static WireCodecs codecs;
@@ -52,26 +80,22 @@ std::optional<std::vector<std::byte>> encode_frame(const Packet& p, Priority pri
     const std::optional<std::uint16_t> tag = codecs.tag_of(p.payload);
     if (!tag) return std::nullopt;
 
+    // The modeled size is the sender's estimate of the body, so one
+    // reservation usually holds the whole frame.
     std::vector<std::byte> out;
-    out.reserve(64 + p.flow.size());
+    out.reserve(kMaxHeaderBytes + p.flow.size() + std::min(p.size_bytes, kMaxBodyHint) +
+                kCrcBytes);
     put<std::uint32_t>(out, kWireMagic);
     put<std::uint8_t>(out, kWireVersion);
     put<std::uint8_t>(out, static_cast<std::uint8_t>(priority));
-    put<std::uint16_t>(out, *tag);
-    put<std::uint32_t>(out, p.src);
-    put<std::uint32_t>(out, p.dst);
-    put<std::uint64_t>(out, p.id);
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(p.size_bytes));
-    put<std::int64_t>(out, p.sent_at.nanos());
-
-    if (p.flow.size() > 0xFFFF) return std::nullopt;
-    put<std::uint16_t>(out, static_cast<std::uint16_t>(p.flow.size()));
-    common::put_raw(out, p.flow);
-
-    std::vector<std::byte> body;
-    if (*tag != kTagEmpty) (*codecs.encoder(*tag))(p.payload, body);
-    common::put_bytes(out, body);
-
+    put_varint(out, *tag);
+    put_varint(out, p.src);
+    put_varint(out, p.dst);
+    put_varint(out, p.id);
+    put_varint(out, p.size_bytes);
+    put_svarint(out, p.sent_at.nanos());
+    common::put_varint_bytes(out, p.flow);
+    if (*tag != kTagEmpty) (*codecs.encoder(*tag))(p.payload, out);
     put<std::uint32_t>(out, crc32(out));
     return out;
 }
@@ -98,7 +122,6 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::byte> frame) {
 
 std::optional<DecodedFrame> decode_frame(std::span<const std::byte> frame,
                                          FrameDefect& defect) {
-    constexpr std::size_t kCrcBytes = 4;
     const auto reject = [&defect](FrameDefect d) {
         defect = d;
         return std::nullopt;
@@ -111,30 +134,29 @@ std::optional<DecodedFrame> decode_frame(std::span<const std::byte> frame,
     if (!r.ok()) return reject(FrameDefect::Truncated);
     if (version != kWireVersion) return reject(FrameDefect::BadVersion);
 
+    // The CRC comes before any varint: a damaged length must read as
+    // corruption, not steer the parse.
+    if (frame.size() < kMinFrameBytes) return reject(FrameDefect::Truncated);
+    const std::span<const std::byte> covered = frame.first(frame.size() - kCrcBytes);
+    if (Reader{frame.last(kCrcBytes)}.get<std::uint32_t>() != crc32(covered))
+        return reject(crc_ends_early(frame) ? FrameDefect::TrailingGarbage
+                                            : FrameDefect::CrcMismatch);
+
     DecodedFrame out;
+    r = Reader{covered.subspan(r.pos())};
     const auto prio = r.get<std::uint8_t>();
-    if (!r.ok()) return reject(FrameDefect::Truncated);
     if (prio > static_cast<std::uint8_t>(Priority::Bulk))
         return reject(FrameDefect::BadPriority);
     out.priority = static_cast<Priority>(prio);
-    const auto tag = r.get<std::uint16_t>();
-    out.packet.src = r.get<std::uint32_t>();
-    out.packet.dst = r.get<std::uint32_t>();
-    out.packet.id = r.get<std::uint64_t>();
-    out.packet.size_bytes = static_cast<std::size_t>(r.get<std::uint64_t>());
-    out.packet.sent_at = sim::Time::ns(r.get<std::int64_t>());
-
-    out.packet.flow = r.str(r.get<std::uint16_t>());
-    const auto body = std::as_bytes(r.bytes());
+    const auto tag = r.varint<std::uint16_t>();
+    out.packet.src = r.varint<NodeId>();
+    out.packet.dst = r.varint<NodeId>();
+    out.packet.id = r.varint();
+    out.packet.size_bytes = r.varint<std::size_t>();
+    out.packet.sent_at = sim::Time::ns(r.svarint());
+    out.packet.flow = r.str(r.varint());
     if (!r.ok()) return reject(FrameDefect::Truncated);
-
-    // The CRC must be exactly the remaining four bytes: trailing garbage is
-    // as much a defect as truncation.
-    if (r.remaining() < kCrcBytes) return reject(FrameDefect::Truncated);
-    if (r.remaining() > kCrcBytes) return reject(FrameDefect::TrailingGarbage);
-    const auto stored = r.get<std::uint32_t>();
-    if (stored != crc32(frame.first(frame.size() - kCrcBytes)))
-        return reject(FrameDefect::CrcMismatch);
+    const auto body = std::as_bytes(r.take(r.remaining()));
 
     if (tag == kTagEmpty) {
         if (!body.empty()) return reject(FrameDefect::BadPayload);
@@ -154,16 +176,14 @@ bool encode_nested_payload(const Payload& p, std::vector<std::byte>& out) {
     const WireCodecs& codecs = WireCodecs::instance();
     const std::optional<std::uint16_t> tag = codecs.tag_of(p);
     if (!tag) return false;
-    put<std::uint16_t>(out, *tag);
-    std::vector<std::byte> body;
-    if (*tag != kTagEmpty) (*codecs.encoder(*tag))(p, body);
-    common::put_bytes(out, body);
+    put_varint(out, *tag);
+    if (*tag != kTagEmpty) (*codecs.encoder(*tag))(p, out);
     return true;
 }
 
 std::optional<Payload> decode_nested_payload(Reader& r) {
-    const auto tag = r.get<std::uint16_t>();
-    const auto body = std::as_bytes(r.bytes());
+    const auto tag = r.varint<std::uint16_t>();
+    const auto body = std::as_bytes(r.take(r.remaining()));
     if (!r.ok()) return std::nullopt;
     if (tag == kTagEmpty) {
         if (!body.empty()) return std::nullopt;

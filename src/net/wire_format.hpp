@@ -5,27 +5,36 @@
 // defines the frame layout and a small codec registry that maps payload
 // types to wire tags.
 //
-// Frame layout (all integers little-endian, fixed width; written and read
-// with the common/bytes.hpp codec that every payload codec also uses):
+// Frame layout, version 2 (written and read with the common/bytes.hpp codec
+// that every payload codec also uses). Fixed-width fields are little-endian;
+// a varint is an unsigned LEB128 in its minimal form, and a zigzag varint
+// holds a signed value:
 //
-//   offset size field
-//        0    4 magic "MVDG"
-//        4    1 version (kWireVersion)
-//        5    1 priority (net::Priority)
-//        6    2 payload tag (codec registry id; kTagEmpty for no payload)
-//        8    4 src node id
-//       12    4 dst node id
-//       16    8 packet id
-//       24    8 size_bytes (the *modeled* application size the sender was
-//                charged for; the actual datagram is usually smaller)
-//       32    8 sent_at, ns since the sender's clock epoch (signed)
-//       40    2 flow label length  -> followed by the flow bytes
-//        .    4 payload body length -> followed by the payload bytes
-//        .    4 CRC-32 over every preceding byte of the frame
+//   field       encoding          notes
+//   magic       u32               "MVDG"
+//   version     u8                kWireVersion
+//   priority    u8                net::Priority
+//   tag         varint (u16)      codec registry id; kTagEmpty for no payload
+//   src         varint (u32)      source node id
+//   dst         varint (u32)      destination node id
+//   packet id   varint (u64)
+//   size_bytes  varint (u64)      the *modeled* application size the sender
+//                                 was charged for; the datagram is usually
+//                                 smaller
+//   sent_at     zigzag varint     ns since the sender's clock epoch
+//   flow        varint length, then the flow label's bytes
+//   body        the payload codec's bytes, up to the CRC (no length field)
+//   crc         u32               CRC-32 over every preceding byte
 //
-// The CRC (common::crc32) closes the frame so a truncated, corrupted, or foreign datagram is
-// rejected before any payload decode runs. Decoding never throws on bad
-// input: malformed frames return std::nullopt and the backend counts them.
+// A frame is 17 bytes at the least. Payload codecs write ids, counts,
+// lengths, sequence numbers and times as varints (times zigzag); only
+// random-valued fields such as nonces stay fixed-width.
+//
+// The CRC (common::crc32) closes the frame, and the decoder checks it right
+// after the magic and version, before it parses any varint: a truncated or
+// corrupted datagram is rejected as such, never misread through a damaged
+// length. Decoding never throws on bad input: malformed frames return
+// std::nullopt and the backend counts them.
 //
 // Codecs are registered per payload type (register_codec<T>); both endpoint
 // processes must register the same tags — src/core/wire_codecs.hpp does
@@ -45,7 +54,7 @@
 namespace mvc::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x4744564DU;  // "MVDG" little-endian
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Tag stamped on frames whose packet carried no payload.
 inline constexpr std::uint16_t kTagEmpty = 0;
 
@@ -54,6 +63,9 @@ inline constexpr std::uint16_t kTagEmpty = 0;
 /// lookup is read-only afterwards.
 class WireCodecs {
 public:
+    /// An encoder appends the payload's body to the buffer, which already
+    /// holds whatever precedes the body (the frame header); a decoder parses
+    /// one whole body.
     using Encode = std::function<void(const Payload&, std::vector<std::byte>&)>;
     using Decode = std::function<std::optional<Payload>(std::span<const std::byte>)>;
 
@@ -94,8 +106,9 @@ private:
                                                                  Priority priority);
 
 /// Parse one datagram. Returns nullopt on any defect: short frame, bad
-/// magic/version, length fields pointing outside the buffer, CRC mismatch,
-/// unknown payload tag, or a payload body its codec rejects.
+/// magic/version, CRC mismatch, a malformed header field, unknown payload
+/// tag, or a payload body its codec rejects. A frame that decodes re-encodes
+/// to exactly its own bytes.
 struct DecodedFrame {
     Packet packet;
     Priority priority{Priority::Realtime};
@@ -109,8 +122,8 @@ enum class FrameDefect : std::uint8_t {
     BadMagic,         ///< not our protocol (foreign datagram)
     BadVersion,       ///< our magic, incompatible version
     BadPriority,      ///< priority byte outside the enum
-    Truncated,        ///< a length field points past the end of the datagram
-    TrailingGarbage,  ///< bytes after the payload body that are not the CRC
+    Truncated,        ///< too short, or a CRC-valid header field is malformed
+    TrailingGarbage,  ///< the frame's CRC matched before its last four bytes
     CrcMismatch,      ///< checksum failed: corruption in flight
     UnknownTag,       ///< no codec registered for the payload tag
     BadPayload,       ///< CRC fine but the payload codec rejected the body
@@ -123,13 +136,15 @@ inline constexpr std::size_t kFrameDefectCount = 9;
 [[nodiscard]] std::optional<DecodedFrame> decode_frame(std::span<const std::byte> frame,
                                                        FrameDefect& defect);
 
-/// Encode a payload nested *inside* another payload's body (the ARQ wrapper
-/// carries the application payload this way): tag(u16) + body_len(u32) +
-/// body. Returns false when the payload's type has no registered codec.
+/// Encode a payload nested *inside* another payload's body, as its last
+/// field (the ARQ wrapper carries the application payload this way): a
+/// varint tag, then the body up to the end of the enclosing body. Returns
+/// false, having written nothing, when the payload's type has no registered
+/// codec.
 [[nodiscard]] bool encode_nested_payload(const Payload& p, std::vector<std::byte>& out);
 
-/// Inverse of encode_nested_payload; consumes from `r` and leaves it
-/// positioned after the nested body. nullopt on unknown tag or codec reject.
+/// Inverse of encode_nested_payload; consumes the rest of `r`. nullopt on
+/// unknown tag or codec reject.
 [[nodiscard]] std::optional<Payload> decode_nested_payload(common::Reader& r);
 
 }  // namespace mvc::net

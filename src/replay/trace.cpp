@@ -33,12 +33,6 @@ void put_time(std::vector<std::uint8_t>& out, std::int64_t t_ns) {
 
 std::int64_t get_time(Reader& r) { return static_cast<std::int64_t>(r.varint()); }
 
-std::uint32_t get_varint32(Reader& r) {
-    const std::uint64_t v = r.varint();
-    if (v > 0xFFFFFFFFULL) r.fail();
-    return static_cast<std::uint32_t>(v);
-}
-
 std::string get_name(Reader& r) { return r.str(r.varint()); }
 
 void encode_avatar(std::vector<std::uint8_t>& out, const AvatarUpdate& u) {
@@ -51,8 +45,8 @@ void encode_avatar(std::vector<std::uint8_t>& out, const AvatarUpdate& u) {
 
 AvatarUpdate decode_avatar(Reader& r) {
     AvatarUpdate u;
-    u.participant = get_varint32(r);
-    u.room = get_varint32(r);
+    u.participant = r.varint<std::uint32_t>();
+    u.room = r.varint<std::uint32_t>();
     u.keyframe = r.get<std::uint8_t>() != 0;
     u.captured_ns = get_time(r);
     const auto b = r.varint_bytes();
@@ -67,30 +61,30 @@ Record decode_record(Reader& r) {
     switch (kind) {
         case RecordKind::FlowDef: {
             FlowDef d;
-            d.id = get_varint32(r);
+            d.id = r.varint<std::uint32_t>();
             d.name = get_name(r);
             return d;
         }
         case RecordKind::NodeDef: {
             NodeDef d;
-            d.shard = get_varint32(r);
-            d.node = get_varint32(r);
+            d.shard = r.varint<std::uint32_t>();
+            d.node = r.varint<std::uint32_t>();
             d.name = get_name(r);
             return d;
         }
         case RecordKind::SubjectDef: {
             SubjectDef d;
-            d.id = get_varint32(r);
+            d.id = r.varint<std::uint32_t>();
             d.name = get_name(r);
             return d;
         }
         case RecordKind::Wire: {
             WireRecord w;
             w.t_ns = get_time(r);
-            w.shard = get_varint32(r);
-            w.flow = get_varint32(r);
-            w.src = get_varint32(r);
-            w.dst = get_varint32(r);
+            w.shard = r.varint<std::uint32_t>();
+            w.flow = r.varint<std::uint32_t>();
+            w.src = r.varint<std::uint32_t>();
+            w.dst = r.varint<std::uint32_t>();
             w.size_bytes = r.varint();
             w.priority = r.get<std::uint8_t>();
             const auto flags = r.get<std::uint8_t>();
@@ -104,7 +98,7 @@ Record decode_record(Reader& r) {
             HashRecord h;
             h.t_ns = get_time(r);
             h.epoch = r.varint();
-            h.subject = get_varint32(r);
+            h.subject = r.varint<std::uint32_t>();
             h.hash = r.get<std::uint64_t>();
             return h;
         }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <numbers>
+#include <random>
 
 #include "common/hash.hpp"
 
@@ -57,6 +59,28 @@ const Ziggurat& ziggurat() {
 
 }  // namespace
 
+Mt19937_64::Mt19937_64(result_type seed) {
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kWords; ++i)
+        state_[i] = 6364136223846793005ULL * (state_[i - 1] ^ (state_[i - 1] >> 62)) + i;
+}
+
+void Mt19937_64::twist() {
+    constexpr std::size_t kShift = 156;
+    constexpr result_type kUpper = ~result_type{0} << 31;
+    constexpr result_type kMatrix = 0xB5026F5AA96619E9ULL;
+    const auto mix = [](result_type upper, result_type lower, result_type far) {
+        const result_type y = (upper & kUpper) | (lower & ~kUpper);
+        return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+    };
+    for (std::size_t i = 0; i < kWords - kShift; ++i)
+        state_[i] = mix(state_[i], state_[i + 1], state_[i + kShift]);
+    for (std::size_t i = kWords - kShift; i < kWords - 1; ++i)
+        state_[i] = mix(state_[i], state_[i + 1], state_[i + kShift - kWords]);
+    state_[kWords - 1] = mix(state_[kWords - 1], state_[0], state_[kShift - 1]);
+    next_ = 0;
+}
+
 std::uint64_t derive_seed(std::uint64_t seed, std::string_view label) {
     // FNV-1a digest of the label, mixed with the seed. Stable across
     // platforms (no std::hash, whose value is unspecified).
@@ -84,7 +108,6 @@ double Rng::normal(double mean, double stddev) {
         // One output: layer in bits 0-7, sign in bit 8, uniform in bits 11-63.
         const std::uint64_t bits = engine_();
         const std::size_t layer = bits & (kLayers - 1);
-        const bool negative = ((bits >> 8) & 1U) != 0;
         const std::uint64_t u = bits >> 11;
         double x = static_cast<double>(u) * z.width[layer];
         if (u >= z.inner[layer]) {
@@ -104,7 +127,10 @@ double Rng::normal(double mean, double stddev) {
                 continue;  // above the curve in the wedge: redraw
             }
         }
-        return mean + stddev * (negative ? -x : x);
+        // Bit 8 moved to the sign bit: a branch here would mispredict on
+        // half of all draws.
+        const std::uint64_t sign = (bits & 0x100U) << 55;
+        return mean + stddev * std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^ sign);
     }
 }
 

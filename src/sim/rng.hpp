@@ -11,7 +11,7 @@
 //     order — or creating extra streams — can never perturb a sibling's
 //     draw sequence. (Regression-tested in sim_test.)
 //  2. Draws *within* one stream are order-sensitive: a stream is a single
-//     mt19937_64, so reproducing a run requires each named stream's draw
+//     MT19937-64 engine, so reproducing a run requires each named stream's draw
 //     sequence to be issued in the same order. In practice this falls out
 //     of the event loop's total order — models only draw from event
 //     callbacks, and the (time, seq) order is deterministic.
@@ -24,14 +24,45 @@
 //     execution order is not fixed by the event loop; give each model its
 //     own name instead. Names are cheap and collision-resistant.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <string_view>
 
 namespace mvc::sim {
 
-/// One random stream. Thin wrapper over mt19937_64 with the distributions
-/// the models need; constructed via Rng::stream() in normal use.
+/// MT19937-64 (Matsumoto & Nishimura) with the reference seeding and
+/// tempering, so it yields exactly std::mt19937_64's sequence. Its twist
+/// picks the matrix term with a mask where libstdc++ branches on the low
+/// bit of each word, a coin flip the branch predictor loses half the time.
+class Mt19937_64 {
+public:
+    using result_type = std::uint64_t;
+    static constexpr std::size_t kWords = 312;
+
+    explicit Mt19937_64(result_type seed);
+
+    [[nodiscard]] static constexpr result_type min() { return 0; }
+    [[nodiscard]] static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type operator()() {
+        if (next_ == kWords) twist();
+        result_type y = state_[next_++];
+        y ^= (y >> 29) & 0x5555555555555555ULL;
+        y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+        y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+        return y ^ (y >> 43);
+    }
+
+private:
+    void twist();
+
+    std::array<result_type, kWords> state_;
+    std::size_t next_{kWords};
+};
+
+/// One random stream. Thin wrapper over an MT19937-64 engine with the
+/// distributions the models need; constructed via Rng::stream() in normal use.
 class Rng {
 public:
     explicit Rng(std::uint64_t seed) : engine_(seed), base_seed_(seed) {}
@@ -64,7 +95,7 @@ public:
     [[nodiscard]] std::uint64_t raw() { return engine_(); }
 
 private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
     std::uint64_t base_seed_{0};
 };
 

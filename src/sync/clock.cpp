@@ -39,11 +39,11 @@ void ClockSyncSession::register_wire_codecs(net::WireCodecs& codecs,
     codecs.register_codec<Request>(
         request_tag,
         [](const net::Payload& p, std::vector<std::byte>& out) {
-            common::put<std::int64_t>(out, p.get<Request>().t0_client.nanos());
+            common::put_svarint(out, p.get<Request>().t0_client.nanos());
         },
         [](std::span<const std::byte> body) -> std::optional<net::Payload> {
             common::Reader r{body};
-            const Request req{sim::Time::ns(r.get<std::int64_t>())};
+            const Request req{sim::Time::ns(r.svarint())};
             if (!r.ok() || !r.done()) return std::nullopt;
             return net::Payload{req};
         });
@@ -51,14 +51,14 @@ void ClockSyncSession::register_wire_codecs(net::WireCodecs& codecs,
         reply_tag,
         [](const net::Payload& p, std::vector<std::byte>& out) {
             const Reply& reply = p.get<Reply>();
-            common::put<std::int64_t>(out, reply.t0_client.nanos());
-            common::put<std::int64_t>(out, reply.t_server.nanos());
+            common::put_svarint(out, reply.t0_client.nanos());
+            common::put_svarint(out, reply.t_server.nanos());
         },
         [](std::span<const std::byte> body) -> std::optional<net::Payload> {
             common::Reader r{body};
             Reply reply;
-            reply.t0_client = sim::Time::ns(r.get<std::int64_t>());
-            reply.t_server = sim::Time::ns(r.get<std::int64_t>());
+            reply.t0_client = sim::Time::ns(r.svarint());
+            reply.t_server = sim::Time::ns(r.svarint());
             if (!r.ok() || !r.done()) return std::nullopt;
             return net::Payload{reply};
         });

@@ -102,6 +102,61 @@ TEST(BytesTest, VarintRejectsOverflowAndTruncation) {
     EXPECT_FALSE(c.ok());
 }
 
+TEST(BytesTest, VarintRejectsNonMinimalEncodings) {
+    // 1 padded to two bytes, 0 padded to two, 300 padded to three.
+    for (const Bytes& padded : {Bytes{0x81, 0x00}, Bytes{0x80, 0x00}, Bytes{0xAC, 0x82, 0x00}}) {
+        Reader r{padded};
+        EXPECT_EQ(r.varint(), 0u);
+        EXPECT_FALSE(r.ok());
+    }
+    // A zero byte is minimal on its own.
+    const Bytes zero{0x00};
+    Reader z{zero};
+    EXPECT_EQ(z.varint(), 0u);
+    EXPECT_TRUE(z.ok() && z.done());
+}
+
+TEST(BytesTest, VarintRejectsValuesWiderThanTheirField) {
+    const auto read = [](std::uint64_t v, auto field) {
+        Bytes w;
+        put_varint(w, v);
+        Reader r{w};
+        const auto got = r.varint<decltype(field)>();
+        return std::pair{static_cast<std::uint64_t>(got), r.ok() && r.done()};
+    };
+    EXPECT_EQ(read(0xFFFF, std::uint16_t{}), (std::pair<std::uint64_t, bool>{0xFFFF, true}));
+    EXPECT_EQ(read(0x10000, std::uint16_t{}), (std::pair<std::uint64_t, bool>{0, false}));
+    EXPECT_EQ(read(0xFFFFFFFFULL, std::uint32_t{}),
+              (std::pair<std::uint64_t, bool>{0xFFFFFFFFULL, true}));
+    EXPECT_EQ(read(0x100000000ULL, std::uint32_t{}), (std::pair<std::uint64_t, bool>{0, false}));
+    EXPECT_EQ(read(0x100000000ULL, std::uint64_t{}),
+              (std::pair<std::uint64_t, bool>{0x100000000ULL, true}));
+}
+
+TEST(BytesTest, ZigzagVarintsRoundTripAndStayShortForSmallMagnitudes) {
+    EXPECT_EQ(zigzag(0), 0u);
+    EXPECT_EQ(zigzag(-1), 1u);
+    EXPECT_EQ(zigzag(1), 2u);
+    EXPECT_EQ(zigzag(-2), 3u);
+    EXPECT_EQ(zigzag(std::numeric_limits<std::int64_t>::max()),
+              std::numeric_limits<std::uint64_t>::max() - 1);
+    EXPECT_EQ(zigzag(std::numeric_limits<std::int64_t>::min()),
+              std::numeric_limits<std::uint64_t>::max());
+    for (const std::int64_t v : {std::int64_t{0}, std::int64_t{-1}, std::int64_t{63},
+                                 std::int64_t{-64}, std::int64_t{250'000'000},
+                                 std::numeric_limits<std::int64_t>::min(),
+                                 std::numeric_limits<std::int64_t>::max()}) {
+        Bytes w;
+        put_svarint(w, v);
+        Reader r{w};
+        EXPECT_EQ(r.svarint(), v);
+        EXPECT_TRUE(r.ok() && r.done()) << v;
+    }
+    Bytes small;
+    put_svarint(small, -64);
+    EXPECT_EQ(small, Bytes{0x7F});
+}
+
 TEST(BytesTest, LengthChecksCannotWrap) {
     const Bytes bytes{1, 2, 3, 4};
     Reader r{bytes};

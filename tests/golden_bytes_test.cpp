@@ -158,53 +158,44 @@ net::Payload payload_from_body(std::uint16_t tag, const std::string& body_hex) {
     return payload ? std::move(*payload) : net::Payload{};
 }
 
+// Frames are at wire version 2: varint header fields and varint payload
+// fields (see net/wire_format.hpp).
 TEST(GoldenBytesTest, OneFramePerRegisteredTag) {
     core::register_wire_codecs();
     using net::Payload;
     using net::Priority;
 
     expect_frame(Payload{}, Priority::Control,
-                 "4d5644470100000001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e00000000bdacdb16");
+                 "4d56444702000001024dd20980cab5ee0106676f6c64656eec09bbf7");
     expect_frame(Payload{golden_wire(9)}, Priority::Realtime,
-                 "4d5644470101010001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e29000000090000000300000001f10300"
-                 "00409c71020000000004000000deadbe09020000000400000005000000b6e6ad"
-                 "43");
+                 "4d56444702010101024dd20980cab5ee0106676f6c64656e090301f10780f18c"
+                 "2704deadbe0902040555208117");
 
     sync::AvatarBatchWire batch;
     batch.updates = {golden_wire(1), golden_wire(2)};
     batch.updates[1].relay_to.clear();
     batch.updates[1].bytes.clear();
     expect_frame(Payload{batch}, Priority::Realtime,
-                 "4d5644470101020001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e4a000000020000000100000003000000"
-                 "01e9030000409c71020000000004000000deadbe010200000004000000050000"
-                 "00020000000300000000ea030000409c71020000000000000000000000001407"
-                 "08a7");
+                 "4d56444702010201024dd20980cab5ee0106676f6c64656e02010301e90780f1"
+                 "8c2704deadbe01020405020300ea07000000add44680");
 
     expect_frame(Payload{fault::HeartbeatWire{99}}, Priority::Control,
-                 "4d5644470100030001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e080000006300000000000000b7000565");
+                 "4d56444702000301024dd20980cab5ee0106676f6c64656e639c4ca40c");
 
-    // Clock request: t0_client i64.
-    expect_frame(payload_from_body(core::kTagClockRequest, "40420f0000000000"),
+    // Clock request: t0_client zigzag varint (1 ms).
+    expect_frame(payload_from_body(core::kTagClockRequest, "80897a"),
                  Priority::Control,
-                 "4d5644470100040001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e0800000040420f000000000085ef4634");
-    // Clock reply: t0_client i64, t_server i64.
-    expect_frame(payload_from_body(core::kTagClockReply,
-                                   "40420f0000000000a086010000000000"),
+                 "4d56444702000401024dd20980cab5ee0106676f6c64656e80897a7785957b");
+    // Clock reply: t0_client, t_server zigzag varints (1 ms, 100 us).
+    expect_frame(payload_from_body(core::kTagClockReply, "80897a" "c09a0c"),
                  Priority::Control,
-                 "4d5644470100050001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e1000000040420f0000000000a0860100"
-                 "0000000018036047");
+                 "4d56444702000501024dd20980cab5ee0106676f6c64656e80897ac09a0ca571"
+                 "fcfa");
 
     expect_frame(Payload{recovery::ResyncRequest{0x0102030405060708ULL, sim::Time::ms(3)}},
                  Priority::Control,
-                 "4d5644470100060001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e100000000807060504030201c0c62d00"
-                 "00000000564cb13c");
+                 "4d56444702000601024dd20980cab5ee0106676f6c64656e0807060504030201"
+                 "809bee02e3b69cdf");
 
     recovery::ResyncSnapshot snap;
     snap.nonce = 5;
@@ -212,32 +203,37 @@ TEST(GoldenBytesTest, OneFramePerRegisteredTag) {
     snap.entries.push_back({ParticipantId{1}, ClassroomId{2}, sim::Time::ms(6), {9, 8, 7}});
     snap.entries.push_back({ParticipantId{3}, ClassroomId{2}, sim::Time::ms(5), {}});
     expect_frame(Payload{snap}, Priority::Control,
-                 "4d5644470100070001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e3f0000000500000000000000c0cf6a00"
-                 "00000000020000000100000002000000808d5b00000000000300000009080703"
-                 "00000002000000404b4c00000000000000000039cfd265");
+                 "4d56444702000701024dd20980cab5ee0106676f6c64656e0500000000000000"
+                 "80bfd60602010280b6dc0503090807030280ade20400cf754f57");
 
-    // ARQ segment: seq u64, first_sent i64, transmission i32, then the
-    // nested payload (tag 9 = bare u64, body length 8, value 0x2a).
+    // ARQ segment: seq varint, first_sent zigzag varint (50 ms),
+    // transmission varint, then the nested payload up to the end of the
+    // body (tag 9 = bare u64, value 0x2a).
     expect_frame(payload_from_body(core::kTagArqData,
-                                   "0300000000000000"
-                                   "80f0fa0200000000"
-                                   "02000000"
-                                   "0900"
-                                   "08000000"
-                                   "2a00000000000000"),
+                                   "03"
+                                   "80c2d72f"
+                                   "02"
+                                   "09"
+                                   "2a"),
                  Priority::Bulk,
-                 "4d5644470102080001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e22000000030000000000000080f0fa02"
-                 "00000000020000000900080000002a00000000000000e2258315");
+                 "4d56444702020801024dd20980cab5ee0106676f6c64656e0380c2d72f02092a"
+                 "2f362db6");
 
     expect_frame(Payload{std::uint64_t{123456}}, Priority::Bulk,
-                 "4d5644470102090001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e0800000040e20100000000006579fe07");
+                 "4d56444702020901024dd20980cab5ee0106676f6c64656ec0c407ad73ede6");
     expect_frame(Payload{std::string{"hello wire"}}, Priority::Bulk,
-                 "4d56444701020a0001000000020000004d00000000000000d204000000000000"
-                 "80b2e60e000000000600676f6c64656e0e0000000a00000068656c6c6f207769"
-                 "72651faf9284");
+                 "4d56444702020a01024dd20980cab5ee0106676f6c64656e0a68656c6c6f2077"
+                 "697265836655c1");
+}
+
+TEST(GoldenBytesTest, VersionOneFrameIsRejectedByVersion) {
+    // The empty-payload frame as version 1 wrote it (fixed-width header).
+    const std::vector<std::byte> v1 =
+        unhex("4d5644470100000001000000020000004d00000000000000d204000000000000"
+              "80b2e60e000000000600676f6c64656e00000000bdacdb16");
+    net::FrameDefect defect = net::FrameDefect::None;
+    EXPECT_FALSE(net::decode_frame(v1, defect).has_value());
+    EXPECT_EQ(defect, net::FrameDefect::BadVersion);
 }
 
 // --------------------------------------------------------------- checkpoint

@@ -1,6 +1,6 @@
 // Tests for the real-transport stack: the WallClock timer queue, the
 // datagram wire format (round-trips, truncation, corruption, unknown tags,
-// trailing garbage), the RealUdpBackend loopback path (echo, ingress loss,
+// trailing garbage, CRC before varints, canonical varints), the RealUdpBackend loopback path (echo, ingress loss,
 // reliable delivery through the ARQ over an actual socket), and the
 // open_channel spec validation shared by every backend.
 
@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -325,6 +326,134 @@ TEST_F(WireFormatTest, CrcValidFrameWithHostileCountIsRejectedNotThrown) {
         EXPECT_FALSE(decoded.has_value());
         EXPECT_EQ(defect, FrameDefect::BadPayload);
     }
+}
+
+/// `head` (a frame without its CRC) closed with a valid CRC.
+std::vector<std::byte> sealed(std::vector<std::byte> head) {
+    common::put(head, common::crc32(head));
+    return head;
+}
+
+/// The version-2 header of make_packet's frame up to the flow label (tag,
+/// src 1, dst 2, id 77, size 1234, sent_at 250 ms), priority Realtime.
+std::vector<std::byte> header_bytes(std::uint16_t tag) {
+    std::vector<std::byte> f;
+    common::put<std::uint32_t>(f, kWireMagic);
+    common::put<std::uint8_t>(f, kWireVersion);
+    common::put<std::uint8_t>(f, static_cast<std::uint8_t>(Priority::Realtime));
+    common::put_varint(f, tag);
+    common::put_varint(f, 1);
+    common::put_varint(f, 2);
+    common::put_varint(f, 77);
+    common::put_varint(f, 1234);
+    common::put_svarint(f, sim::Time::ms(250).nanos());
+    return f;
+}
+
+TEST_F(WireFormatTest, HeaderBytesMatchTheEncoder) {
+    std::vector<std::byte> want = header_bytes(core::kTagText);
+    common::put_varint_bytes(want, std::string{"avatar"});
+    common::put_varint_bytes(want, std::string{"hi"});
+    const auto frame = encode_frame(make_packet(Payload{std::string{"hi"}}), Priority::Realtime);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(*frame, sealed(want));
+}
+
+TEST_F(WireFormatTest, CrcIsCheckedBeforeAnyLengthIsRead) {
+    const auto frame = encode_frame(make_packet(Payload{std::string{"payload"}}), Priority::Realtime);
+    ASSERT_TRUE(frame.has_value());
+    // The flow label's length byte now claims more bytes than the frame has:
+    // the CRC reports the corruption before the parser could trust it.
+    std::vector<std::byte> corrupt = *frame;
+    const std::size_t flow_len_at = header_bytes(core::kTagText).size();
+    ASSERT_EQ(corrupt[flow_len_at], std::byte{6});
+    corrupt[flow_len_at] = std::byte{0x7F};
+    FrameDefect defect = FrameDefect::None;
+    EXPECT_FALSE(decode_frame(corrupt, defect).has_value());
+    EXPECT_EQ(defect, FrameDefect::CrcMismatch);
+}
+
+TEST_F(WireFormatTest, CrcValidNonMinimalOrOverwideHeaderVarintIsRejected) {
+    const auto with_flow = [](std::vector<std::byte> f) {
+        common::put_varint_bytes(f, std::string{"x"});
+        return sealed(std::move(f));
+    };
+    // The baseline decodes: an empty payload and flow "x".
+    FrameDefect defect = FrameDefect::None;
+    EXPECT_TRUE(decode_frame(with_flow(header_bytes(kTagEmpty)), defect).has_value());
+
+    // src 1 padded to two bytes.
+    std::vector<std::byte> padded = header_bytes(kTagEmpty);
+    padded[7] = std::byte{0x81};
+    padded.insert(padded.begin() + 8, std::byte{0x00});
+    EXPECT_FALSE(decode_frame(with_flow(padded), defect).has_value());
+    EXPECT_EQ(defect, FrameDefect::Truncated);
+
+    // A tag wider than 16 bits.
+    std::vector<std::byte> wide;
+    common::put<std::uint32_t>(wide, kWireMagic);
+    common::put<std::uint8_t>(wide, kWireVersion);
+    common::put<std::uint8_t>(wide, 0);
+    common::put_varint(wide, 0x10000 + core::kTagText);
+    for (int i = 0; i < 5; ++i) common::put_varint(wide, 1);
+    EXPECT_FALSE(decode_frame(with_flow(wide), defect).has_value());
+    EXPECT_EQ(defect, FrameDefect::Truncated);
+}
+
+TEST_F(WireFormatTest, CrcValidBodyWithHostileVarintCountIsRejected) {
+    // An avatar batch claiming 2^32 - 1 records in a 5-byte body.
+    std::vector<std::byte> f = header_bytes(core::kTagAvatarBatch);
+    common::put_varint_bytes(f, std::string{"avatar.batch"});
+    common::put_varint(f, 0xFFFFFFFFULL);
+    FrameDefect defect = FrameDefect::None;
+    std::optional<DecodedFrame> decoded;
+    EXPECT_NO_THROW(decoded = decode_frame(sealed(std::move(f)), defect));
+    EXPECT_FALSE(decoded.has_value());
+    EXPECT_EQ(defect, FrameDefect::BadPayload);
+}
+
+TEST_F(WireFormatTest, ArqSegmentInsideASegmentIsRejected) {
+    // seq 0, first_sent 0, transmission 1, then the nested tag and body.
+    const auto segment = [](std::vector<std::byte> nested) {
+        std::vector<std::byte> f = header_bytes(core::kTagArqData);
+        common::put_varint_bytes(f, std::string{"arq"});
+        for (const std::uint8_t b : {0, 0, 1}) f.push_back(static_cast<std::byte>(b));
+        f.insert(f.end(), nested.begin(), nested.end());
+        return sealed(std::move(f));
+    };
+    const std::vector<std::byte> empty{std::byte{0}};
+    FrameDefect defect = FrameDefect::None;
+    EXPECT_TRUE(decode_frame(segment(empty), defect).has_value());
+    std::vector<std::byte> inner{static_cast<std::byte>(core::kTagArqData), std::byte{0},
+                                 std::byte{0}, std::byte{1}, std::byte{0}};
+    EXPECT_FALSE(decode_frame(segment(inner), defect).has_value());
+    EXPECT_EQ(defect, FrameDefect::BadPayload);
+}
+
+TEST_F(WireFormatTest, BatchTimesAreDeltasAndRoundTripAtTheExtremes) {
+    sync::AvatarBatchWire batch;
+    batch.updates.resize(4);
+    batch.updates[0].captured_at = sim::Time::ns(std::numeric_limits<std::int64_t>::max());
+    batch.updates[1].captured_at = sim::Time::ns(std::numeric_limits<std::int64_t>::min());
+    batch.updates[2].captured_at = sim::Time::ms(5);
+    batch.updates[3].captured_at = sim::Time::ms(5);
+    const auto frame = encode_frame(make_packet(Payload{batch}), Priority::Realtime);
+    ASSERT_TRUE(frame.has_value());
+    const auto decoded = decode_frame(*frame);
+    ASSERT_TRUE(decoded.has_value());
+    const auto& got = decoded->packet.payload.get<sync::AvatarBatchWire>().updates;
+    ASSERT_EQ(got.size(), 4u);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].captured_at.nanos(), batch.updates[i].captured_at.nanos()) << i;
+    // The last record repeats its predecessor's time: a one-byte zero delta
+    // takes the place of the eight-byte timestamp.
+    const auto one = encode_frame(make_packet(Payload{sync::AvatarBatchWire{{batch.updates[2]}}}),
+                                  Priority::Realtime);
+    const auto two = encode_frame(
+        make_packet(Payload{sync::AvatarBatchWire{{batch.updates[2], batch.updates[3]}}}),
+        Priority::Realtime);
+    ASSERT_TRUE(one.has_value() && two.has_value());
+    EXPECT_EQ(two->size() - one->size(), 7u);  // 7 one-byte fields, no bytes, no relays
 }
 
 TEST_F(WireFormatTest, TagCollisionsThrowAndReRegistrationIsIdempotent) {

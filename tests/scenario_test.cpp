@@ -1,13 +1,14 @@
 // Tests for the declarative scenario engine: strict spec parsing with field
 // paths and line/column context, lossless JSON round-trips, timeline ->
 // FaultPlan compilation, deterministic world runs (classroom, relay+chaos,
-// campus thread sweep), SLO evaluation, the mutation fuzzer's determinism,
-// and the crash-regression corpus under tests/corpus/.
+// campus thread sweep), SLO evaluation, the mutation fuzzers (specs, traces,
+// datagram frames), and the crash-regression corpus under tests/corpus/.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -519,6 +520,27 @@ TEST(FuzzTest, TraceMutationsNeverCrashTheChecker) {
     EXPECT_EQ(a, b);
 }
 
+TEST(FuzzTest, FrameMutantsAreRejectedOrReencodeExactly) {
+    const std::vector<std::vector<std::byte>> seeds = seed_frames();
+    EXPECT_EQ(seeds.size(), 11u);  // one per registered wire tag, plus no payload
+    for (const auto& frame : seeds) {
+        bool decoded = false;
+        EXPECT_EQ(check_frame(frame, decoded), "");
+        EXPECT_TRUE(decoded);
+    }
+    FuzzOptions options;
+    options.iterations = 3000;
+    const FuzzReport report = fuzz_frames(seeds, options);
+    for (const FuzzFailure& f : report.failures)
+        ADD_FAILURE() << "salt " << f.iteration << ": " << f.what;
+    EXPECT_EQ(report.ran + report.rejected + report.failures.size(), 2 * options.iterations);
+    // Resealed mutants get past the CRC, so some decode and some are turned
+    // away by the header and payload decoders.
+    EXPECT_GT(report.ran, 0u);
+    EXPECT_GT(report.rejected, 0u);
+    EXPECT_EQ(mutate_frame(seeds, 17), mutate_frame(seeds, 17));
+}
+
 // ------------------------------------------------------------------ corpus
 
 TEST(CorpusTest, ValidSpecsParseValidateAndRoundTrip) {
@@ -544,6 +566,20 @@ TEST(CorpusTest, BadSpecsAllRejectedAsSpecError) {
         ++checked;
     }
     EXPECT_GE(checked, 10u);
+}
+
+// Saved frames (crashers and regression cases) are rejected or re-encode to
+// their own bytes.
+TEST(CorpusTest, SavedFramesAreRejectedOrReencodeExactly) {
+    std::size_t checked = 0;
+    for (const auto& entry : fs::directory_iterator(corpus_dir() + "/frames")) {
+        SCOPED_TRACE(entry.path().filename().string());
+        const std::string raw = slurp(entry.path());
+        bool decoded = false;
+        EXPECT_EQ(check_frame(std::as_bytes(std::span{raw}), decoded), "");
+        ++checked;
+    }
+    EXPECT_GE(checked, 1u);
 }
 
 // The full message for each bad-corpus file, as the reader reports it.

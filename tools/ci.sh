@@ -17,7 +17,9 @@
 #                          # or replay divergence, then the E18 quick bench
 #   tools/ci.sh --realnet  # byte-codec and hostile-input decoder tests
 #                          # (bytes, golden, realnet, replay, avatar,
-#                          # recovery) under ASan+UBSan, the E19
+#                          # recovery) and the datagram decoder fuzzer
+#                          # (the frames in tests/corpus/frames, then
+#                          # 200k mutants) under ASan+UBSan, the E19
 #                          # loopback bench (wire rate + record->replay
 #                          # divergence gate), and the two-process UDP demo
 #   tools/ci.sh --chaos    # chaos/reconnect unit tests under ASan+UBSan,
@@ -81,14 +83,17 @@ case "${1:-}" in
   *) echo "usage: tools/ci.sh [--tier1|--sanitize|--tsan|--perf|--replay|--realnet|--chaos|--scenario|--campus|--qoe|--unreached]" >&2; exit 2 ;;
 esac
 
-# A sweep writes BENCH_<name>.json into its working directory, so the
-# stages below run theirs in a scratch directory. Its exit code is its
-# SLO and identity verdict.
-sweep_dir=$(mktemp -d -t ci_sweep_XXXXXX)
-trap 'rm -rf "$sweep_dir"' EXIT
-sweep() { # sweep <build-dir> <spec file name> [args...]
+# Benches and sweeps write BENCH_<id>.json into their working directory, so
+# the stages below run them in a scratch directory. Their exit code is their
+# verdict.
+scratch_dir=$(mktemp -d -t ci_scratch_XXXXXX)
+trap 'rm -rf "$scratch_dir"' EXIT
+in_scratch() { # in_scratch <binary under the repo root> [args...]
   local root=$PWD
-  (cd "$sweep_dir" && "$root/$1/tools/metaclass_scenario" sweep "$root/scenarios/$2" "${@:3}")
+  (cd "$scratch_dir" && "$root/$1" "${@:2}")
+}
+sweep() { # sweep <build-dir> <spec file name> [args...]
+  in_scratch "$1/tools/metaclass_scenario" sweep "$PWD/scenarios/$2" "${@:3}"
 }
 
 stage() { # stage <preset>
@@ -106,7 +111,7 @@ perf_stage() {
   echo "==> [profile] build bench_e17_hotpath"
   cmake --build --preset profile -j "$jobs" --target bench_e17_hotpath
   echo "==> [profile] E17 allocation budget smoke (quick mode)"
-  E17_QUICK=1 ./build-profile/bench/bench_e17_hotpath
+  E17_QUICK=1 in_scratch build-profile/bench/bench_e17_hotpath
 }
 
 replay_stage() {
@@ -125,7 +130,7 @@ replay_stage() {
   echo "==> [replay] re-run from the recorded seed, diff state hashes"
   ./build/tools/metaclass_trace check "$trace"
   echo "==> [replay] E18 record/replay budget smoke (quick mode)"
-  E18_QUICK=1 ./build/bench/bench_e18_record_replay
+  E18_QUICK=1 in_scratch build/bench/bench_e18_record_replay
 }
 
 realnet_stage() {
@@ -135,20 +140,22 @@ realnet_stage() {
                   recovery_test)
   local targets=()
   for t in "${decoders[@]}"; do targets+=(--target "$t"); done
-  echo "==> [sanitize] build the byte-codec and decoder tests"
-  cmake --build --preset sanitize -j "$jobs" "${targets[@]}"
+  echo "==> [sanitize] build the byte-codec and decoder tests + metaclass_scenario"
+  cmake --build --preset sanitize -j "$jobs" "${targets[@]}" --target metaclass_scenario
   echo "==> [realnet] wire/trace/avatar/checkpoint decoders under ASan+UBSan"
   # gtest_discover_tests registers Suite.Case names, so ctest -R on a binary
   # name selects nothing (and exits 0); run the binaries directly.
   for t in "${decoders[@]}"; do
     "./build-sanitize/tests/$t"
   done
+  echo "==> [realnet] datagram decoder fuzz: saved frames + 200k mutants (ASan+UBSan)"
+  ./build-sanitize/tools/metaclass_scenario fuzz-frame --iters 200000 tests/corpus/frames/*
   echo "==> [default] configure"
   cmake --preset default
   echo "==> [default] build bench_e19_realnet + realnet_demo"
   cmake --build --preset default -j "$jobs" --target bench_e19_realnet     --target realnet_demo
   echo "==> [realnet] E19 loopback wire rate + record->replay gate (quick mode)"
-  E19_QUICK=1 ./build/bench/bench_e19_realnet
+  E19_QUICK=1 in_scratch build/bench/bench_e19_realnet
   echo "==> [realnet] two-process UDP demo (edge + client)"
   ./build/examples/realnet_demo --role edge --port 47620 --seconds 3 &
   local edge_pid=$!
@@ -170,9 +177,9 @@ chaos_stage() {
   cmake --build --preset default -j "$jobs" --target bench_e20_chaos \
     --target bench_e14_fault_recovery
   echo "==> [chaos] E20 soak: SLO gates + same-seed determinism (quick mode)"
-  E20_QUICK=1 ./build/bench/bench_e20_chaos
+  E20_QUICK=1 in_scratch build/bench/bench_e20_chaos
   echo "==> [chaos] E14 fault recovery: failover + degradation-ladder gates"
-  ./build/bench/bench_e14_fault_recovery
+  in_scratch build/bench/bench_e14_fault_recovery
 }
 
 scenario_stage() {
@@ -190,7 +197,7 @@ scenario_stage() {
     sweep build-sanitize "$(basename "$spec")" --threads 1,2
   done
   echo "==> [scenario] E15 crash-recovery + overload gates (ASan+UBSan)"
-  ./build-sanitize/bench/bench_e15_crash_recovery
+  in_scratch build-sanitize/bench/bench_e15_crash_recovery
   echo "==> [scenario] 60 s spec-mutation fuzz smoke (ASan+UBSan)"
   ./build-sanitize/tools/metaclass_scenario fuzz --seconds 60 \
     scenarios/exam.scenario.json

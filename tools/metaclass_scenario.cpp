@@ -17,6 +17,10 @@
 //       mutant twice with the same seed; exit nonzero on crash or divergence
 //   metaclass_scenario fuzz-trace [--iters N] [--seed K] file.mvctrace
 //       corrupt recorded trace bytes; Trace::verify/parse must never crash
+//   metaclass_scenario fuzz-frame [--iters N] [--seed K] [frame...]
+//       check each saved datagram frame, then mutate them and one frame per
+//       registered wire tag N times; decode_frame must reject a mutant or
+//       decode it into a frame that re-encodes to the same bytes
 //   metaclass_scenario example
 //       print an annotated example spec
 //   metaclass_scenario experiments
@@ -28,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,6 +90,8 @@ int usage() {
                  "[--seed K] <spec>\n"
                  "       metaclass_scenario fuzz-trace [--iters N] [--seed K] "
                  "<trace>\n"
+                 "       metaclass_scenario fuzz-frame [--iters N] [--seed K] "
+                 "[<frame>...]\n"
                  "       metaclass_scenario example\n"
                  "       metaclass_scenario experiments\n");
     return 2;
@@ -297,6 +304,45 @@ int cmd_fuzz_trace(int argc, char** argv) {
     return report.ok() ? 0 : 1;
 }
 
+int cmd_fuzz_frame(int argc, char** argv) {
+    std::size_t iters = 2000;
+    std::uint64_t seed = 1;
+    std::vector<std::vector<std::byte>> seeds = mvc::scenario::seed_frames();
+    std::size_t bad = 0;
+    for (int i = 0; i < argc; ++i) {
+        const std::string_view arg{argv[i]};
+        if ((arg == "--iters" || arg == "--seed") && i + 1 < argc) {
+            const char* next = argv[++i];
+            if (arg == "--iters") iters = static_cast<std::size_t>(std::strtoul(next, nullptr, 10));
+            else seed = std::strtoull(next, nullptr, 10);
+            continue;
+        }
+        if (arg.starts_with("-")) return usage();
+        std::ifstream in(argv[i], std::ios::binary);
+        if (!in) {
+            std::fprintf(stderr, "metaclass_scenario: cannot open '%s'\n", argv[i]);
+            return 1;
+        }
+        const std::string raw{std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()};
+        const auto frame = std::as_bytes(std::span{raw});
+        // A saved frame is a regression case first and a seed second.
+        bool decoded = false;
+        const std::string failure = mvc::scenario::check_frame(frame, decoded);
+        if (!failure.empty()) {
+            std::printf("  FAIL %s: %s\n", argv[i], failure.c_str());
+            ++bad;
+        }
+        seeds.emplace_back(frame.begin(), frame.end());
+    }
+    mvc::scenario::FuzzOptions options;
+    options.iterations = iters;
+    options.seed = seed;
+    const mvc::scenario::FuzzReport report = mvc::scenario::fuzz_frames(seeds, options);
+    print_fuzz_report(report);
+    return report.ok() && bad == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -309,6 +355,8 @@ int main(int argc, char** argv) {
         if (std::strcmp(cmd, "fuzz") == 0) return cmd_fuzz(argc - 2, argv + 2);
         if (std::strcmp(cmd, "fuzz-trace") == 0)
             return cmd_fuzz_trace(argc - 2, argv + 2);
+        if (std::strcmp(cmd, "fuzz-frame") == 0)
+            return cmd_fuzz_frame(argc - 2, argv + 2);
         if (std::strcmp(cmd, "example") == 0) {
             std::puts(kExampleSpec);
             return 0;
