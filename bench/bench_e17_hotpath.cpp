@@ -118,9 +118,10 @@ constexpr double kCampusAllocBudget = 0.1;
 constexpr double kCampusBatchAllocBudget = 4.0;
 /// CI gate: steady-state allocations per avatar update delivered in the
 /// blended classroom (section G). Payload boxes come from per-thread free
-/// lists; what remains is mostly copies of avatar records too long for
-/// their inline bytes, made where a relay or an ingress copies a wire.
-constexpr double kClassroomAllocBudget = 1.0;
+/// lists, and one box carries each update from its publisher to every
+/// receiver; what remains is mostly the one spill of each published
+/// record too long for its inline bytes.
+constexpr double kClassroomAllocBudget = 0.2;
 
 struct Measured {
     double ops_per_sec{0.0};

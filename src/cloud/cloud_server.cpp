@@ -25,8 +25,8 @@ CloudServer::CloudServer(net::Backend& net, net::NodeId node, CloudServerConfig 
               queue_delay_accum_ms_ += (ready - net_.clock().now()).to_ms();
               return ready;
           },
-          [this](sync::AvatarWire&& wire, net::NodeId origin, sim::Time) {
-              forward(std::move(wire), origin);
+          [this](net::Payload&& update, net::NodeId origin, sim::Time) {
+              forward(std::move(update), origin);
           }),
       restorer_(net.clock(), net.metrics(), config_.name) {
     net_.context(node_).bind<CloudServer>(this);
@@ -129,28 +129,29 @@ std::uint64_t CloudServer::state_digest() const {
     return h.digest();
 }
 
-void CloudServer::forward(sync::AvatarWire&& wire, net::NodeId origin) {
+void CloudServer::forward(net::Payload&& update, net::NodeId origin) {
     // Failover relaying: the origin edge listed peers whose direct link is
     // dead; forward this update to them on its behalf. The forwarded copy
-    // carries no relay_to of its own (one relay hop only — no loops).
+    // carries no relay_to of its own (one relay hop only — no loops), so
+    // only such an update is re-boxed. Every other outbound copy shares the
+    // box the update arrived in (DESIGN §9.8).
     std::vector<std::uint32_t> relay_targets;
-    relay_targets.swap(wire.relay_to);
-
-    // One shared payload box backs every outbound copy of this update; the
-    // fan-out below duplicates a handle, not the encoded avatar state.
-    const net::Payload shared{std::move(wire)};
-    const auto& w = shared.get<sync::AvatarWire>();
+    if (!update.get<sync::AvatarWire>().relay_to.empty()) {
+        sync::AvatarWire wire = update.take<sync::AvatarWire>();
+        relay_targets.swap(wire.relay_to);
+        update = net::Payload{std::move(wire)};
+    }
 
     for (const std::uint32_t t : relay_targets) {
         const auto target = static_cast<net::NodeId>(t);
         if (target == origin || target == node_) continue;
         ++relayed_failover_;
         net_.metrics().count(ids_.relayed_failover);
-        egress_.to_server(target, shared, AvatarEgress::Route::Direct);
+        egress_.to_server(target, update, AvatarEgress::Route::Direct);
     }
 
     // Attached clients, under interest management (or egress aggregation).
-    egress_.to_viewers(shared);
+    egress_.to_viewers(update);
 
     // Relays and peer servers always get every update (they run their own
     // interest filtering for their local audiences). Targets the heartbeat
@@ -162,14 +163,15 @@ void CloudServer::forward(sync::AvatarWire&& wire, net::NodeId origin) {
             net_.metrics().count(ids_.suppressed_dead_peer);
             return;
         }
-        egress_.to_server(target, shared);
+        egress_.to_server(target, update);
     };
     for (const net::NodeId relay : relays_) to_server(relay);
     // Mirror to peer MR edges only for streams that originate in the virtual
     // classroom (edge-to-edge traffic flows directly between the edges; re-
     // forwarding it here would double-deliver) — unless this cloud is the
     // sole relay of the deployment.
-    if (config_.mirror_all_streams || w.source_room == config_.room) {
+    if (config_.mirror_all_streams ||
+        update.get<sync::AvatarWire>().source_room == config_.room) {
         for (const net::NodeId peer : peers_) to_server(peer);
     }
 }

@@ -142,7 +142,7 @@ private:
     std::unique_ptr<recovery::Checkpointer> checkpointer_;
     recovery::Restorer restorer_;
 
-    void forward(sync::AvatarWire&& wire, net::NodeId origin);
+    void forward(net::Payload&& update, net::NodeId origin);
     [[nodiscard]] bool target_alive(net::NodeId target) const;
     void on_node_state(bool up);
     void make_checkpoint(recovery::ClassroomCheckpoint& cp) const;

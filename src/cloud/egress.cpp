@@ -76,16 +76,15 @@ void AvatarEgress::to_viewers(const net::Payload& update) {
     fan_out(update, wire.participant, wire.wire_bytes());
 }
 
-void AvatarEgress::to_viewers(sync::AvatarWire&& wire, const math::Vec3* position) {
+void AvatarEgress::to_viewers(sync::AvatarWire&& wire, const math::Vec3& position) {
     if (aggregator_) {
         charge(process_out_);
-        aggregator_->enqueue(position != nullptr ? *position : position_of(wire.participant),
-                             std::move(wire));
+        aggregator_->enqueue(position, std::move(wire));
         return;
     }
     const ParticipantId who = wire.participant;
     const std::size_t size = wire.wire_bytes();
-    if (position != nullptr) fanout_.upsert_entity(who, *position);
+    fanout_.upsert_entity(who, position);
     fan_out(net::Payload{std::move(wire)}, who, size);
 }
 

@@ -71,9 +71,9 @@ public:
     /// viewer, all sharing `update`'s box, or one aggregator enqueue.
     void to_viewers(const net::Payload& update);
     /// Same, for an update not yet boxed: moved into the aggregator, or
-    /// boxed once for the per-update sends. `position` (when given) is where
-    /// the entity is now; the per-update path records it in the registry.
-    void to_viewers(sync::AvatarWire&& wire, const math::Vec3* position = nullptr);
+    /// boxed once for the per-update sends. `position` is where the entity
+    /// is now; the per-update path records it in the registry.
+    void to_viewers(sync::AvatarWire&& wire, const math::Vec3& position);
 
     /// Batched goes through the batcher when batching is on; Direct always
     /// sends one packet now (the cloud's failover relaying).

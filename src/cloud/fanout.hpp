@@ -26,7 +26,6 @@ class InterestFanout {
 public:
     explicit InterestFanout(sync::InterestPolicy policy = {}, bool enabled = true);
 
-    void set_enabled(bool enabled) { enabled_ = enabled; }
     [[nodiscard]] bool enabled() const { return enabled_; }
 
     void upsert_entity(ParticipantId entity, const math::Vec3& position);

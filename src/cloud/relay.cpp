@@ -10,10 +10,14 @@ RelayServer::RelayServer(net::Backend& net, net::NodeId node, RelayConfig config
       config_(std::move(config)),
       demux_(net, node),
       egress_(net, node, config_) {
-    demux_.on_flow(std::string{sync::kAvatarFlow},
-                   [this](net::Packet&& p) { handle_avatar_packet(std::move(p)); });
-    demux_.on_flow(std::string{sync::kAvatarBatchFlow},
-                   [this](net::Packet&& p) { handle_avatar_batch(std::move(p)); });
+    demux_.on_flow(std::string{sync::kAvatarFlow}, [this](net::Packet&& p) {
+        ingest(std::move(p.payload), p.src == origin_);
+    });
+    demux_.on_flow(std::string{sync::kAvatarBatchFlow}, [this](net::Packet&& p) {
+        auto batch = p.payload.take<sync::AvatarBatchWire>();
+        for (sync::AvatarWire& wire : batch.updates)
+            ingest(net::Payload{std::move(wire)}, p.src == origin_);
+    });
     if (config_.serve_resync) {
         resync_responder_ = std::make_unique<recovery::ResyncResponder>(
             net_, demux_, [this] {
@@ -51,20 +55,9 @@ void RelayServer::upsert_entity(ParticipantId who, const math::Vec3& position) {
     egress_.upsert_entity(who, position);
 }
 
-void RelayServer::handle_avatar_packet(net::Packet&& p) {
-    const bool from_origin = p.src == origin_;
-    auto wire = p.payload.take<sync::AvatarWire>();
-    ingest(std::move(wire), from_origin);
-}
-
-void RelayServer::handle_avatar_batch(net::Packet&& p) {
-    const bool from_origin = p.src == origin_;
-    auto batch = p.payload.take<sync::AvatarBatchWire>();
-    for (sync::AvatarWire& wire : batch.updates) ingest(std::move(wire), from_origin);
-}
-
-void RelayServer::ingest(sync::AvatarWire&& wire, bool from_origin) {
+void RelayServer::ingest(net::Payload&& update, bool from_origin) {
     ++messages_in_;
+    const auto& wire = update.get<sync::AvatarWire>();
     if (config_.serve_resync && wire.keyframe) {
         // Assign in place: the entry's byte block is reused keyframe to keyframe.
         CachedKeyframe& kf = keyframes_[wire.participant];
@@ -72,14 +65,12 @@ void RelayServer::ingest(sync::AvatarWire&& wire, bool from_origin) {
         kf.captured_at = wire.captured_at;
         kf.bytes = wire.bytes;
     }
+    // The update stays in the box it arrived in: the viewers and the origin
+    // share it (DESIGN §9.8).
     const sim::Time ready = egress_.charge(config_.process_in);
-    net_.clock().schedule_at(ready, [this, wire = std::move(wire), from_origin]() mutable {
-        if (from_origin || origin_ == net::kInvalidNode) {
-            egress_.to_viewers(std::move(wire));
-            return;
-        }
-        egress_.to_viewers(sync::AvatarWire{wire});
-        egress_.to_server(origin_, wire);
+    net_.clock().schedule_at(ready, [this, update = std::move(update), from_origin] {
+        egress_.to_viewers(update);
+        if (!from_origin && origin_ != net::kInvalidNode) egress_.to_server(origin_, update);
     });
 }
 

@@ -63,8 +63,6 @@ public:
     [[nodiscard]] recovery::ResyncResponder* resync_responder() {
         return resync_responder_.get();
     }
-    /// Keyframes currently cached for resync service.
-    [[nodiscard]] std::size_t cached_keyframes() const { return keyframes_.size(); }
 
 private:
     net::Backend& net_;
@@ -85,9 +83,7 @@ private:
     std::map<net::NodeId, ParticipantId> clients_;
     std::uint64_t messages_in_{0};
 
-    void handle_avatar_packet(net::Packet&& p);
-    void handle_avatar_batch(net::Packet&& p);
-    void ingest(sync::AvatarWire&& wire, bool from_origin);
+    void ingest(net::Payload&& update, bool from_origin);
 };
 
 /// Where a relay was placed: its network and node, the origin as the relay

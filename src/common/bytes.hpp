@@ -69,17 +69,26 @@ const std::uint8_t* data_of(const R& r) {
     return reinterpret_cast<const std::uint8_t*>(std::ranges::data(r));
 }
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: [0] is the bytewise table of the reflected IEEE
+/// polynomial; [k][i] is the CRC of byte i followed by k zero bytes.
+inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k) c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
-}
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFU];
+    return t;
+}();
 
-inline constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+/// Little-endian 32-bit load from unaligned bytes.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+    return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace detail
 
@@ -258,12 +267,21 @@ private:
 // ------------------------------------------------------------------- CRC-32
 
 /// CRC-32 of `data`; pass a previous result as `prev` to continue it.
+/// Eight bytes per step (slicing-by-8), then the tail a byte at a time.
 template <ByteRange R>
 [[nodiscard]] std::uint32_t crc32(const R& data, std::uint32_t prev = 0) {
+    const auto& t = detail::kCrcTables;
     std::uint32_t c = prev ^ 0xFFFFFFFFU;
     const std::uint8_t* p = detail::data_of(data);
-    for (std::size_t i = 0, n = std::ranges::size(data); i < n; ++i)
-        c = detail::kCrcTable[(c ^ p[i]) & 0xFFU] ^ (c >> 8);
+    std::size_t n = std::ranges::size(data);
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = detail::load_le32(p) ^ c;
+        const std::uint32_t hi = detail::load_le32(p + 4);
+        c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^ t[5][(lo >> 16) & 0xFFU] ^
+            t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^ t[2][(hi >> 8) & 0xFFU] ^
+            t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
     return c ^ 0xFFFFFFFFU;
 }
 

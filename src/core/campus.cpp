@@ -191,7 +191,7 @@ void CampusWorld::tick(Building& b) {
 
         if (config_.mirror_stride != 0 && i % config_.mirror_stride == 0)
             b.egress->to_server(b.origin_proxy, w);
-        b.egress->to_viewers(std::move(w), &pos[i]);
+        b.egress->to_viewers(std::move(w), pos[i]);
     }
     b.pool.clear_dirty();
     ++b.ticks;

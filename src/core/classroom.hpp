@@ -146,7 +146,6 @@ public:
     /// `teaching_room` to every other room. Call before start(). The audio
     /// voice activity follows the instructor's speaking pattern.
     void enable_lecture_media(std::size_t teaching_room);
-    [[nodiscard]] bool lecture_media_enabled() const { return media_ != nullptr; }
     [[nodiscard]] MediaBridge& media_bridge() { return *media_; }
 
     // ------------------------------------------------------------- lifecycle

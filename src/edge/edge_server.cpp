@@ -36,14 +36,10 @@ EdgeServer::EdgeServer(net::Backend& net, net::NodeId node, EdgeServerConfig con
               busy_until_ = std::max(net_.clock().now(), busy_until_) + config_.process_time;
               return busy_until_;
           },
-          [this](sync::AvatarWire&& wire, net::NodeId, sim::Time sent_at) {
-              process_avatar_wire(std::move(wire), sent_at);
+          [this](net::Payload&& update, net::NodeId, sim::Time sent_at) {
+              process_avatar_wire(update.get<sync::AvatarWire>(), sent_at);
           }),
       restorer_(net.clock(), net.metrics(), config_.name) {
-    if (config_.batch_interval > sim::Time::zero()) {
-        batcher_ = std::make_unique<sync::WireBatcher>(net_, node_,
-                                                       config_.batch_interval);
-    }
     net_.context(node_).bind<EdgeServer>(this);
     if (config_.heartbeat.enabled) {
         hb_ = std::make_unique<fault::HeartbeatMonitor>(
@@ -134,32 +130,30 @@ void EdgeServer::publish(ParticipantId who, const std::vector<std::uint8_t>& byt
         if (!peer.alive && peer.node != cloud_relay_ && cloud_relay_ != net::kInvalidNode)
             relay_to.push_back(peer.node);
     }
-    // Every plain peer shares one payload box; only the cloud-relay copy
-    // (which piggybacks the failover routing list) needs its own value. The
-    // box takes the wire itself when nothing reads the wire afterwards.
-    net::Payload shared;
-    if (!batcher_)
-        shared = relay_to.empty() ? net::Payload{std::move(wire)} : net::Payload{wire};
+    // The cloud relay's copy carries the routing list; every other live peer
+    // shares one box. The wire is copied only when both are sent.
+    const bool failover = !relay_to.empty();
+    const auto routes = [&](const PeerLink& p) { return failover && p.node == cloud_relay_; };
+    bool routing = false;
+    bool sharing = false;
+    for (const PeerLink& peer : peers_)
+        if (peer.alive) (routes(peer) ? routing : sharing) = true;
+    sync::AvatarWire routed;
+    if (routing) {
+        routed = sharing ? wire : std::move(wire);
+        routed.relay_to = std::move(relay_to);
+    }
+    const net::Payload shared = sharing ? net::Payload{std::move(wire)} : net::Payload{};
     for (const PeerLink& peer : peers_) {
         if (!peer.alive) continue;
         ++packets_out_;
-        if (peer.node == cloud_relay_ && !relay_to.empty()) {
-            sync::AvatarWire copy = wire;
-            copy.relay_to = relay_to;
-            relayed_out_ += relay_to.size();
-            net_.metrics().count(ids_.relayed_out, relay_to.size());
-            if (batcher_) {
-                batcher_->enqueue(peer.node, std::move(copy));
-            } else {
-                avatar_tx_.send_to(peer.node, copy.wire_bytes(), std::move(copy));
-            }
+        if (!routes(peer)) {
+            avatar_tx_.send_to(peer.node, wire_size, shared);
             continue;
         }
-        if (batcher_) {
-            batcher_->enqueue(peer.node, wire);
-        } else {
-            avatar_tx_.send_to(peer.node, wire_size, shared);
-        }
+        relayed_out_ += routed.relay_to.size();
+        net_.metrics().count(ids_.relayed_out, routed.relay_to.size());
+        avatar_tx_.send_to(peer.node, routed.wire_bytes(), std::move(routed));
     }
 }
 
@@ -308,7 +302,7 @@ avatar::AvatarState EdgeServer::synthesize_avatar(ParticipantId who,
     return s;
 }
 
-void EdgeServer::process_avatar_wire(sync::AvatarWire&& wire, sim::Time sent_at) {
+void EdgeServer::process_avatar_wire(const sync::AvatarWire& wire, sim::Time sent_at) {
     const sim::Time now = net_.clock().now();
     health_.observe(wire.participant.value(), wire.seq,
                     (now - wire.captured_at).to_ms(), now);

@@ -38,7 +38,6 @@
 #include "fault/degradation.hpp"
 #include "fault/heartbeat.hpp"
 #include "net/channel.hpp"
-#include "sync/batcher.hpp"
 #include "recovery/admission.hpp"
 #include "recovery/checkpointer.hpp"
 #include "recovery/reconnect.hpp"
@@ -79,9 +78,6 @@ struct EdgeServerConfig {
     recovery::RecoveryParams recovery{};
     /// Overload admission control on the avatar ingress.
     recovery::AdmissionParams admission{};
-    /// Coalesce peer-bound avatar updates into one batch packet per peer per
-    /// interval (zero = per-update packets, the default).
-    sim::Time batch_interval{};
 };
 
 class EdgeServer {
@@ -240,7 +236,6 @@ private:
     std::vector<PeerLink> peers_;
     net::NodeId cloud_relay_{net::kInvalidNode};
     std::unique_ptr<fault::HeartbeatMonitor> hb_;
-    std::unique_ptr<sync::WireBatcher> batcher_;
     fault::DegradationPolicy degrade_;
     fault::PathHealth health_;
     std::map<net::NodeId, std::unique_ptr<recovery::Reconnector>> reconnectors_;
@@ -260,7 +255,7 @@ private:
     std::optional<recovery::ClassroomCheckpoint> last_restored_;
     recovery::Restorer restorer_;
 
-    void process_avatar_wire(sync::AvatarWire&& wire, sim::Time sent_at);
+    void process_avatar_wire(const sync::AvatarWire& wire, sim::Time sent_at);
     void try_anchor(ParticipantId who, RemoteParticipant& rp);
     void on_node_state(bool up);
     void wipe_replicated_state();

@@ -57,8 +57,6 @@ public:
 
     /// Attempts started since the last reset().
     [[nodiscard]] int attempts() const { return attempts_; }
-    /// Last delay handed out (zero before the first next()).
-    [[nodiscard]] sim::Time last_delay() const { return prev_; }
 
 private:
     BackoffParams params_;

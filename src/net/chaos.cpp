@@ -57,11 +57,6 @@ void ChaosBackend::clear_profile(NodeId src, NodeId dst) {
     set_profile(src, dst, ChaosProfile{});
 }
 
-void ChaosBackend::clear_pair_profile(NodeId a, NodeId b) {
-    clear_profile(a, b);
-    clear_profile(b, a);
-}
-
 ChaosProfile ChaosBackend::profile(NodeId src, NodeId dst) const {
     const PairState* st = find_state(src, dst);
     return st ? st->profile : ChaosProfile{};

@@ -94,7 +94,6 @@ public:
     /// Install `profile` on both directions between a and b.
     void set_pair_profile(NodeId a, NodeId b, const ChaosProfile& profile);
     void clear_profile(NodeId src, NodeId dst);
-    void clear_pair_profile(NodeId a, NodeId b);
     /// Profile currently installed on src -> dst (inert default when none).
     [[nodiscard]] ChaosProfile profile(NodeId src, NodeId dst) const;
 

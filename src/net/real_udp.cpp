@@ -180,7 +180,6 @@ bool RealUdpBackend::do_send(NodeId src, NodeId dst, std::size_t size_bytes,
 
     const FlowMetrics& fm = flow.metric_ids();
     metrics_.count(fm.tx);
-    metrics_.count(fm.tx_bytes, size_bytes + kHeaderBytes);
 
     const std::optional<std::vector<std::byte>> frame = encode_frame(p, priority);
     if (!frame || frame->size() > kMaxDatagram) {
@@ -196,6 +195,7 @@ bool RealUdpBackend::do_send(NodeId src, NodeId dst, std::size_t size_bytes,
     }
     ++datagrams_sent_;
     bytes_sent_ += frame->size();
+    metrics_.count(fm.tx_bytes, frame->size());
     return true;
 }
 

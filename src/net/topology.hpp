@@ -42,12 +42,8 @@ public:
     [[nodiscard]] sim::Time one_way_delay(Region a, Region b) const;
 
     /// Link parameters for the WAN path a->b: delay from the matrix, jitter
-    /// and spike model scaled with distance, configurable loss/bandwidth.
+    /// and spike model scaled with distance, the base loss and bandwidth.
     [[nodiscard]] LinkParams path_params(Region a, Region b) const;
-
-    /// Override the base loss applied to inter-region paths.
-    void set_inter_region_loss(double loss) { inter_region_loss_ = loss; }
-    void set_path_bandwidth_bps(double bps) { path_bandwidth_bps_ = bps; }
 
     /// Region whose mean delay to the given set of client regions is lowest —
     /// the "place a regional server here" primitive.

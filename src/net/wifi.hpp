@@ -43,7 +43,6 @@ public:
 
     /// Add a station to the BSS; more stations = more contention.
     StationId add_station();
-    [[nodiscard]] std::size_t station_count() const { return stations_.size(); }
 
     /// Transmit a packet from `station`. Returns false if the station's queue
     /// overflowed. Delivery callback runs at the access point / receiver.

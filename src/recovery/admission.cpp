@@ -1,5 +1,6 @@
 #include "recovery/admission.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <utility>
@@ -34,25 +35,28 @@ AvatarIngress::AvatarIngress(net::Backend& net, net::PacketDemux& demux, std::st
       depth_id_(net.metrics().series_id("queue.depth", {{"server", server_}})),
       gate_(params) {
     demux.on_flow(std::string{sync::kAvatarFlow}, [this](net::Packet&& p) {
-        ingest(p.payload.take<sync::AvatarWire>(), p.src, p.sent_at);
+        ingest(std::move(p.payload), p.src, p.sent_at);
     });
     demux.on_flow(std::string{sync::kAvatarBatchFlow}, [this](net::Packet&& p) {
         auto batch = p.payload.take<sync::AvatarBatchWire>();
-        for (sync::AvatarWire& wire : batch.updates) ingest(std::move(wire), p.src, p.sent_at);
+        for (sync::AvatarWire& wire : batch.updates)
+            ingest(net::Payload{std::move(wire)}, p.src, p.sent_at);
     });
 }
 
 void AvatarIngress::crash() {
-    queue_.clear();
+    ring_.clear();
+    head_ = depth_ = 0;
     admitted_.clear();
     ++epoch_;
 }
 
-void AvatarIngress::ingest(sync::AvatarWire&& wire, net::NodeId src, sim::Time sent_at) {
+void AvatarIngress::ingest(net::Payload&& update, net::NodeId src, sim::Time sent_at) {
     ++arrivals_;
+    const ParticipantId who = update.get<sync::AvatarWire>().participant;
     if (!gate_.params().enabled) {
-        auto task = [this, epoch = epoch_, wire = std::move(wire), src, sent_at]() mutable {
-            if (epoch == epoch_) process_(std::move(wire), src, sent_at);
+        auto task = [this, epoch = epoch_, update = std::move(update), src, sent_at]() mutable {
+            if (epoch == epoch_) process_(std::move(update), src, sent_at);
         };
         // A pooled event block holds a max-aligned header, then the capture.
         static_assert(sizeof(task) + alignof(std::max_align_t) <= sim::EventPool::kBlockBytes,
@@ -63,30 +67,43 @@ void AvatarIngress::ingest(sync::AvatarWire&& wire, net::NodeId src, sim::Time s
 
     // Depth-triggered shedding of never-seen (late-joining) streams keeps
     // the bounded queue serving the admitted class.
-    if (gate_.update(queue_.size(), net_.clock().now()))
+    if (gate_.update(depth_, net_.clock().now()))
         net_.metrics().count("admission.transition",
                              {{"server", server_},
                               {"state", gate_.shedding() ? "shed" : "admit"}});
-    if (gate_.shedding() && !admitted_.contains(wire.participant)) {
+    if (gate_.shedding() && !admitted_.contains(who)) {
         ++shed_;
         net_.metrics().count(shed_id_);
         return;
     }
-    admitted_.insert(wire.participant);
-    queue_.push_back(Queued{std::move(wire), src, sent_at});
-    if (queue_.size() > gate_.params().queue_capacity) {
-        queue_.pop_front();
-        ++dropped_;
-        net_.metrics().count(dropped_id_);
-    }
-    net_.metrics().sample(depth_id_, static_cast<double>(queue_.size()));
+    admitted_.insert(who);
+    push(Queued{std::move(update), src, sent_at});
+    net_.metrics().sample(depth_id_, static_cast<double>(depth_));
     // One drain per push; drops leave excess drains that find an empty queue.
     net_.clock().schedule_at(charge_(), [this, epoch = epoch_] {
-        if (epoch != epoch_ || queue_.empty()) return;
-        Queued q = std::move(queue_.front());
-        queue_.pop_front();
-        process_(std::move(q.wire), q.src, q.sent_at);
+        if (epoch != epoch_ || depth_ == 0) return;
+        Queued q = std::move(ring_[head_]);
+        head_ = (head_ + 1) % ring_.size();
+        --depth_;
+        process_(std::move(q.update), q.src, q.sent_at);
     });
+}
+
+void AvatarIngress::push(Queued&& q) {
+    const std::size_t capacity = gate_.params().queue_capacity;
+    if (depth_ == capacity) {  // full: the oldest wire goes (at capacity 0, the arrival)
+        ++dropped_;
+        net_.metrics().count(dropped_id_);
+        if (capacity == 0) return;
+        head_ = (head_ + 1) % ring_.size();
+        --depth_;
+    } else if (depth_ == ring_.size()) {  // grow by doubling, never past capacity
+        std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_), ring_.end());
+        head_ = 0;
+        ring_.reserve(std::min(capacity, std::max<std::size_t>(8, 2 * depth_)));
+        ring_.resize(ring_.capacity());
+    }
+    ring_[(head_ + depth_++) % ring_.size()] = std::move(q);
 }
 
 }  // namespace mvc::recovery

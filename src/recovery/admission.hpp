@@ -11,10 +11,10 @@
 // AvatarIngress is that ingress, shared by the edge and cloud servers.
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "net/transport.hpp"
 #include "sim/hysteresis.hpp"
@@ -60,17 +60,20 @@ private:
 /// The avatar ingress of a classroom server (DESIGN §6). It registers the
 /// `avatar` and `avatar.batch` flows on the server's demux, counts every
 /// arriving wire, charges its compute through the server's ChargeFn, and
-/// hands it to the server's ProcessFn at the returned ready time. With
-/// admission on, wires wait in a bounded drop-oldest queue behind an
-/// AdmissionGate that sheds never-seen streams while it is shedding; a shed
-/// wire is charged no compute. With admission off, each wire is scheduled
-/// directly and the queue stays empty.
+/// hands it to the server's ProcessFn at the returned ready time. A wire
+/// stays in the payload box it arrived in (DESIGN §9.8). With admission on,
+/// wires wait in a bounded drop-oldest FIFO ring behind an AdmissionGate
+/// that sheds never-seen streams while it is shedding; a shed wire is
+/// charged no compute. With admission off, each wire is scheduled directly
+/// and the queue stays empty.
 class AvatarIngress {
 public:
     /// Charge one wire's compute on the server; returns when it is done.
     using ChargeFn = std::function<sim::Time()>;
-    /// Process one wire; `src` sent the packet at `sent_at`.
-    using ProcessFn = std::function<void(sync::AvatarWire&&, net::NodeId src, sim::Time sent_at)>;
+    /// Process the wire boxed in `update` (a box other receivers of the
+    /// packet may share); `src` sent the packet at `sent_at`.
+    using ProcessFn =
+        std::function<void(net::Payload&& update, net::NodeId src, sim::Time sent_at)>;
 
     /// `server` labels the admission and queue metrics.
     AvatarIngress(net::Backend& net, net::PacketDemux& demux, std::string server,
@@ -87,12 +90,12 @@ public:
     [[nodiscard]] const AdmissionGate& gate() const { return gate_; }
     [[nodiscard]] std::uint64_t shed() const { return shed_; }
     [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-    [[nodiscard]] std::size_t depth() const { return queue_.size(); }
+    [[nodiscard]] std::size_t depth() const { return depth_; }
     [[nodiscard]] std::size_t admitted() const { return admitted_.size(); }
 
 private:
     struct Queued {
-        sync::AvatarWire wire;
+        net::Payload update;
         net::NodeId src{};
         sim::Time sent_at{};
     };
@@ -105,7 +108,11 @@ private:
     sim::MetricId dropped_id_;
     sim::MetricId depth_id_;
     AdmissionGate gate_;
-    std::deque<Queued> queue_;
+    /// The queue: `depth_` wires from `head_` on, wrapping. The ring grows
+    /// by doubling to the depth reached, never past queue_capacity.
+    std::vector<Queued> ring_;
+    std::size_t head_{0};
+    std::size_t depth_{0};
     std::set<ParticipantId> admitted_;
     std::uint64_t arrivals_{0};
     std::uint64_t shed_{0};
@@ -113,7 +120,8 @@ private:
     /// Bumped by crash(); scheduled work from an older epoch does nothing.
     std::uint32_t epoch_{0};
 
-    void ingest(sync::AvatarWire&& wire, net::NodeId src, sim::Time sent_at);
+    void ingest(net::Payload&& update, net::NodeId src, sim::Time sent_at);
+    void push(Queued&& q);
 };
 
 }  // namespace mvc::recovery

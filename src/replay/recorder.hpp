@@ -92,7 +92,6 @@ public:
     /// last chunk, flush the sink). Idempotent; the destructor calls it.
     void finish();
 
-    [[nodiscard]] bool finished() const { return finished_; }
     /// First sink/encode failure, empty while healthy. Once set, recording
     /// is disabled (taps become no-ops).
     [[nodiscard]] const std::string& error() const { return error_; }

@@ -51,7 +51,6 @@ public:
     [[nodiscard]] std::uint64_t state_hash() const;
 
     [[nodiscard]] std::uint64_t updates() const { return updates_; }
-    [[nodiscard]] std::size_t participant_count() const { return remotes_.size(); }
 
 private:
     void apply(ParticipantId who, std::span<const std::uint8_t> bytes, bool keyframe,

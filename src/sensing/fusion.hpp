@@ -51,7 +51,6 @@ public:
     /// Best estimate extrapolated to `now`; nullopt if unknown or stale.
     [[nodiscard]] std::optional<FusedTrack> estimate(ParticipantId p, sim::Time now) const;
 
-    [[nodiscard]] std::size_t track_count() const { return tracks_.size(); }
     [[nodiscard]] std::vector<ParticipantId> tracked(sim::Time now) const;
     void drop(ParticipantId p);
 

@@ -41,7 +41,6 @@ public:
     [[nodiscard]] std::optional<avatar::AvatarState> sample(sim::Time now) const;
 
     [[nodiscard]] sim::Time playout_delay() const;
-    [[nodiscard]] double jitter_estimate_ms() const { return jitter_ms_; }
     [[nodiscard]] std::size_t depth() const { return count_; }
     [[nodiscard]] std::uint64_t underruns() const { return underruns_; }
 

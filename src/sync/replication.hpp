@@ -123,7 +123,6 @@ public:
     /// hashes the replay divergence checker compares across runs.
     [[nodiscard]] std::uint64_t state_digest() const;
 
-    [[nodiscard]] const JitterBuffer& jitter_buffer() const { return buffer_; }
     [[nodiscard]] std::uint64_t decoded() const { return decoded_; }
     [[nodiscard]] std::uint64_t dropped_waiting_keyframe() const {
         return dropped_waiting_keyframe_;

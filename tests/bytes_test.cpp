@@ -219,6 +219,32 @@ TEST(BytesTest, Crc32StreamsAndServesEveryByteType) {
     EXPECT_EQ(crc32(std::span{p, s.size()}), 0xCBF43926U);
 }
 
+/// The table-driven loop crc32 ran before slicing-by-8: one byte per step.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data, std::uint32_t prev) {
+    std::uint32_t c = prev ^ 0xFFFFFFFFU;
+    for (const std::uint8_t b : data) c = detail::kCrcTables[0][(c ^ b) & 0xFFU] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFU;
+}
+
+TEST(BytesTest, Crc32SlicingMatchesBytewiseAtEveryLengthAndAlignment) {
+    Bytes buf(1008);
+    std::uint32_t x = 2463534242U;  // xorshift32
+    for (std::uint8_t& b : buf) {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        b = static_cast<std::uint8_t>(x);
+    }
+    for (std::size_t start = 0; start < 8; ++start) {
+        for (std::size_t len = 0; len <= 1000; ++len) {
+            const std::span<const std::uint8_t> data{buf.data() + start, len};
+            ASSERT_EQ(crc32(data), crc32_bytewise(data, 0)) << start << "+" << len;
+            ASSERT_EQ(crc32(data, 0x12345678U), crc32_bytewise(data, 0x12345678U))
+                << start << "+" << len;
+        }
+    }
+}
+
 
 // ------------------------------------------------------------- InlineBytes
 

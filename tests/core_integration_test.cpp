@@ -1,11 +1,20 @@
 // Integration tests across the whole stack: the MetaverseClassroom blueprint
 // running the paper's unit case (2 MR classrooms + VR cloud classroom),
-// checking latency budgets, seat handling, traffic shape, determinism and
-// the regional-mesh option.
+// checking latency budgets, seat handling, traffic shape, determinism,
+// the regional-mesh option, and one payload box carrying each avatar update
+// from edge to client.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <vector>
+
 #include "core/classroom.hpp"
+#include "sync/wire.hpp"
 
 namespace mvc::core {
 namespace {
@@ -327,6 +336,70 @@ TEST(MetaverseClassroomTest, SingleRoomConfigWorks) {
     classroom.run_for(sim::Time::seconds(10));
     EXPECT_GT(classroom.remote_client(remote).updates_received(), 0u);
     EXPECT_EQ(classroom.edge_server(0).remote_participants().size(), 1u);
+}
+
+// ---------------------------------------------------- one box per update
+
+/// Where each avatar packet's record bytes sit, per update and hop.
+class RecordAddressTap final : public net::PacketTap {
+public:
+    struct Hop {
+        std::string from;
+        const std::uint8_t* bytes;
+    };
+    struct Update {
+        bool spilled{false};
+        std::vector<Hop> hops;
+    };
+
+    explicit RecordAddressTap(const net::Network& net) : net_(net) {}
+    void on_send(const net::Packet& p, net::Priority) override {
+        if (p.flow != sync::kAvatarFlow) return;
+        const auto& w = p.payload.get<sync::AvatarWire>();
+        Update& u = updates[{w.participant.value(), w.seq, w.captured_at.nanos()}];
+        u.spilled = w.bytes.size() > sync::AvatarBytes::kInlineCapacity;
+        u.hops.push_back(Hop{net_.name_of(p.src), w.bytes.data()});
+    }
+
+    std::map<std::tuple<std::uint32_t, std::uint32_t, std::int64_t>, Update> updates;
+
+private:
+    const net::Network& net_;
+};
+
+TEST(OneBoxTest, SpilledRecordKeepsOneAddressFromEdgeToClient) {
+    ClassroomConfig config;
+    config.seed = 29;
+    config.regional_mesh = true;
+    MetaverseClassroom classroom{config};
+    classroom.add_instructor(0);
+    for (int i = 0; i < 3; ++i) {
+        classroom.add_physical_student(0);
+        classroom.add_physical_student(1);
+    }
+    classroom.add_remote_student(net::Region::Seoul);
+    classroom.add_remote_student(net::Region::London);
+    RecordAddressTap tap{classroom.network()};
+    classroom.network().set_tap(&tap);
+    classroom.start();
+    classroom.run_for(sim::Time::seconds(2.0));
+    classroom.network().set_tap(nullptr);
+
+    // Every hop of an update (edge, cloud, relay) sends the bytes the first
+    // box holds; the client reads them from the same box.
+    std::size_t edge_to_client = 0;
+    for (const auto& [key, u] : tap.updates) {
+        for (const RecordAddressTap::Hop& hop : u.hops)
+            EXPECT_EQ(hop.bytes, u.hops.front().bytes) << "hop from " << hop.from;
+        const auto sent_by = [&u](std::string_view prefix) {
+            return std::any_of(u.hops.begin(), u.hops.end(), [prefix](const auto& hop) {
+                return hop.from.starts_with(prefix);
+            });
+        };
+        if (u.spilled && sent_by("edge-") && sent_by("cloud") && sent_by("relay-"))
+            ++edge_to_client;
+    }
+    EXPECT_GT(edge_to_client, 0u);
 }
 
 }  // namespace

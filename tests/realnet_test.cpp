@@ -508,6 +508,30 @@ TEST_F(RealUdpTest, LoopbackEchoRoundTrip) {
     EXPECT_EQ(net.metrics().counter("net.rx.echo"), 2u);
 }
 
+TEST_F(RealUdpTest, TxBytesCountersChargeTheFramesSent) {
+    RealUdpBackend net;
+    const NodeId a = net.add_node("a", Region::HongKong);
+    const NodeId b = net.add_node("b", Region::Guangzhou);
+    int delivered = 0;
+    net.set_handler(b, [&](Packet&&) { ++delivered; });
+
+    // Model sizes far from the frame sizes, over two flows and payload types.
+    sync::AvatarWire wire;
+    wire.participant = ParticipantId{7};
+    wire.bytes = std::vector<std::uint8_t>(60, 0xAB);
+    ASSERT_TRUE(net.send(a, b, 1000, std::string{sync::kAvatarFlow}, Payload{wire}));
+    ASSERT_TRUE(net.send(a, b, 5, "echo", Payload{std::string{"ping"}}));
+    ASSERT_TRUE(net.send(a, b, 3, "echo", Payload{std::uint64_t{9}}));
+    ASSERT_TRUE(pump_until(net, [&] { return delivered >= 3; }));
+
+    std::uint64_t tx_bytes = 0;
+    for (const auto& [key, value] : net.metrics().counters())
+        if (key.starts_with("net.tx_bytes.")) tx_bytes += value;
+    EXPECT_EQ(tx_bytes, net.bytes_sent());
+    EXPECT_GT(net.metrics().counter("net.tx_bytes.avatar"), 60u);
+    EXPECT_LT(net.metrics().counter("net.tx_bytes.avatar"), 1000u);
+}
+
 /// Fire raw bytes at a UDP port through a throwaway socket — the hostile/
 /// broken-sender path no backend API can produce.
 void send_raw(std::uint16_t port, std::span<const std::byte> bytes) {

@@ -720,24 +720,53 @@ TEST(OverloadAdmissionTest, ShedsLateJoinersKeepsAdmittedFlowing) {
 }
 
 TEST(OverloadAdmissionTest, BoundedQueueDropsOldestAtCapacity) {
+    // Bursts into the drop-oldest ring: one far past a capacity the ring
+    // starts at, one that grows the ring twice before it drops, and one that
+    // wraps the ring around and grows it while wrapped, dropping nothing.
+    struct Burst {
+        sim::Time at;
+        std::uint32_t wires;
+    };
+    struct Case {
+        std::size_t capacity;
+        std::vector<Burst> bursts;
+        std::uint64_t dropped;
+    };
+    const Case cases[] = {
+        {8, {{sim::Time::ms(10), 40}}, 32},
+        {20, {{sim::Time::ms(10), 40}}, 20},
+        {32, {{sim::Time::ms(10), 6}, {sim::Time::us(14500), 10}}, 0},
+    };
     for (const ServerKind kind : kServerKinds) {
-        SCOPED_TRACE(kind_name(kind));
-        AdmissionParams admission = overload_admission();
-        admission.queue_capacity = 8;
-        admission.shed_enter_depth = 1000;  // never shed: isolate the queue
-        admission.shed_exit_depth = 0;
-        OverloadRig rig{kind, admission, kOverloadProcess};
-        // Burst far beyond capacity in one tick.
-        rig.sim.schedule_at(sim::Time::ms(10), [&rig] {
-            for (std::uint32_t i = 0; i < 40; ++i) rig.send_update(100 + i);
-        });
-        rig.sim.run_until(sim::Time::seconds(2.0));
-        EXPECT_EQ(rig.queue_dropped(), 32u);
-        EXPECT_EQ(rig.ingress_depth(), 0u);  // fully drained afterwards
-        EXPECT_EQ(rig.shed_streams(), 0u);
-        // The newest eight survive the drop-oldest queue.
-        EXPECT_EQ(rig.processed(100), 0u);
-        EXPECT_EQ(rig.processed(139), 1u);
+        for (const Case& c : cases) {
+            SCOPED_TRACE(std::string{kind_name(kind)} + " capacity " +
+                         std::to_string(c.capacity));
+            AdmissionParams admission = overload_admission();
+            admission.queue_capacity = c.capacity;
+            admission.shed_enter_depth = 1000;  // never shed: isolate the queue
+            admission.shed_exit_depth = 0;
+            OverloadRig rig{kind, admission, kOverloadProcess};
+            std::uint32_t next = 100;  // participant ids, one wire each
+            for (const Burst& burst : c.bursts) {
+                rig.sim.schedule_at(burst.at, [&rig, first = next, n = burst.wires] {
+                    for (std::uint32_t i = 0; i < n; ++i) rig.send_update(first + i);
+                });
+                next += burst.wires;
+            }
+            rig.sim.run_until(sim::Time::seconds(2.0));
+            EXPECT_EQ(rig.queue_dropped(), c.dropped);
+            EXPECT_EQ(rig.ingress_depth(), 0u);  // fully drained afterwards
+            EXPECT_EQ(rig.shed_streams(), 0u);
+            // The newest wires survive, each once, in arrival order.
+            const std::uint32_t first_kept = 100 + static_cast<std::uint32_t>(c.dropped);
+            for (std::uint32_t who = 100; who < next; ++who)
+                EXPECT_EQ(rig.processed(who), who < first_kept ? 0u : 1u) << who;
+            if (rig.cloud) {
+                ASSERT_EQ(rig.tap.sent.size(), next - first_kept);
+                for (std::size_t i = 0; i < rig.tap.sent.size(); ++i)
+                    EXPECT_EQ(rig.tap.sent[i].who.value(), first_kept + i);
+            }
+        }
     }
 }
 
@@ -816,6 +845,7 @@ TEST(CrashDropsChargedWorkTest, NothingChargedBeforeACrashRunsAfterIt) {
 
             rig.sim.run_until(sim::Time::ms(29));  // down
             EXPECT_EQ(rig.delays_ms(), std::vector<double>{6.0});
+            EXPECT_EQ(rig.ingress_depth(), 0u);  // the crash emptied the queue
             if (rig.edge) {
                 EXPECT_TRUE(rig.edge->remote_participants().empty());
             } else {
