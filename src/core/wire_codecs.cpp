@@ -127,7 +127,7 @@ void register_wire_codecs() {
             put_varint(out, p.get<fault::HeartbeatWire>().seq);
         },
         whole_body<fault::HeartbeatWire>(
-            [](Reader& r) { return fault::HeartbeatWire{r.varint()}; }));
+            [](Reader& r) { return fault::HeartbeatWire{r.varint<std::uint32_t>()}; }));
 
     sync::ClockSyncSession::register_wire_codecs(codecs, kTagClockRequest,
                                                  kTagClockReply);

@@ -43,7 +43,7 @@ EdgeServer::EdgeServer(net::Backend& net, net::NodeId node, EdgeServerConfig con
     net_.context(node_).bind<EdgeServer>(this);
     if (config_.heartbeat.enabled) {
         hb_ = std::make_unique<fault::HeartbeatMonitor>(
-            net_, demux_, config_.heartbeat, "edge." + config_.name);
+            net_, demux_, config_.heartbeat, "edge." + config_.name, &health_);
         hb_->on_peer_state(
             [this](net::NodeId peer, bool alive) { on_peer_state(peer, alive); });
     }
@@ -264,11 +264,9 @@ void EdgeServer::stop() {
 void EdgeServer::degrade_tick() {
     const sim::Time now = net_.clock().now();
     health_.roll(now);
-    // Worst of the two loss signals: heartbeat seq gaps (cheap, all peers)
-    // and avatar-stream seq gaps (the traffic that actually matters). The
-    // PathHealth delay EWMA adds the latency criterion when configured.
-    const double loss = std::max(hb_->worst_loss(), health_.loss());
-    if (!degrade_.update(loss, health_.rtt_ms(), now)) return;
+    // One signal: PathHealth counts the avatar stream and the heartbeat
+    // probes; its delay EWMA adds the latency criterion when configured.
+    if (!degrade_.update(health_.loss(), health_.rtt_ms(), now)) return;
     const double rate_scale = degrade_.rate_scale();
     const double threshold_scale = degrade_.threshold_scale();
     for (auto& [who, lp] : locals_) {
@@ -356,13 +354,6 @@ std::optional<avatar::AvatarState> EdgeServer::display_remote(ParticipantId who,
     const auto displayed = it->second.replica->display(now);
     if (!displayed.has_value()) return std::nullopt;
     return retargeter_.retarget(*displayed);
-}
-
-std::vector<ParticipantId> EdgeServer::remote_participants() const {
-    std::vector<ParticipantId> out;
-    out.reserve(remotes_.size());
-    for (const auto& [who, rp] : remotes_) out.push_back(who);
-    return out;
 }
 
 std::uint64_t EdgeServer::state_digest() const {

@@ -9,8 +9,9 @@
 // a peer is dead its avatar stream is rerouted through the cloud relay
 // (AvatarWire::relay_to), and on failback the direct path resumes with a
 // forced keyframe so the recovered peer resyncs immediately. A degradation
-// policy driven by the heartbeat loss estimate scales down publisher rate
-// and dead-reckoning sensitivity under sustained loss.
+// policy driven by the PathHealth loss estimate (avatar stream plus the
+// heartbeat probes) scales down publisher rate and dead-reckoning
+// sensitivity under sustained loss.
 //
 // Crash recovery: with RecoveryParams enabled the server periodically
 // checkpoints its replicated state (seat occupancy, reservations, remote
@@ -30,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -61,11 +63,11 @@ struct EdgeServerConfig {
     /// Peer liveness probing; disabled by default (healthy-network setups
     /// pay nothing).
     fault::HeartbeatParams heartbeat{};
-    /// Loss-driven graceful degradation (active only with heartbeats on,
-    /// which provide the loss signal; the avatar-stream PathHealth loss and
-    /// delay estimates are folded in when available).
+    /// Loss-driven graceful degradation over `path_health`; active only with
+    /// heartbeats on (the ladder ticks on the heartbeat interval).
     fault::DegradationParams degradation{};
-    /// Avatar-stream health estimation (wire seq gaps + e2e delay EWMA).
+    /// Inbound path health: seq gaps + e2e delay EWMA over the avatar stream
+    /// and the heartbeat probes.
     fault::PathHealthParams path_health{};
     /// Per-peer reconnect state machines: a dead peer (heartbeat failover)
     /// enters a backoff-probe loop instead of waiting passively; each probe
@@ -122,8 +124,9 @@ public:
     /// Retargeted display state of a remote participant at local time `now`.
     [[nodiscard]] std::optional<avatar::AvatarState> display_remote(ParticipantId who,
                                                                     sim::Time now) const;
-    /// All remote participants currently represented in this room.
-    [[nodiscard]] std::vector<ParticipantId> remote_participants() const;
+    /// All remote participants currently represented in this room, in id
+    /// order (a view, no copy).
+    [[nodiscard]] auto remote_participants() const { return std::views::keys(remotes_); }
     /// Count of decoded network updates for a remote participant (0 if
     /// unknown) — lets probes distinguish fresh data from extrapolation.
     [[nodiscard]] std::uint64_t remote_update_count(ParticipantId who) const;
@@ -143,7 +146,7 @@ public:
     [[nodiscard]] int degradation_level() const { return degrade_.level(); }
     /// Updates sent indirectly through the cloud relay during failover.
     [[nodiscard]] std::uint64_t relayed_out() const { return relayed_out_; }
-    /// Observed inbound avatar-path health (loss from wire seq gaps).
+    /// Observed inbound path health (loss from avatar and probe seq gaps).
     [[nodiscard]] const fault::PathHealth& path_health() const { return health_; }
     /// Reconnect machine for `peer`; nullptr unless reconnect_enabled.
     [[nodiscard]] recovery::Reconnector* reconnector_for(net::NodeId peer);

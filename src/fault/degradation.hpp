@@ -8,7 +8,8 @@
 // plus the hold time prevent level flapping on a noisy signal; the holds are
 // a sim::Hysteresis, so each further step needs its own full hold.
 //
-// PathHealth produces that signal from the avatar stream itself: per-sender
+// PathHealth, the one loss/delay estimator, produces that signal from the
+// traffic a path carries (avatar stream, heartbeat probes, video): per-sender
 // wire sequence numbers expose genuine loss (dead-reckoning suppression
 // makes receiver silence ambiguous — suppressed != lost), and the e2e
 // latency of each delivered update feeds an EWMA delay estimate.
@@ -77,7 +78,7 @@ struct PathHealthParams {
 };
 
 /// Receiver-side estimator of the health of one inbound path, fed by the
-/// per-sender `AvatarWire::seq` counters and per-update e2e latency. Gaps in
+/// per-sender wire sequence counters and per-update e2e latency. Gaps in
 /// a sender's sequence are counted as losses; duplicates and reorders past
 /// an already-seen sequence are ignored (they were either counted missing
 /// already or are chaos duplicates, and neither should push loss negative).
@@ -97,6 +98,9 @@ public:
     /// Forget all per-sender sequence state (after a resync the sequence
     /// baseline is discontinuous) while keeping the smoothed delay.
     void reset();
+    /// Forget one sender's baseline (e.g. a peer declared dead), so the gap
+    /// across its outage is not counted as loss; the window is untouched.
+    void forget(std::uint32_t source) { sources_.erase(source); }
 
     /// Loss fraction over the last completed window, in [0, 1].
     [[nodiscard]] double loss() const { return loss_; }

@@ -1,12 +1,12 @@
 #include "fault/heartbeat.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace mvc::fault {
 
 HeartbeatMonitor::HeartbeatMonitor(net::Backend& net, net::PacketDemux& demux,
-                                   HeartbeatParams params, std::string metric_prefix)
+                                   HeartbeatParams params, std::string metric_prefix,
+                                   PathHealth* health)
     : net_(net),
       node_(demux.node()),
       tx_(net.open_channel({.src = node_,
@@ -15,7 +15,8 @@ HeartbeatMonitor::HeartbeatMonitor(net::Backend& net, net::PacketDemux& demux,
       params_(params),
       metric_prefix_(std::move(metric_prefix)),
       failover_id_(net.metrics().counter_id(metric_prefix_ + ".failover")),
-      failback_id_(net.metrics().counter_id(metric_prefix_ + ".failback")) {
+      failback_id_(net.metrics().counter_id(metric_prefix_ + ".failback")),
+      health_(health) {
     demux.on_flow(std::string{kHeartbeatFlow},
                   [this](net::Packet&& p) { handle(std::move(p)); });
 }
@@ -45,19 +46,6 @@ bool HeartbeatMonitor::alive(net::NodeId peer) const {
     return it == peers_.end() || it->second.alive;
 }
 
-double HeartbeatMonitor::loss_estimate(net::NodeId peer) const {
-    const auto it = peers_.find(peer);
-    return it == peers_.end() ? 0.0 : it->second.loss;
-}
-
-double HeartbeatMonitor::worst_loss() const {
-    double worst = 0.0;
-    for (const auto& [peer, rec] : peers_) {
-        if (rec.alive) worst = std::max(worst, rec.loss);
-    }
-    return worst;
-}
-
 sim::Time HeartbeatMonitor::last_seen(net::NodeId peer) const {
     const auto it = peers_.find(peer);
     return it == peers_.end() ? sim::Time::zero() : it->second.last_seen;
@@ -69,9 +57,9 @@ void HeartbeatMonitor::tick() {
         tx_.send_to(peer, params_.wire_bytes, HeartbeatWire{++rec.tx_seq});
         if (rec.alive && now - rec.last_seen > params_.timeout) {
             rec.alive = false;
-            rec.loss = 1.0;
-            rec.window_expected = 0;
-            rec.window_received = 0;
+            // Dead peers are a routing problem, not a congestion signal: the
+            // outage's probe gap must not count as loss on failback.
+            if (health_ != nullptr) health_->forget(heartbeat_source(peer));
             ++failovers_;
             net_.metrics().count(failover_id_);
             if (on_state_) on_state_(peer, false);
@@ -83,27 +71,15 @@ void HeartbeatMonitor::handle(net::Packet&& p) {
     const auto it = peers_.find(p.src);
     if (it == peers_.end()) return;  // not a watched peer
     Peer& rec = it->second;
-    const auto wire = p.payload.get<HeartbeatWire>();
-    rec.last_seen = net_.clock().now();
-
-    // Seq-gap loss estimation over a rolling window of expected probes.
-    if (rec.last_rx_seq != 0 && wire.seq > rec.last_rx_seq) {
-        rec.window_expected += wire.seq - rec.last_rx_seq;
-    } else {
-        rec.window_expected += 1;
-    }
-    rec.window_received += 1;
-    rec.last_rx_seq = std::max(rec.last_rx_seq, wire.seq);
-    if (rec.window_expected >= params_.loss_window) {
-        rec.loss = 1.0 - static_cast<double>(rec.window_received) /
-                             static_cast<double>(rec.window_expected);
-        rec.window_expected = 0;
-        rec.window_received = 0;
+    const sim::Time now = net_.clock().now();
+    rec.last_seen = now;
+    if (health_ != nullptr) {
+        health_->observe(heartbeat_source(p.src), p.payload.get<HeartbeatWire>().seq,
+                         (now - p.sent_at).to_ms(), now);
     }
 
     if (!rec.alive) {
         rec.alive = true;
-        rec.loss = 0.0;
         ++failbacks_;
         net_.metrics().count(failback_id_);
         if (on_state_) on_state_(p.src, true);

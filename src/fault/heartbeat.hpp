@@ -2,20 +2,28 @@
 // Heartbeat-based peer liveness. Each monitored endpoint sends a small
 // sequenced probe to every watched peer at a fixed interval on the "hb"
 // flow; silence past the timeout declares the peer dead (failover), the
-// next received probe declares it alive again (failback). Sequence gaps in
-// received probes double as a cheap loss estimator that feeds the graceful-
-// degradation policy without extra traffic.
+// next received probe declares it alive again (failback). The monitor keeps
+// only liveness: given a PathHealth, it feeds every received probe into it
+// as one more sequenced stream.
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 
+#include "fault/degradation.hpp"
 #include "net/channel.hpp"
 
 namespace mvc::fault {
 
 inline constexpr std::string_view kHeartbeatFlow = "hb";
+
+/// PathHealth source key of the probes from `peer`, in [0xE0000000,
+/// 0xF0000000): above session participant ids and qoe::kVideoHealthSource,
+/// below campus viewer ids.
+inline constexpr std::uint32_t heartbeat_source(net::NodeId peer) {
+    return 0xE0000000u | (peer & 0x0FFFFFFFu);
+}
 
 struct HeartbeatParams {
     /// Off by default: existing healthy-network scenarios pay nothing.
@@ -24,13 +32,11 @@ struct HeartbeatParams {
     /// Silence before a peer is declared dead. Must exceed the interval by
     /// enough margin that routine jitter/loss does not flap liveness.
     sim::Time timeout{sim::Time::ms(350)};
-    /// Probes per loss-estimation window (loss = 1 - received/expected).
-    std::uint64_t loss_window{20};
     std::size_t wire_bytes{24};
 };
 
 struct HeartbeatWire {
-    std::uint64_t seq{0};
+    std::uint32_t seq{0};
 };
 
 class HeartbeatMonitor {
@@ -39,8 +45,9 @@ public:
     using PeerStateFn = std::function<void(net::NodeId peer, bool alive)>;
 
     /// `metric_prefix` scopes this monitor's counters, e.g. "edge.cwb".
+    /// `health`, when given, receives every probe from a watched peer.
     HeartbeatMonitor(net::Backend& net, net::PacketDemux& demux, HeartbeatParams params,
-                     std::string metric_prefix = "hb");
+                     std::string metric_prefix = "hb", PathHealth* health = nullptr);
 
     HeartbeatMonitor(const HeartbeatMonitor&) = delete;
     HeartbeatMonitor& operator=(const HeartbeatMonitor&) = delete;
@@ -53,10 +60,6 @@ public:
 
     /// Unwatched peers are reported alive (no evidence of death).
     [[nodiscard]] bool alive(net::NodeId peer) const;
-    [[nodiscard]] double loss_estimate(net::NodeId peer) const;
-    /// Highest loss estimate across watched peers still considered alive
-    /// (dead peers are a routing problem, not a congestion signal).
-    [[nodiscard]] double worst_loss() const;
     [[nodiscard]] sim::Time last_seen(net::NodeId peer) const;
     [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
     [[nodiscard]] std::uint64_t failbacks() const { return failbacks_; }
@@ -66,11 +69,7 @@ private:
     struct Peer {
         bool alive{true};
         sim::Time last_seen{};
-        std::uint64_t tx_seq{0};
-        std::uint64_t last_rx_seq{0};
-        std::uint64_t window_expected{0};
-        std::uint64_t window_received{0};
-        double loss{0.0};
+        std::uint32_t tx_seq{0};
     };
 
     net::Backend& net_;
@@ -80,6 +79,7 @@ private:
     std::string metric_prefix_;
     sim::MetricId failover_id_;
     sim::MetricId failback_id_;
+    PathHealth* health_;
     std::map<net::NodeId, Peer> peers_;
     PeerStateFn on_state_;
     sim::EventHandle task_;

@@ -787,6 +787,10 @@ void validate_spec(const ScenarioSpec& spec) {
         if (spec.classroom.lecture_media_room &&
             *spec.classroom.lecture_media_room >= room_count)
             throw SpecError("classroom.lecture_media_room", "out of range");
+        // The ladder ticks on the heartbeat interval: without heartbeats a
+        // degradation block would never act.
+        if (spec.classroom.degradation.enabled && !spec.classroom.heartbeat.enabled)
+            throw SpecError("classroom.degradation", "needs classroom.heartbeat");
     }
 
     for (std::size_t i = 0; i < spec.timeline.size(); ++i) {

@@ -184,7 +184,7 @@ void CellDeltaAggregator::flush() {
 }
 
 void CellDeltaAggregator::ship_to(ViewerState& v, sim::Time now) {
-    const auto& tiers = policy_.tiers();
+    const auto tiers = policy_.tiers();
     // Admission is decided once per tier per flush: a tier whose clock is
     // due drains every cell it selects this flush, then re-arms.
     for (std::size_t t = 0; t < tiers.size(); ++t) {

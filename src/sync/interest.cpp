@@ -177,8 +177,9 @@ InterestPolicy::InterestPolicy() {
     };
 }
 
-InterestPolicy::InterestPolicy(std::vector<InterestTier> tiers) : tiers_(std::move(tiers)) {
-    if (tiers_.empty()) throw std::invalid_argument("InterestPolicy: need at least one tier");
+InterestPolicy::InterestPolicy(const std::vector<InterestTier>& tiers) {
+    if (tiers.empty()) throw std::invalid_argument("InterestPolicy: need at least one tier");
+    tiers_.assign(tiers.data(), tiers.data() + tiers.size());  // > kMaxTiers throws
     for (std::size_t i = 1; i < tiers_.size(); ++i) {
         if (tiers_[i].max_distance_m <= tiers_[i - 1].max_distance_m)
             throw std::invalid_argument("InterestPolicy: tiers must be distance-ascending");

@@ -16,10 +16,12 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "avatar/lod.hpp"
+#include "common/fixed_vector.hpp"
 #include "common/ids.hpp"
 #include "math/vec3.hpp"
 
@@ -138,21 +140,26 @@ struct InterestTier {
 
 class InterestPolicy {
 public:
+    /// Tiers are stored inline, so copying a policy (and every config that
+    /// holds one) never allocates.
+    static constexpr std::size_t kMaxTiers = 8;
+
     /// Default tiers follow the LOD ladder's distance bands.
     InterestPolicy();
-    explicit InterestPolicy(std::vector<InterestTier> tiers);
+    /// 1..kMaxTiers tiers, distance-ascending.
+    explicit InterestPolicy(const std::vector<InterestTier>& tiers);
 
     /// Tier for a viewer-to-entity distance; entities beyond the last tier's
     /// range are not replicated at all (nullptr).
     [[nodiscard]] const InterestTier* tier_for(double distance_m) const;
     /// Index of the tier for a distance, or -1 beyond the last tier.
     [[nodiscard]] int tier_index_for(double distance_m) const;
-    [[nodiscard]] const std::vector<InterestTier>& tiers() const { return tiers_; }
+    [[nodiscard]] std::span<const InterestTier> tiers() const { return tiers_; }
     /// Replication horizon: the last tier's max distance.
-    [[nodiscard]] double max_range() const { return tiers_.back().max_distance_m; }
+    [[nodiscard]] double max_range() const { return tiers().back().max_distance_m; }
 
 private:
-    std::vector<InterestTier> tiers_;
+    common::FixedVector<InterestTier, kMaxTiers> tiers_;
 };
 
 }  // namespace mvc::sync

@@ -79,7 +79,7 @@ TEST(MetaverseClassroomTest, EveryPhysicalParticipantAppearsRemotely) {
     // CWB hosts the GZ student's avatar.
     const auto in_cwb = classroom.edge_server(0).remote_participants();
     ASSERT_EQ(in_cwb.size(), 1u);
-    EXPECT_EQ(in_cwb[0], s2);
+    EXPECT_EQ(*in_cwb.begin(), s2);
     // And each remote avatar received a seat.
     EXPECT_TRUE(classroom.edge_server(0).seats().seat_of(s2).has_value());
     EXPECT_TRUE(classroom.edge_server(1).seats().seat_of(s1).has_value());

@@ -88,8 +88,8 @@ TEST(DeterminismTest, E16ArtifactByteIdenticalAcrossRunsAndThreadCounts) {
 }
 
 /// The model benches other than E4 (which the byte-identity test above
-/// already runs): each exits 0 at its committed seed and sizes, and its
-/// artifact records the verdict.
+/// already runs), plus E14's failover and degradation gates: each exits 0
+/// at its committed seed and sizes, and its artifact records the verdict.
 class ModelBenchTest : public ::testing::TestWithParam<const char*> {};
 
 /// "bench_e10_clock_jitter" -> "e10".
@@ -113,7 +113,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "bench_e6_split_rendering", "bench_e7_video_fec",
                       "bench_e8_cybersickness", "bench_e9_seat_assignment",
                       "bench_e10_clock_jitter", "bench_e11_edge_ablation",
-                      "bench_e12_content_privacy", "bench_e13_jitter_ablation"),
+                      "bench_e12_content_privacy", "bench_e13_jitter_ablation",
+                      "bench_e14_fault_recovery"),
     [](const ::testing::TestParamInfo<const char*>& info) { return bench_id(info.param); });
 
 }  // namespace

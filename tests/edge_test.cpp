@@ -317,7 +317,7 @@ TEST_F(EdgePairFixture, RemoteAvatarAppearsAndGetsSeat) {
 
     const auto remotes = server_b.remote_participants();
     ASSERT_EQ(remotes.size(), 1u);
-    EXPECT_EQ(remotes[0], ParticipantId{1});
+    EXPECT_EQ(*remotes.begin(), ParticipantId{1});
     EXPECT_EQ(server_b.seats().vacant_count(), 8u);  // one seat taken
     EXPECT_TRUE(server_b.seats().seat_of(ParticipantId{1}).has_value());
     EXPECT_GT(server_b.avatar_packets_in(), 0u);

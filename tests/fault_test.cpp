@@ -15,6 +15,7 @@
 #include "fault/heartbeat.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
+#include "qoe/feedback.hpp"
 
 namespace mvc::fault {
 namespace {
@@ -212,6 +213,7 @@ struct HeartbeatPair {
     TwoNodes t;
     net::PacketDemux demux_a;
     net::PacketDemux demux_b;
+    PathHealth health_a;  // fed by every probe mon_a receives
     HeartbeatMonitor mon_a;
     HeartbeatMonitor mon_b;
 
@@ -219,7 +221,7 @@ struct HeartbeatPair {
         : t{1, link},
           demux_a{t.net, t.a},
           demux_b{t.net, t.b},
-          mon_a{t.net, demux_a, params, "a"},
+          mon_a{t.net, demux_a, params, "a", &health_a},
           mon_b{t.net, demux_b, params, "b"} {
         mon_a.watch(t.b);
         mon_b.watch(t.a);
@@ -262,8 +264,6 @@ TEST(HeartbeatTest, FailoverWithinTimeoutAndFailbackOnRecovery) {
     EXPECT_EQ(hb.mon_a.failovers(), 1u);
     ASSERT_EQ(transitions.size(), 1u);
     EXPECT_EQ(transitions[0], (std::pair<net::NodeId, bool>{hb.t.b, false}));
-    // Dead peers do not pollute the congestion signal.
-    EXPECT_DOUBLE_EQ(hb.mon_a.worst_loss(), 0.0);
 
     hb.t.net.set_link_up(hb.t.a, hb.t.b, true);
     hb.t.sim.run_until(hb.t.sim.now() + sim::Time::seconds(1.0));
@@ -271,6 +271,12 @@ TEST(HeartbeatTest, FailoverWithinTimeoutAndFailbackOnRecovery) {
     EXPECT_EQ(hb.mon_a.failbacks(), 1u);
     ASSERT_EQ(transitions.size(), 2u);
     EXPECT_EQ(transitions[1], (std::pair<net::NodeId, bool>{hb.t.b, true}));
+    // Dead peers do not pollute the congestion signal: the probes the
+    // outage swallowed are not counted as loss once the peer is back. Run
+    // one more loss window so the window holding the failback has closed.
+    hb.t.sim.run_until(hb.t.sim.now() + sim::Time::seconds(1.0));
+    EXPECT_DOUBLE_EQ(hb.health_a.loss(), 0.0);
+    EXPECT_EQ(hb.health_a.lost(), 0u);
 }
 
 TEST(HeartbeatTest, SequenceGapsEstimateLinkLoss) {
@@ -281,9 +287,19 @@ TEST(HeartbeatTest, SequenceGapsEstimateLinkLoss) {
     HeartbeatPair hb{params, lossy};
     hb.t.sim.run_until(sim::Time::seconds(30.0));
     EXPECT_TRUE(hb.mon_a.alive(hb.t.b));
-    EXPECT_GT(hb.mon_a.loss_estimate(hb.t.b), 0.1);
-    EXPECT_LT(hb.mon_a.loss_estimate(hb.t.b), 0.5);
-    EXPECT_GT(hb.mon_a.worst_loss(), 0.1);
+    EXPECT_GT(hb.health_a.loss(), 0.1);
+    EXPECT_LT(hb.health_a.loss(), 0.5);
+}
+
+TEST(HeartbeatTest, ProbeSourcesAvoidOtherHealthKeys) {
+    EXPECT_NE(heartbeat_source(0), heartbeat_source(1));
+    // Session participant ids count up from 1; campus viewer ids start at
+    // 0xF0000000; the video flow has its own key.
+    for (const net::NodeId peer : {net::NodeId{0}, net::NodeId{1}, net::NodeId{0xFFFFFFFF}}) {
+        EXPECT_GE(heartbeat_source(peer), 0xE0000000u);
+        EXPECT_LT(heartbeat_source(peer), 0xF0000000u);
+        EXPECT_NE(heartbeat_source(peer), qoe::kVideoHealthSource);
+    }
 }
 
 // ------------------------------------------------------------- degradation
@@ -421,6 +437,35 @@ TEST(FailoverIntegrationTest, HeartbeatsOffByDefaultCostNothing) {
     classroom.run_for(sim::Time::seconds(2.0));
     EXPECT_EQ(classroom.edge_server(0).heartbeat(), nullptr);
     EXPECT_EQ(classroom.network().metrics().counter("net.tx_bytes.hb"), 0u);
+    classroom.stop();
+}
+
+// Only the edge<->cloud link is lossy; the edge<->edge link stays clean.
+// The cloud's probes are part of the edge's path-health signal, so the edge
+// still steps down, and the edge whose links are clean does not.
+TEST(FailoverIntegrationTest, EdgeStepsDownWhenOnlyCloudLinkIsLossy) {
+    core::ClassroomConfig config;
+    config.seed = 5;
+    config.heartbeat.enabled = true;
+    config.heartbeat.interval = sim::Time::ms(50);
+    config.heartbeat.timeout = sim::Time::seconds(1.0);  // loss runs are not outages
+    core::MetaverseClassroom classroom{config};
+    classroom.add_physical_student(0);
+    auto& net = classroom.network();
+    const net::NodeId edge = classroom.edge_server(0).node();
+    const net::NodeId cloud = classroom.cloud_server().node();
+    for (const auto& [from, to] : {std::pair{edge, cloud}, std::pair{cloud, edge}}) {
+        net::Link* link = net.link(from, to);
+        ASSERT_NE(link, nullptr);
+        net::LinkParams lossy = link->params();
+        lossy.loss = 0.3;
+        link->set_params(lossy);
+    }
+    classroom.start();
+    classroom.run_for(sim::Time::seconds(10.0));
+    EXPECT_TRUE(classroom.edge_server(0).peer_alive(cloud));
+    EXPECT_GE(classroom.edge_server(0).degradation_level(), 1);
+    EXPECT_EQ(classroom.edge_server(1).degradation_level(), 0);
     classroom.stop();
 }
 

@@ -858,7 +858,8 @@ TEST(CrashDropsChargedWorkTest, NothingChargedBeforeACrashRunsAfterIt) {
             // compute clock), plus 5 ms.
             EXPECT_EQ(rig.delays_ms(), (std::vector<double>{6.0, 34.0}));
             if (rig.edge) {
-                EXPECT_EQ(rig.edge->remote_participants(),
+                const auto remotes = rig.edge->remote_participants();
+                EXPECT_EQ(std::vector<ParticipantId>(remotes.begin(), remotes.end()),
                           std::vector<ParticipantId>{ParticipantId{200}});
             } else {
                 EXPECT_EQ(rig.cloud->messages_out(), 2u);

@@ -593,6 +593,8 @@ TEST(SpecErrorTest, BadCorpusMessagesPinned) {
          "scenario: timeline[0]: chaos needs world=relay, backend=chaos"},
         {"degradation_band_inverted.json",
          "scenario: classroom.degradation.exit_loss: must not exceed enter_loss (hysteresis gap)"},
+        {"degradation_without_heartbeat.json",
+         "scenario: classroom.degradation: needs classroom.heartbeat"},
         {"missing_version.json",
          "scenario: scenario_version: required"},
         {"not_an_object.json",
@@ -663,7 +665,7 @@ TEST(SpecErrorTest, NumericBoundsRejected) {
                  SpecError);
     const ScenarioSpec edge = scenario_from_text(
         R"({"scenario_version": 1, "seed": 9007199254740992,
-            "classroom": {"degradation": {"max_level": 62}}})");
+            "classroom": {"heartbeat": {}, "degradation": {"max_level": 62}}})");
     EXPECT_EQ(edge.seed, std::uint64_t{1} << 53);
     EXPECT_EQ(edge.classroom.degradation.params.max_level, 62);
 }
