@@ -28,7 +28,6 @@ EdgeServer::EdgeServer(net::Backend& net, net::NodeId node, EdgeServerConfig con
       fusion_(config_.fusion),
       retargeter_(config_.retarget),
       degrade_(config_.degradation),
-      health_(config_.path_health),
       ingress_(
           net, demux_, config_.name, config_.admission,
           [this] {
@@ -36,14 +35,14 @@ EdgeServer::EdgeServer(net::Backend& net, net::NodeId node, EdgeServerConfig con
               busy_until_ = std::max(net_.clock().now(), busy_until_) + config_.process_time;
               return busy_until_;
           },
-          [this](net::Payload&& update, net::NodeId, sim::Time sent_at) {
-              process_avatar_wire(update.get<sync::AvatarWire>(), sent_at);
+          [this](net::Payload&& update, net::NodeId src, sim::Time sent_at) {
+              process_avatar_wire(update.get<sync::AvatarWire>(), src, sent_at);
           }),
       restorer_(net.clock(), net.metrics(), config_.name) {
     net_.context(node_).bind<EdgeServer>(this);
     if (config_.heartbeat.enabled) {
         hb_ = std::make_unique<fault::HeartbeatMonitor>(
-            net_, demux_, config_.heartbeat, "edge." + config_.name, &health_);
+            net_, demux_, config_.heartbeat, "edge." + config_.name);
         hb_->on_peer_state(
             [this](net::NodeId peer, bool alive) { on_peer_state(peer, alive); });
     }
@@ -126,43 +125,41 @@ void EdgeServer::publish(ParticipantId who, const std::vector<std::uint8_t>& byt
     // Failover routing: peers whose direct link is dead receive this update
     // through the cloud relay instead (piggybacked on the relay's own copy).
     std::vector<std::uint32_t> relay_to;
-    for (const PeerLink& peer : peers_) {
-        if (!peer.alive && peer.node != cloud_relay_ && cloud_relay_ != net::kInvalidNode)
-            relay_to.push_back(peer.node);
+    for (const net::NodeId peer : peers_) {
+        if (!peer_alive(peer) && peer != cloud_relay_ && cloud_relay_ != net::kInvalidNode)
+            relay_to.push_back(peer);
     }
     // The cloud relay's copy carries the routing list; every other live peer
     // shares one box. The wire is copied only when both are sent.
     const bool failover = !relay_to.empty();
-    const auto routes = [&](const PeerLink& p) { return failover && p.node == cloud_relay_; };
+    const auto routes = [&](net::NodeId p) { return failover && p == cloud_relay_; };
     bool routing = false;
     bool sharing = false;
-    for (const PeerLink& peer : peers_)
-        if (peer.alive) (routes(peer) ? routing : sharing) = true;
+    for (const net::NodeId peer : peers_)
+        if (peer_alive(peer)) (routes(peer) ? routing : sharing) = true;
     sync::AvatarWire routed;
     if (routing) {
         routed = sharing ? wire : std::move(wire);
         routed.relay_to = std::move(relay_to);
     }
     const net::Payload shared = sharing ? net::Payload{std::move(wire)} : net::Payload{};
-    for (const PeerLink& peer : peers_) {
-        if (!peer.alive) continue;
+    for (const net::NodeId peer : peers_) {
+        if (!peer_alive(peer)) continue;
         ++packets_out_;
         if (!routes(peer)) {
-            avatar_tx_.send_to(peer.node, wire_size, shared);
+            avatar_tx_.send_to(peer, wire_size, shared);
             continue;
         }
         relayed_out_ += routed.relay_to.size();
         net_.metrics().count(ids_.relayed_out, routed.relay_to.size());
-        avatar_tx_.send_to(peer.node, routed.wire_bytes(), std::move(routed));
+        avatar_tx_.send_to(peer, routed.wire_bytes(), std::move(routed));
     }
 }
 
 void EdgeServer::add_peer(net::NodeId peer) {
-    const auto it = std::find_if(peers_.begin(), peers_.end(),
-                                 [peer](const PeerLink& p) { return p.node == peer; });
-    if (it != peers_.end()) return;
-    peers_.push_back(PeerLink{peer, true});
-    if (hb_) hb_->watch(peer);
+    if (std::find(peers_.begin(), peers_.end(), peer) != peers_.end()) return;
+    peers_.push_back(peer);
+    if (hb_) hb_->watch(peer, &health_.try_emplace(peer, config_.path_health).first->second);
     if (config_.reconnect_enabled) {
         auto rc = std::make_unique<recovery::Reconnector>(
             net_.clock(), config_.reconnect,
@@ -193,16 +190,7 @@ void EdgeServer::set_cloud_relay(net::NodeId relay) {
     cloud_relay_ = relay;
 }
 
-bool EdgeServer::peer_alive(net::NodeId peer) const {
-    const auto it = std::find_if(peers_.begin(), peers_.end(),
-                                 [peer](const PeerLink& p) { return p.node == peer; });
-    return it == peers_.end() || it->alive;
-}
-
 void EdgeServer::on_peer_state(net::NodeId peer, bool alive) {
-    const auto it = std::find_if(peers_.begin(), peers_.end(),
-                                 [peer](const PeerLink& p) { return p.node == peer; });
-    if (it != peers_.end()) it->alive = alive;
     // Dead peer: the relayed stream starts mid-delta, so force a keyframe to
     // resync relay-path receivers. Recovered peer: same, for the direct path
     // (it missed everything sent while its inbound deliveries were dying).
@@ -263,10 +251,17 @@ void EdgeServer::stop() {
 
 void EdgeServer::degrade_tick() {
     const sim::Time now = net_.clock().now();
-    health_.roll(now);
-    // One signal: PathHealth counts the avatar stream and the heartbeat
-    // probes; its delay EWMA adds the latency criterion when configured.
-    if (!degrade_.update(health_.loss(), health_.rtt_ms(), now)) return;
+    // The worst live inbound path, so clean links do not dilute a lossy one;
+    // a dead peer is a routing problem, not congestion.
+    double loss = 0.0;
+    double rtt_ms = 0.0;
+    for (auto& [src, health] : health_) {
+        health.roll(now);
+        if (!hb_->alive(src)) continue;
+        loss = std::max(loss, health.loss());
+        rtt_ms = std::max(rtt_ms, health.rtt_ms());
+    }
+    if (!degrade_.update(loss, rtt_ms, now)) return;
     const double rate_scale = degrade_.rate_scale();
     const double threshold_scale = degrade_.threshold_scale();
     for (auto& [who, lp] : locals_) {
@@ -300,15 +295,22 @@ avatar::AvatarState EdgeServer::synthesize_avatar(ParticipantId who,
     return s;
 }
 
-void EdgeServer::process_avatar_wire(const sync::AvatarWire& wire, sim::Time sent_at) {
+void EdgeServer::process_avatar_wire(const sync::AvatarWire& wire, net::NodeId src,
+                                     sim::Time sent_at) {
     const sim::Time now = net_.clock().now();
-    health_.observe(wire.participant.value(), wire.seq,
-                    (now - wire.captured_at).to_ms(), now);
     auto [it, inserted] = remotes_.try_emplace(wire.participant);
     RemoteParticipant& rp = it->second;
     if (inserted) {
         rp.replica = std::make_unique<sync::AvatarReplica>(codec_, config_.jitter);
     }
+    // A stream that changed path (failover through the cloud relay, and
+    // back) rebaselines: what it sent on the other path was not lost here.
+    fault::PathHealth& health = health_.try_emplace(src, config_.path_health).first->second;
+    if (rp.via != src) {
+        health.forget(wire.participant.value());
+        rp.via = src;
+    }
+    health.observe(wire.participant.value(), wire.seq, (now - wire.captured_at).to_ms(), now);
     rp.source_room = wire.source_room;
     rp.replica->ingest(wire.bytes, wire.keyframe, now);
     if (!rp.anchored) try_anchor(wire.participant, rp);
@@ -486,10 +488,8 @@ void EdgeServer::on_node_state(bool up) {
     start();
     // A real restart loses publisher delta chains; re-anchor the receivers.
     for (auto& [who, lp] : locals_) lp.publisher->request_keyframe();
-    for (const PeerLink& peer : peers_) {
-        if (resync_client_ != nullptr && net_.node_up(peer.node)) {
-            resync_client_->request(peer.node);
-        }
+    for (const net::NodeId peer : peers_) {
+        if (resync_client_ != nullptr && net_.node_up(peer)) resync_client_->request(peer);
     }
 }
 

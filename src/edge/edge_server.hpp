@@ -9,9 +9,9 @@
 // a peer is dead its avatar stream is rerouted through the cloud relay
 // (AvatarWire::relay_to), and on failback the direct path resumes with a
 // forced keyframe so the recovered peer resyncs immediately. A degradation
-// policy driven by the PathHealth loss estimate (avatar stream plus the
-// heartbeat probes) scales down publisher rate and dead-reckoning
-// sensitivity under sustained loss.
+// policy driven by the worst live inbound path's PathHealth (one per
+// sending node, fed by its avatar stream and its heartbeat probes) scales
+// down publisher rate and dead-reckoning sensitivity under sustained loss.
 //
 // Crash recovery: with RecoveryParams enabled the server periodically
 // checkpoints its replicated state (seat occupancy, reservations, remote
@@ -63,11 +63,11 @@ struct EdgeServerConfig {
     /// Peer liveness probing; disabled by default (healthy-network setups
     /// pay nothing).
     fault::HeartbeatParams heartbeat{};
-    /// Loss-driven graceful degradation over `path_health`; active only with
-    /// heartbeats on (the ladder ticks on the heartbeat interval).
+    /// Loss-driven graceful degradation over the worst live inbound path;
+    /// active only with heartbeats on (it ticks on the heartbeat interval).
     fault::DegradationParams degradation{};
-    /// Inbound path health: seq gaps + e2e delay EWMA over the avatar stream
-    /// and the heartbeat probes.
+    /// Inbound path health, one estimator per sending node (avatar stream
+    /// and heartbeat probe seq gaps, avatar e2e delay EWMA).
     fault::PathHealthParams path_health{};
     /// Per-peer reconnect state machines: a dead peer (heartbeat failover)
     /// enters a backoff-probe loop instead of waiting passively; each probe
@@ -106,7 +106,7 @@ public:
     /// direct link is dead. Also registers it as a peer.
     void set_cloud_relay(net::NodeId relay);
     /// Liveness of a peer as seen by this server (true without heartbeats).
-    [[nodiscard]] bool peer_alive(net::NodeId peer) const;
+    [[nodiscard]] bool peer_alive(net::NodeId peer) const { return !hb_ || hb_->alive(peer); }
 
     /// Reserve a vacant seat for a remote participant before their stream
     /// arrives (keynote speakers, admitted-late students). Returns the seat
@@ -146,8 +146,10 @@ public:
     [[nodiscard]] int degradation_level() const { return degrade_.level(); }
     /// Updates sent indirectly through the cloud relay during failover.
     [[nodiscard]] std::uint64_t relayed_out() const { return relayed_out_; }
-    /// Observed inbound path health (loss from avatar and probe seq gaps).
-    [[nodiscard]] const fault::PathHealth& path_health() const { return health_; }
+    /// Observed inbound path health per sending node (avatar + probe seq gaps).
+    [[nodiscard]] const std::map<net::NodeId, fault::PathHealth>& path_health() const {
+        return health_;
+    }
     /// Reconnect machine for `peer`; nullptr unless reconnect_enabled.
     [[nodiscard]] recovery::Reconnector* reconnector_for(net::NodeId peer);
 
@@ -205,13 +207,11 @@ private:
         std::optional<std::size_t> seat;
         ClassroomId source_room;
         bool anchored{false};
+        /// Node the stream last arrived from; its PathHealth holds the baseline.
+        net::NodeId via{net::kInvalidNode};
         /// Seat shortage already reported for this participant (the seat
         /// search still retries quietly as seats free up).
         bool seat_shortage_reported{false};
-    };
-    struct PeerLink {
-        net::NodeId node;
-        bool alive{true};
     };
 
     /// Telemetry handles interned once at construction; per-packet and
@@ -236,11 +236,13 @@ private:
     std::map<ParticipantId, LocalParticipant> locals_;
     std::map<ParticipantId, RemoteParticipant> remotes_;
     std::map<ParticipantId, std::size_t> reserved_seats_;
-    std::vector<PeerLink> peers_;
+    std::vector<net::NodeId> peers_;  // liveness: hb_ (peer_alive)
     net::NodeId cloud_relay_{net::kInvalidNode};
+    /// Inbound path health per sending node; declared before `hb_`, which
+    /// points into it.
+    std::map<net::NodeId, fault::PathHealth> health_;
     std::unique_ptr<fault::HeartbeatMonitor> hb_;
     fault::DegradationPolicy degrade_;
-    fault::PathHealth health_;
     std::map<net::NodeId, std::unique_ptr<recovery::Reconnector>> reconnectors_;
     sim::EventHandle degrade_task_;
     bool running_{false};
@@ -258,7 +260,8 @@ private:
     std::optional<recovery::ClassroomCheckpoint> last_restored_;
     recovery::Restorer restorer_;
 
-    void process_avatar_wire(const sync::AvatarWire& wire, sim::Time sent_at);
+    void process_avatar_wire(const sync::AvatarWire& wire, net::NodeId src,
+                             sim::Time sent_at);
     void try_anchor(ParticipantId who, RemoteParticipant& rp);
     void on_node_state(bool up);
     void wipe_replicated_state();

@@ -51,6 +51,11 @@ PathHealth::PathHealth(PathHealthParams params) : params_(params), rtt_(params.r
 
 void PathHealth::observe(std::uint32_t source, std::uint32_t seq, double latency_ms,
                          sim::Time now) {
+    observe(source, seq, now);
+    rtt_.add(latency_ms);
+}
+
+void PathHealth::observe(std::uint32_t source, std::uint32_t seq, sim::Time now) {
     roll(now);
     auto [it, inserted] = sources_.try_emplace(source);
     if (inserted) {
@@ -67,7 +72,6 @@ void PathHealth::observe(std::uint32_t source, std::uint32_t seq, double latency
         it->second.last_seq = seq;
     }
     // seq <= last_seq: duplicate or late reorder; already accounted.
-    rtt_.add(latency_ms);
 }
 
 void PathHealth::roll(sim::Time now) {

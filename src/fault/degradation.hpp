@@ -12,7 +12,9 @@
 // traffic a path carries (avatar stream, heartbeat probes, video): per-sender
 // wire sequence numbers expose genuine loss (dead-reckoning suppression
 // makes receiver silence ambiguous — suppressed != lost), and the e2e
-// latency of each delivered update feeds an EWMA delay estimate.
+// latency of each delivered media update (probes carry none) feeds an EWMA
+// delay estimate. An edge keeps one PathHealth per sending node and steps
+// on the worst live one, so loss on one link is not diluted by clean ones.
 
 #include <cstdint>
 #include <map>
@@ -91,6 +93,8 @@ public:
     /// window as a side effect when `now` has moved past it.
     void observe(std::uint32_t source, std::uint32_t seq, double latency_ms,
                  sim::Time now);
+    /// Same, for an arrival with no latency sample (a heartbeat probe).
+    void observe(std::uint32_t source, std::uint32_t seq, sim::Time now);
     /// Close the current window if it has elapsed (call from a periodic tick
     /// so loss decays toward the window estimate even when nothing arrives —
     /// a totally dead path cannot refresh itself via observe()).
@@ -98,8 +102,9 @@ public:
     /// Forget all per-sender sequence state (after a resync the sequence
     /// baseline is discontinuous) while keeping the smoothed delay.
     void reset();
-    /// Forget one sender's baseline (e.g. a peer declared dead), so the gap
-    /// across its outage is not counted as loss; the window is untouched.
+    /// Forget one sender's baseline (its peer was declared dead, or its
+    /// stream moved to another path), so the gap is not counted as loss.
+    /// Unlike reset(), the window and the delay are untouched.
     void forget(std::uint32_t source) { sources_.erase(source); }
 
     /// Loss fraction over the last completed window, in [0, 1].

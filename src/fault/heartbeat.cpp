@@ -2,28 +2,28 @@
 
 #include <utility>
 
+#include "fault/degradation.hpp"
+
 namespace mvc::fault {
 
 HeartbeatMonitor::HeartbeatMonitor(net::Backend& net, net::PacketDemux& demux,
-                                   HeartbeatParams params, std::string metric_prefix,
-                                   PathHealth* health)
+                                   HeartbeatParams params, std::string metric_prefix)
     : net_(net),
       node_(demux.node()),
       tx_(net.open_channel({.src = node_,
                             .flow = std::string{kHeartbeatFlow},
                             .options = {.priority = net::Priority::Control}})),
       params_(params),
-      metric_prefix_(std::move(metric_prefix)),
-      failover_id_(net.metrics().counter_id(metric_prefix_ + ".failover")),
-      failback_id_(net.metrics().counter_id(metric_prefix_ + ".failback")),
-      health_(health) {
+      failover_id_(net.metrics().counter_id(metric_prefix + ".failover")),
+      failback_id_(net.metrics().counter_id(metric_prefix + ".failback")) {
     demux.on_flow(std::string{kHeartbeatFlow},
                   [this](net::Packet&& p) { handle(std::move(p)); });
 }
 
-void HeartbeatMonitor::watch(net::NodeId peer) {
+void HeartbeatMonitor::watch(net::NodeId peer, PathHealth* health) {
     Peer rec;
     rec.last_seen = net_.clock().now();
+    rec.health = health;
     peers_.emplace(peer, rec);
 }
 
@@ -58,8 +58,8 @@ void HeartbeatMonitor::tick() {
         if (rec.alive && now - rec.last_seen > params_.timeout) {
             rec.alive = false;
             // Dead peers are a routing problem, not a congestion signal: the
-            // outage's probe gap must not count as loss on failback.
-            if (health_ != nullptr) health_->forget(heartbeat_source(peer));
+            // probes the outage swallowed must not count as loss on failback.
+            if (rec.health != nullptr) rec.health->forget(kProbeSource);
             ++failovers_;
             net_.metrics().count(failover_id_);
             if (on_state_) on_state_(peer, false);
@@ -73,10 +73,8 @@ void HeartbeatMonitor::handle(net::Packet&& p) {
     Peer& rec = it->second;
     const sim::Time now = net_.clock().now();
     rec.last_seen = now;
-    if (health_ != nullptr) {
-        health_->observe(heartbeat_source(p.src), p.payload.get<HeartbeatWire>().seq,
-                         (now - p.sent_at).to_ms(), now);
-    }
+    if (rec.health != nullptr)
+        rec.health->observe(kProbeSource, p.payload.get<HeartbeatWire>().seq, now);
 
     if (!rec.alive) {
         rec.alive = true;

@@ -3,27 +3,25 @@
 // sequenced probe to every watched peer at a fixed interval on the "hb"
 // flow; silence past the timeout declares the peer dead (failover), the
 // next received probe declares it alive again (failback). The monitor keeps
-// only liveness: given a PathHealth, it feeds every received probe into it
-// as one more sequenced stream.
+// only liveness: a peer watched with a PathHealth (that peer's inbound path)
+// feeds every received probe into it as one more sequenced stream.
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 
-#include "fault/degradation.hpp"
 #include "net/channel.hpp"
 
 namespace mvc::fault {
 
+class PathHealth;
+
 inline constexpr std::string_view kHeartbeatFlow = "hb";
 
-/// PathHealth source key of the probes from `peer`, in [0xE0000000,
-/// 0xF0000000): above session participant ids and qoe::kVideoHealthSource,
-/// below campus viewer ids.
-inline constexpr std::uint32_t heartbeat_source(net::NodeId peer) {
-    return 0xE0000000u | (peer & 0x0FFFFFFFu);
-}
+/// PathHealth source key of a peer's probes inside that peer's estimator:
+/// the invalid participant id, which no avatar stream carries.
+inline constexpr std::uint32_t kProbeSource = 0;
 
 struct HeartbeatParams {
     /// Off by default: existing healthy-network scenarios pay nothing.
@@ -45,14 +43,15 @@ public:
     using PeerStateFn = std::function<void(net::NodeId peer, bool alive)>;
 
     /// `metric_prefix` scopes this monitor's counters, e.g. "edge.cwb".
-    /// `health`, when given, receives every probe from a watched peer.
     HeartbeatMonitor(net::Backend& net, net::PacketDemux& demux, HeartbeatParams params,
-                     std::string metric_prefix = "hb", PathHealth* health = nullptr);
+                     std::string metric_prefix = "hb");
 
     HeartbeatMonitor(const HeartbeatMonitor&) = delete;
     HeartbeatMonitor& operator=(const HeartbeatMonitor&) = delete;
 
-    void watch(net::NodeId peer);
+    /// `health`, when given, receives every probe from `peer` and forgets
+    /// their baseline when `peer` is declared dead (an outage is not loss).
+    void watch(net::NodeId peer, PathHealth* health = nullptr);
     void on_peer_state(PeerStateFn fn) { on_state_ = std::move(fn); }
 
     void start();
@@ -70,16 +69,15 @@ private:
         bool alive{true};
         sim::Time last_seen{};
         std::uint32_t tx_seq{0};
+        PathHealth* health{nullptr};
     };
 
     net::Backend& net_;
     net::NodeId node_;
     net::Channel tx_;
     HeartbeatParams params_;
-    std::string metric_prefix_;
     sim::MetricId failover_id_;
     sim::MetricId failback_id_;
-    PathHealth* health_;
     std::map<net::NodeId, Peer> peers_;
     PeerStateFn on_state_;
     sim::EventHandle task_;

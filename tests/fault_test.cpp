@@ -15,7 +15,6 @@
 #include "fault/heartbeat.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
-#include "qoe/feedback.hpp"
 
 namespace mvc::fault {
 namespace {
@@ -213,7 +212,7 @@ struct HeartbeatPair {
     TwoNodes t;
     net::PacketDemux demux_a;
     net::PacketDemux demux_b;
-    PathHealth health_a;  // fed by every probe mon_a receives
+    PathHealth health_a;  // a's inbound path from b, fed by b's probes
     HeartbeatMonitor mon_a;
     HeartbeatMonitor mon_b;
 
@@ -221,9 +220,9 @@ struct HeartbeatPair {
         : t{1, link},
           demux_a{t.net, t.a},
           demux_b{t.net, t.b},
-          mon_a{t.net, demux_a, params, "a", &health_a},
+          mon_a{t.net, demux_a, params, "a"},
           mon_b{t.net, demux_b, params, "b"} {
-        mon_a.watch(t.b);
+        mon_a.watch(t.b, &health_a);
         mon_b.watch(t.a);
         mon_a.start();
         mon_b.start();
@@ -289,17 +288,28 @@ TEST(HeartbeatTest, SequenceGapsEstimateLinkLoss) {
     EXPECT_TRUE(hb.mon_a.alive(hb.t.b));
     EXPECT_GT(hb.health_a.loss(), 0.1);
     EXPECT_LT(hb.health_a.loss(), 0.5);
+    // Probes count toward loss only; the delay estimate is the media's.
+    EXPECT_DOUBLE_EQ(hb.health_a.rtt_ms(), 0.0);
 }
 
-TEST(HeartbeatTest, ProbeSourcesAvoidOtherHealthKeys) {
-    EXPECT_NE(heartbeat_source(0), heartbeat_source(1));
-    // Session participant ids count up from 1; campus viewer ids start at
-    // 0xF0000000; the video flow has its own key.
-    for (const net::NodeId peer : {net::NodeId{0}, net::NodeId{1}, net::NodeId{0xFFFFFFFF}}) {
-        EXPECT_GE(heartbeat_source(peer), 0xE0000000u);
-        EXPECT_LT(heartbeat_source(peer), 0xF0000000u);
-        EXPECT_NE(heartbeat_source(peer), qoe::kVideoHealthSource);
-    }
+// Declaring a peer dead forgets only the probe baseline: a stream on the
+// same path keeps its own, so a liveness flap in a loss burst does not wipe
+// the burst's loss. (Streams that reroute rebaseline where they arrive.)
+TEST(HeartbeatTest, DeathForgetsOnlyTheProbeBaseline) {
+    HeartbeatPair hb{fast_heartbeat()};
+    constexpr std::uint32_t kStream = 7;
+    hb.t.sim.run_until(sim::Time::seconds(1.0));
+    hb.health_a.observe(kStream, 1, hb.t.sim.now());
+    hb.t.net.set_link_up(hb.t.a, hb.t.b, false);
+    hb.t.sim.run_until(sim::Time::seconds(2.0));
+    ASSERT_FALSE(hb.mon_a.alive(hb.t.b));
+    hb.t.net.set_link_up(hb.t.a, hb.t.b, true);
+    hb.t.sim.run_until(sim::Time::seconds(2.5));
+    ASSERT_TRUE(hb.mon_a.alive(hb.t.b));
+    hb.health_a.observe(kStream, 5, hb.t.sim.now());
+    hb.t.sim.run_until(sim::Time::seconds(4.0));
+    hb.health_a.roll(hb.t.sim.now());
+    EXPECT_EQ(hb.health_a.lost(), 3u);  // seqs 2-4; none of the probes
 }
 
 // ------------------------------------------------------------- degradation
@@ -428,6 +438,40 @@ TEST(FailoverIntegrationTest, EdgeStreamsSurviveLinkOutageViaCloudRelay) {
     classroom.stop();
 }
 
+// A stream that fails over through the cloud relay and back leaves gaps on
+// both paths that were never lost: each move starts a new baseline on the
+// path it moves to. Two outages, so the relay path sees the same streams
+// again after a long direct stretch.
+TEST(FailoverIntegrationTest, RerouteIsNotLoss) {
+    core::ClassroomConfig config;
+    config.seed = 11;
+    config.heartbeat.enabled = true;
+    config.heartbeat.interval = sim::Time::ms(50);
+    config.heartbeat.timeout = sim::Time::ms(200);
+    core::MetaverseClassroom classroom{config};
+    for (int i = 0; i < 4; ++i) classroom.add_physical_student(0);
+    classroom.add_physical_student(1);
+    auto& net = classroom.network();
+    auto& edge_gz = classroom.edge_server(1);
+    const net::NodeId edge0 = classroom.edge_server(0).node();
+    const net::NodeId edge1 = edge_gz.node();
+    const net::NodeId cloud = classroom.cloud_server().node();
+    classroom.start();
+    for (int outage = 0; outage < 2; ++outage) {
+        classroom.run_for(sim::Time::seconds(3.0));
+        net.set_link_up(edge0, edge1, false);
+        classroom.run_for(sim::Time::seconds(3.0));
+        ASSERT_FALSE(edge_gz.peer_alive(edge0));
+        net.set_link_up(edge0, edge1, true);
+    }
+    classroom.run_for(sim::Time::seconds(3.0));
+    ASSERT_TRUE(edge_gz.peer_alive(edge0));
+    EXPECT_GT(classroom.cloud_server().relayed_for_failover(), 0u);
+    EXPECT_EQ(edge_gz.path_health().at(cloud).lost(), 0u);
+    EXPECT_EQ(edge_gz.path_health().at(edge0).lost(), 0u);
+    classroom.stop();
+}
+
 TEST(FailoverIntegrationTest, HeartbeatsOffByDefaultCostNothing) {
     core::ClassroomConfig config;
     config.seed = 3;
@@ -440,9 +484,12 @@ TEST(FailoverIntegrationTest, HeartbeatsOffByDefaultCostNothing) {
     classroom.stop();
 }
 
-// Only the edge<->cloud link is lossy; the edge<->edge link stays clean.
-// The cloud's probes are part of the edge's path-health signal, so the edge
-// still steps down, and the edge whose links are clean does not.
+// Only the edge<->cloud link is lossy; the edge<->edge link stays clean and
+// carries GZ's students' avatar streams into CWB, about four times the
+// cloud's probe traffic (pooled into one estimate, 0.3 loss on the probes
+// reads below the 0.08 enter threshold). The edge steps on its worst live
+// inbound path, so the clean streams do not dilute the lossy link: CWB
+// still steps down, and GZ, whose links are clean, does not.
 TEST(FailoverIntegrationTest, EdgeStepsDownWhenOnlyCloudLinkIsLossy) {
     core::ClassroomConfig config;
     config.seed = 5;
@@ -451,6 +498,8 @@ TEST(FailoverIntegrationTest, EdgeStepsDownWhenOnlyCloudLinkIsLossy) {
     config.heartbeat.timeout = sim::Time::seconds(1.0);  // loss runs are not outages
     core::MetaverseClassroom classroom{config};
     classroom.add_physical_student(0);
+    constexpr std::size_t kGzStudents = 16;  // ~85 updates/s against 20 probes/s
+    for (std::size_t i = 0; i < kGzStudents; ++i) classroom.add_physical_student(1);
     auto& net = classroom.network();
     const net::NodeId edge = classroom.edge_server(0).node();
     const net::NodeId cloud = classroom.cloud_server().node();
@@ -464,6 +513,8 @@ TEST(FailoverIntegrationTest, EdgeStepsDownWhenOnlyCloudLinkIsLossy) {
     classroom.start();
     classroom.run_for(sim::Time::seconds(10.0));
     EXPECT_TRUE(classroom.edge_server(0).peer_alive(cloud));
+    // The clean stream really flows: GZ's students reach CWB directly.
+    EXPECT_EQ(classroom.edge_server(0).remote_participants().size(), kGzStudents);
     EXPECT_GE(classroom.edge_server(0).degradation_level(), 1);
     EXPECT_EQ(classroom.edge_server(1).degradation_level(), 0);
     classroom.stop();
